@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -23,19 +22,16 @@ from .baselines import (
     seasonal_naive,
     walk_forward_forecast,
 )
-from .config import ModelConfig, config_from_dict, load_config
-from .errors import AddcastError, EmptyInput, LengthMismatch, ParseError, SchemaError
+from .config import DEFAULT_SEED, ModelConfig, config_from_dict, load_config
+from .errors import AddcastError, DomainError, EmptyInput, LengthMismatch, ParseError, SchemaError
 from .estimator import fit
 from .evaluation import dm_test, evaluate_forecast, performance_by_horizon, rolling_cv, write_cv_folds_csv
 from .forecast import forecast_with_intervals, make_future_grid, predict, write_forecast_csv
-from .persistence import (
-    RunManifest,
-    canonical_json_bytes,
-    config_to_dict,
+from .persistence import (  # noqa: F401 -- perfbench/spans.py wraps addcast.cli.dataset_digest
     dataset_digest,
     load_model,
+    make_manifest,
     save_model,
-    sha256_hex,
     write_manifest,
 )
 from .timeseries import (
@@ -224,38 +220,55 @@ def cmd_dm(args) -> int:
     return 0
 
 
-def _compare_candidate(path, train: TimeSeries, test: TimeSeries, seed):
-    """One compare entry: returns (name, {day: prediction}, bounds95, n_skipped)."""
+def _load_candidate(path):
+    """One compare entry as (name, ModelConfig or baseline dict)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise SchemaError(f"{path}: config must be a JSON object")
     name = str(data.get("name") or Path(path).stem)
+    if "baseline" not in data:
+        return name, config_from_dict(data)
+    if data["baseline"] not in ("naive", "seasonal_naive", "lag_linear"):
+        raise SchemaError(f"{path}: unknown baseline {data['baseline']!r}")
+    return name, data
+
+
+def _compare_seed(seed, configs) -> int:
+    """The seed a compare run records: ``--seed`` when given, else the model
+    candidates' shared seed, else DEFAULT_SEED when all are baselines."""
+    if seed is not None:
+        return int(seed)
+    seeds = sorted({c.seed for c in configs if isinstance(c, ModelConfig)})
+    if len(seeds) > 1:
+        raise DomainError(f"model configs have different seeds {seeds}; pass --seed")
+    return seeds[0] if seeds else DEFAULT_SEED
+
+
+def _run_candidate(spec, train: TimeSeries, test: TimeSeries, seed):
+    """Forecast ``test`` from ``train``: ({day: prediction}, bounds95, n_skipped)."""
     test_days = [int(d) for d in test.timestamps]
 
-    if "baseline" in data:
-        kind = data["baseline"]
-        if kind == "naive":
-            preds = naive_forecast(train.values, len(test))
-        elif kind == "seasonal_naive":
-            preds = seasonal_naive(train.values, len(test), int(data.get("period", 7)))
-        elif kind == "lag_linear":
+    if isinstance(spec, dict):
+        kind = spec["baseline"]
+        if kind == "lag_linear":
             regressor = fit_linear_lag_regressor(train)
             result = walk_forward_forecast(regressor, train, test.timestamps)
             return (
-                name,
                 dict(zip([int(d) for d in result.dates], result.predictions)),
                 None,
                 result.n_skipped,
             )
+        if kind == "naive":
+            preds = naive_forecast(train.values, len(test))
         else:
-            raise SchemaError(f"{path}: unknown baseline {kind!r}")
-        return name, dict(zip(test_days, preds)), None, 0
+            preds = seasonal_naive(train.values, len(test), int(spec.get("period", 7)))
+        return dict(zip(test_days, preds)), None, 0
 
-    config = config_from_dict(data)
-    if seed is not None:
-        config = config.with_seed(seed)
+    config = spec if seed is None else spec.with_seed(seed)
     model = fit(train, config)
     periods = int(test.timestamps[-1]) - model.last_day
     grid = make_future_grid(model, periods)
@@ -265,7 +278,7 @@ def _compare_candidate(path, train: TimeSeries, test: TimeSeries, seed):
     if 0.95 in fc.bounds:
         lo, hi = fc.bounds[0.95]
         bounds95 = (lo[idx], hi[idx])
-    return name, dict(zip(test_days, fc.yhat[idx])), bounds95, 0
+    return dict(zip(test_days, fc.yhat[idx])), bounds95, 0
 
 
 def cmd_compare(args) -> int:
@@ -273,9 +286,13 @@ def cmd_compare(args) -> int:
     cutoff = parse_iso_date(args.cutoff)
     split = chronological_split(ts, cutoff)
 
-    candidates = []
-    for path in args.config:
-        candidates.append(_compare_candidate(path, split.train, split.test, args.seed))
+    specs = [_load_candidate(path) for path in args.config]
+    configs = [spec for _, spec in specs]
+    seed = _compare_seed(args.seed, configs)
+    candidates = [
+        (name, *_run_candidate(spec, split.train, split.test, args.seed))
+        for name, spec in specs
+    ]
 
     common = set(int(d) for d in split.test.timestamps)
     for _, preds, _, _ in candidates:
@@ -328,22 +345,7 @@ def cmd_compare(args) -> int:
     }
     print(_dump_json(payload, args.output))
 
-    config_dicts = []
-    for path in args.config:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if "baseline" in data:
-            config_dicts.append(data)
-        else:
-            config_dicts.append(config_to_dict(config_from_dict(data)))
-    manifest = RunManifest(
-        seed=int(args.seed) if args.seed is not None else 42,
-        version=__version__,
-        config_digest=sha256_hex(canonical_json_bytes(config_dicts)),
-        dataset_digest=dataset_digest(ts),
-        metrics=models,
-        created_at=datetime.now(timezone.utc).isoformat(),
-    )
+    manifest = make_manifest(seed, configs, ts, models)
     write_manifest(manifest, str(args.output) + ".manifest.json")
     return 0
 

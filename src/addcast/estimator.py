@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import expit
 
 from .config import ModelConfig, TrendSpec
 from .errors import (
@@ -30,10 +31,11 @@ from .errors import (
 )
 from .features import (
     DesignMatrix,
+    Layout,
     TimeScaling,
     build_design,
     gamma_from_delta,
-    logistic_trend,
+    model_layout,
 )
 from .timeseries import TimeSeries
 
@@ -51,8 +53,8 @@ def softabs(x):
 
 
 def _split_params(params: np.ndarray, design: DesignMatrix):
-    n_cp = design.trend_block.width
-    expected = 2 + design.X.shape[1]
+    n_cp = design.layout.trend.width
+    expected = 2 + design.layout.width
     if len(params) != expected:
         raise DomainError(
             f"parameter vector has length {len(params)}, expected {expected}"
@@ -60,23 +62,32 @@ def _split_params(params: np.ndarray, design: DesignMatrix):
     return float(params[0]), float(params[1]), params[2 : 2 + n_cp], params[2 + n_cp :]
 
 
-def _multiplicative_mask(design: DesignMatrix) -> np.ndarray:
-    """Boolean mask over non-trend columns: True where the column belongs to a
-    multiplicative seasonal block."""
-    offset = design.trend_block.stop
-    mask = np.zeros(design.X.shape[1] - offset, dtype=bool)
-    for b in design.blocks[1:]:
-        if b.kind == "seasonal" and b.mode == "multiplicative":
-            mask[b.start - offset : b.stop - offset] = True
-    return mask
+def _scaled_trend(trend: TrendSpec, y_scale: float) -> TrendSpec:
+    """The trend spec in scaled-value units: a logistic capacity is divided by
+    the value scale, like the target the model is fit to."""
+    if trend.growth == "logistic":
+        return replace(trend, capacity=trend.capacity / y_scale)
+    return trend
 
 
-def _prior_scales(design: DesignMatrix) -> np.ndarray:
-    parts = [b.prior_scales for b in design.blocks[1:]]
-    return np.concatenate(parts) if parts else np.empty(0)
+@dataclass(frozen=True)
+class ModelParts:
+    """The prediction on a design and the intermediates the gradient and the
+    forecast reuse, in scaled units. ``trend`` is g(t), with per-row growth
+    ``rate`` and ``offset``; ``s_mul`` is the multiplicative seasonal sum;
+    ``logistic_weight`` is g * (1 - g / capacity), None for linear growth."""
+
+    yhat: np.ndarray
+    trend: np.ndarray
+    s_mul: np.ndarray
+    rate: np.ndarray
+    offset: np.ndarray
+    logistic_weight: np.ndarray | None
+    delta: np.ndarray
+    beta: np.ndarray
 
 
-def _model_parts(params, design: DesignMatrix, trend: TrendSpec):
+def _model_parts(params, design: DesignMatrix, trend: TrendSpec) -> ModelParts:
     """Evaluate the prediction and the intermediates the gradient reuses.
 
     For logistic growth ``trend.capacity`` must be expressed in the same
@@ -84,21 +95,18 @@ def _model_parts(params, design: DesignMatrix, trend: TrendSpec):
     """
     k, m, delta, beta = _split_params(params, design)
     t = design.t_scaled
-    A = design.columns(design.trend_block)
-    cps = design.changepoints_scaled
-
+    A = design.columns(design.layout.trend)
+    rate = k + A @ delta
+    offset = m + A @ gamma_from_delta(design.changepoints_scaled, delta)
     if trend.growth == "linear":
-        rate = k + A @ delta
-        g = rate * t + (m + A @ gamma_from_delta(cps, delta))
-        logistic = None
+        g = rate * t + offset
+        weight = None
     else:
-        g = logistic_trend(t, k, m, delta, gamma_from_delta(cps, delta), cps, trend.capacity)
-        rate = k + A @ delta
-        offset = m + A @ gamma_from_delta(cps, delta)
-        logistic = (rate, offset, g * (1.0 - g / trend.capacity))
+        g = trend.capacity * expit(rate * (t - offset))
+        weight = g * (1.0 - g / trend.capacity)
 
-    Xr = design.X[:, design.trend_block.stop :]
-    mul_mask = _multiplicative_mask(design)
+    Xr = design.X[:, design.layout.trend.stop :]
+    mul_mask = design.layout.multiplicative_mask
     if mul_mask.any():
         s_mul = Xr[:, mul_mask] @ beta[mul_mask]
         s_add = Xr[:, ~mul_mask] @ beta[~mul_mask]
@@ -106,17 +114,16 @@ def _model_parts(params, design: DesignMatrix, trend: TrendSpec):
         s_mul = np.zeros_like(t)
         s_add = Xr @ beta
     yhat = g * (1.0 + s_mul) + s_add
-    return yhat, g, s_mul, A, Xr, mul_mask, logistic, (k, m, delta, beta)
+    return ModelParts(yhat, g, s_mul, rate, offset, weight, delta, beta)
 
 
 def _objective_and_gradient(params, design, y, trend):
-    yhat, g, s_mul, A, Xr, mul_mask, logistic, unpacked = _model_parts(
-        params, design, trend
-    )
-    _, _, delta, beta = unpacked
-    r = y - yhat
-    tau = design.trend_block.prior_scales
-    scales = _prior_scales(design)
+    parts = _model_parts(params, design, trend)
+    delta, beta = parts.delta, parts.beta
+    r = y - parts.yhat
+    layout = design.layout
+    tau = layout.trend.prior_scales
+    scales = layout.prior_scales
 
     sa = softabs(delta)
     objective = (
@@ -126,24 +133,26 @@ def _objective_and_gradient(params, design, y, trend):
     )
 
     # Data term: d(obj)/d(theta) = -(d yhat / d theta)^T r.
-    r_eff = r * (1.0 + s_mul)
+    r_eff = r * (1.0 + parts.s_mul)
     t = design.t_scaled
     cps = design.changepoints_scaled
-    if logistic is None:
+    A = design.columns(layout.trend)
+    if parts.logistic_weight is None:
         dk = -float(r_eff @ t)
         dm = -float(np.sum(r_eff))
         ddelta = -(A.T @ (r_eff * t)) + cps * (A.T @ r_eff)
     else:
-        rate, offset, w = logistic
-        u1 = r_eff * w * (t - offset)
-        u2 = r_eff * w * rate
+        u1 = r_eff * parts.logistic_weight * (t - parts.offset)
+        u2 = r_eff * parts.logistic_weight * parts.rate
         dk = -float(np.sum(u1))
         dm = float(np.sum(u2))
         ddelta = -(A.T @ u1) - cps * (A.T @ u2)
 
+    Xr = design.X[:, layout.trend.stop :]
+    mul_mask = layout.multiplicative_mask
     dbeta = np.empty_like(beta)
     if mul_mask.any():
-        dbeta[mul_mask] = -(Xr[:, mul_mask].T @ (r * g))
+        dbeta[mul_mask] = -(Xr[:, mul_mask].T @ (r * parts.trend))
         dbeta[~mul_mask] = -(Xr[:, ~mul_mask].T @ r)
     else:
         dbeta[:] = -(Xr.T @ r)
@@ -239,23 +248,14 @@ class FittedModel:
         """Residual standard deviation in original value units."""
         return self.sigma * self.y_scale
 
-    def coefficient_blocks(self) -> list[tuple[str, str, np.ndarray]]:
-        """Non-trend coefficients as (kind, name, values) in block order."""
-        out = []
-        cursor = 0
-        for spec in self.config.seasonalities:
-            width = 2 * spec.fourier_order
-            out.append(("seasonal", spec.name, self.beta[cursor : cursor + width]))
-            cursor += width
-        if self.config.holidays:
-            width = len(self.config.holidays)
-            out.append(("holidays", "holidays", self.beta[cursor : cursor + width]))
-            cursor += width
-        if self.config.regressors:
-            width = len(self.config.regressors)
-            out.append(("regressors", "regressors", self.beta[cursor : cursor + width]))
-            cursor += width
-        return out
+    @property
+    def layout(self) -> Layout:
+        return model_layout(self.config, len(self.changepoints_scaled))
+
+    @property
+    def scaled_trend(self) -> TrendSpec:
+        """The config's trend spec in the scaled-value units of the model."""
+        return _scaled_trend(self.config.trend, self.y_scale)
 
 
 def _initial_parameters(design: DesignMatrix, y_scaled: np.ndarray) -> np.ndarray:
@@ -264,7 +264,7 @@ def _initial_parameters(design: DesignMatrix, y_scaled: np.ndarray) -> np.ndarra
     t = design.t_scaled
     A = np.column_stack([t, np.ones_like(t)])
     (k0, m0), *_ = np.linalg.lstsq(A, y_scaled, rcond=None)
-    x0 = np.zeros(2 + design.X.shape[1])
+    x0 = np.zeros(2 + design.layout.width)
     x0[0] = k0
     x0[1] = m0
     return x0
@@ -289,16 +289,14 @@ def fit(ts: TimeSeries, config: ModelConfig, iteration_callback=None) -> FittedM
         y_scale = 1.0
     y_scaled = y / y_scale
 
-    n_params = 2 + design.X.shape[1]
+    n_params = 2 + design.layout.width
     n_obs = len(ts)
     if n_params > n_obs or n_obs < 2 + n_params / 10:
         raise UnderdeterminedModel(
             f"{n_params} parameters against {n_obs} observations"
         )
 
-    trend = config.trend
-    if trend.growth == "logistic":
-        trend = replace(trend, capacity=trend.capacity / y_scale)
+    trend = _scaled_trend(config.trend, y_scale)
 
     x0 = _initial_parameters(design, y_scaled)
 
@@ -341,8 +339,7 @@ def fit(ts: TimeSeries, config: ModelConfig, iteration_callback=None) -> FittedM
 
     params = result.x
     k, m, delta, beta = _split_params(params, design)
-    yhat, *_ = _model_parts(params, design, trend)
-    sigma = estimate_sigma(y_scaled - yhat)
+    sigma = estimate_sigma(y_scaled - _model_parts(params, design, trend).yhat)
 
     return FittedModel(
         config=config,

@@ -1,6 +1,11 @@
 """Feature construction for the additive model: piecewise trend basis,
 harmonic seasonal features, holiday indicators, and regressor columns.
 
+``model_layout`` is the single owner of a model's coefficient blocks: their
+order (trend, each seasonal block, holidays, regressors), widths, prior
+scales and seasonal modes. design_for_grid, the estimator, the forecast
+and the model document all read block structure from it.
+
 Internal time is affinely rescaled so the training span maps to [0, 1]
 (changepoints and trend parameters live in that scale); seasonal features are
 computed directly on epoch-days so their phase is calendar-anchored.
@@ -9,6 +14,7 @@ computed directly on epoch-days so their phase is calendar-anchored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -93,10 +99,7 @@ def fourier_features(t, period: float, order: int) -> np.ndarray:
     t_arr = np.asarray(t, dtype=np.float64)
     harmonics = np.arange(1, order + 1, dtype=np.float64)
     angles = (2.0 * np.pi / period) * t_arr[..., np.newaxis] * harmonics
-    out = np.empty(t_arr.shape + (2 * order,), dtype=np.float64)
-    out[..., 0::2] = np.cos(angles)
-    out[..., 1::2] = np.sin(angles)
-    return out
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-1).reshape(t_arr.shape + (-1,))
 
 
 def holiday_features(timestamps, specs) -> np.ndarray:
@@ -128,40 +131,102 @@ class Block:
 
 
 @dataclass(frozen=True)
-class DesignMatrix:
-    """Feature columns grouped into blocks, plus the scaled time axis the
-    trend evaluates on.
+class Layout:
+    """Ordered coefficient blocks of one model; see ``model_layout``.
 
-    The trend block's columns are the changepoint indicators a(t); the
-    remaining blocks enter the prediction linearly.
+    The trend block's columns carry delta, the changepoint rate adjustments;
+    the columns of every later block carry beta, in the same order.
     """
 
-    t_days: np.ndarray
-    t_scaled: np.ndarray
-    changepoints_scaled: np.ndarray
-    X: np.ndarray
     blocks: tuple[Block, ...]
 
-    def __post_init__(self):
-        widths = sum(b.width for b in self.blocks)
-        if widths != self.X.shape[1]:
-            raise DomainError(
-                f"block widths sum to {widths} but design has {self.X.shape[1]} columns"
-            )
+    @property
+    def width(self) -> int:
+        return self.blocks[-1].stop
 
     @property
-    def n_rows(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def trend_block(self) -> Block:
+    def trend(self) -> Block:
         return self.blocks[0]
+
+    @property
+    def coefficients(self) -> tuple[Block, ...]:
+        """The blocks after the trend, whose coefficients make up beta."""
+        return self.blocks[1:]
+
+    @property
+    def component_names(self) -> list[str]:
+        """Reported forecast components: trend, each seasonal block, then
+        holidays and regressors, which are reported even when undeclared."""
+        seasonal = [b.name for b in self.blocks if b.kind == "seasonal"]
+        return ["trend", *seasonal, "holidays", "regressors"]
 
     def block(self, kind: str, name: str | None = None) -> Block | None:
         for b in self.blocks:
             if b.kind == kind and (name is None or b.name == name):
                 return b
         return None
+
+    def beta_slice(self, block: Block) -> slice:
+        """Where ``block``'s coefficients sit in beta."""
+        return slice(block.start - self.trend.stop, block.stop - self.trend.stop)
+
+    @cached_property
+    def prior_scales(self) -> np.ndarray:
+        """Per-coefficient prior scales of beta."""
+        parts = [b.prior_scales for b in self.coefficients]
+        return np.concatenate(parts) if parts else np.empty(0)
+
+    @cached_property
+    def multiplicative_mask(self) -> np.ndarray:
+        """True where a beta coefficient belongs to a multiplicative block."""
+        mask = np.zeros(self.width - self.trend.stop, dtype=bool)
+        for b in self.coefficients:
+            mask[self.beta_slice(b)] = b.mode == "multiplicative"
+        return mask
+
+
+def model_layout(config: ModelConfig, n_changepoints: int) -> Layout:
+    """Blocks of a model with ``n_changepoints`` placed changepoints: the
+    trend (one changepoint indicator per column), each seasonal block in
+    config order (2 * fourier_order harmonic columns), then holidays and
+    regressors (one column per spec) when the config declares any."""
+    tau = config.trend.changepoint_prior_scale
+    parts = [("trend", "trend", np.full(n_changepoints, tau), "additive")]
+    parts += [
+        ("seasonal", s.name, np.full(2 * s.fourier_order, s.prior_scale), s.mode)
+        for s in config.seasonalities
+    ]
+    for kind, specs in (("holidays", config.holidays), ("regressors", config.regressors)):
+        if specs:
+            parts.append((kind, kind, np.array([s.prior_scale for s in specs]), "additive"))
+    blocks = []
+    start = 0
+    for kind, name, scales, mode in parts:
+        blocks.append(Block(kind, name, start, start + len(scales), scales, mode))
+        start += len(scales)
+    return Layout(tuple(blocks))
+
+
+@dataclass(frozen=True)
+class DesignMatrix:
+    """Feature columns laid out by ``layout``, plus the scaled time axis the
+    trend evaluates on.
+
+    The trend block's columns are the changepoint indicators a(t); the
+    remaining blocks enter the prediction linearly.
+    """
+
+    t_scaled: np.ndarray
+    changepoints_scaled: np.ndarray
+    X: np.ndarray
+    layout: Layout
+
+    def __post_init__(self):
+        if self.layout.width != self.X.shape[1]:
+            raise DomainError(
+                f"block widths sum to {self.layout.width} "
+                f"but design has {self.X.shape[1]} columns"
+            )
 
     def columns(self, block: Block) -> np.ndarray:
         return self.X[:, block.start : block.stop]
@@ -178,7 +243,10 @@ class TimeScaling:
         return (np.asarray(days, dtype=np.float64) - self.t_start) / self.t_span
 
 
-def _regressor_column(spec, timestamps: np.ndarray, extra: dict | None) -> np.ndarray:
+def regressor_column(spec, timestamps: np.ndarray, extra: dict | None) -> np.ndarray:
+    """Values of one regressor at ``timestamps``, taken from ``extra``
+    ({day: value}) before the spec's own values; raises
+    MissingRegressorValue at the first day neither covers."""
     col = np.empty(len(timestamps), dtype=np.float64)
     for i, day in enumerate(timestamps):
         day = int(day)
@@ -205,83 +273,27 @@ def design_for_grid(
     t = np.asarray(timestamps, dtype=np.int64)
     t_scaled = scaling.scale(t)
     cps = np.asarray(changepoints_scaled, dtype=np.float64)
+    layout = model_layout(config, len(cps))
+    seasonalities = {spec.name: spec for spec in config.seasonalities}
+    extra = extra_regressors or {}
 
-    blocks: list[Block] = []
-    columns: list[np.ndarray] = []
-    cursor = 0
-
-    trend_width = len(cps)
-    blocks.append(
-        Block(
-            kind="trend",
-            name="trend",
-            start=0,
-            stop=trend_width,
-            prior_scales=np.full(trend_width, config.trend.changepoint_prior_scale),
-        )
-    )
-    columns.append(changepoint_basis(t_scaled, cps))
-    cursor = trend_width
-
-    for spec in config.seasonalities:
-        width = 2 * spec.fourier_order
-        blocks.append(
-            Block(
-                kind="seasonal",
-                name=spec.name,
-                start=cursor,
-                stop=cursor + width,
-                prior_scales=np.full(width, spec.prior_scale),
-                mode=spec.mode,
-            )
-        )
-        columns.append(fourier_features(t, spec.period, spec.fourier_order))
-        cursor += width
-
-    if config.holidays:
-        width = len(config.holidays)
-        blocks.append(
-            Block(
-                kind="holidays",
-                name="holidays",
-                start=cursor,
-                stop=cursor + width,
-                prior_scales=np.array([h.prior_scale for h in config.holidays]),
-            )
-        )
-        columns.append(holiday_features(t, config.holidays))
-        cursor += width
-
-    if config.regressors:
-        width = len(config.regressors)
-        blocks.append(
-            Block(
-                kind="regressors",
-                name="regressors",
-                start=cursor,
-                stop=cursor + width,
-                prior_scales=np.array([r.prior_scale for r in config.regressors]),
-            )
-        )
-        reg_cols = np.column_stack(
-            [
-                _regressor_column(
-                    r, t, (extra_regressors or {}).get(r.name)
+    columns = []
+    for block in layout.blocks:
+        if block.kind == "trend":
+            columns.append(changepoint_basis(t_scaled, cps))
+        elif block.kind == "seasonal":
+            spec = seasonalities[block.name]
+            columns.append(fourier_features(t, spec.period, spec.fourier_order))
+        elif block.kind == "holidays":
+            columns.append(holiday_features(t, config.holidays))
+        else:
+            columns.append(
+                np.column_stack(
+                    [regressor_column(r, t, extra.get(r.name)) for r in config.regressors]
                 )
-                for r in config.regressors
-            ]
-        )
-        columns.append(reg_cols)
-        cursor += width
-
-    X = np.hstack(columns) if columns else np.empty((len(t), 0))
-
+            )
     return DesignMatrix(
-        t_days=t,
-        t_scaled=t_scaled,
-        changepoints_scaled=cps,
-        X=X,
-        blocks=tuple(blocks),
+        t_scaled=t_scaled, changepoints_scaled=cps, X=np.hstack(columns), layout=layout
     )
 
 

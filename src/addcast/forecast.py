@@ -1,11 +1,14 @@
 """Forecast generation: future grids, per-component point predictions, and
 Monte-Carlo prediction intervals.
 
-The point forecast is the sum of the reported components (trend, each
-seasonal block, holidays, regressors), so the additive identity holds exactly
-for additive models. Interval simulation draws future trend changes from the
-historical changepoint behaviour plus per-timestamp observation noise, and is
-a pure function of (model, grid, seed).
+The point forecast is the sum of the reported components, so the additive
+identity holds exactly for additive models. The model's layout
+(``features.model_layout``) is the single owner of the components' order:
+trend, each seasonal block, holidays, regressors. A forecast evaluates the
+model on its grid once, for both the point forecast and the simulation.
+Interval simulation draws future trend changes from the historical
+changepoint behaviour plus per-timestamp observation noise, and is a pure
+function of (model, grid, seed).
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .estimator import FittedModel, _model_parts
-from .features import design_for_grid, gamma_from_delta, logistic_trend
+from .estimator import FittedModel, ModelParts, _model_parts
+from .features import design_for_grid, gamma_from_delta, logistic_trend, regressor_column
 from .timeseries import format_epoch_day
 
 
@@ -76,80 +79,60 @@ def make_future_grid(model: FittedModel, periods: int, extra_regressors=None) ->
             values.update(
                 {int(k): float(v) for k, v in extra_regressors[spec.name].items()}
             )
+        regressor_column(spec, timestamps, values)  # raises MissingRegressorValue
         merged[spec.name] = values
-    grid = FutureGrid(timestamps=timestamps, regressor_values=merged)
-    # Fail fast on missing regressor values (raises MissingRegressorValue).
-    _grid_design(model, grid)
-    return grid
+    return FutureGrid(timestamps=timestamps, regressor_values=merged)
 
 
-def _grid_design(model: FittedModel, grid: FutureGrid):
-    return design_for_grid(
+@dataclass(frozen=True)
+class _Evaluation:
+    """The model evaluated on a grid, in scaled units: the model parts, the
+    reported components and their sum."""
+
+    t_scaled: np.ndarray
+    parts: ModelParts
+    components: dict
+    yhat: np.ndarray
+
+
+def _evaluate(model: FittedModel, grid: FutureGrid) -> _Evaluation:
+    """Build the grid's design once and evaluate the model on it."""
+    design = design_for_grid(
         grid.timestamps,
         model.config,
         model.time_scaling,
         model.changepoints_scaled,
         extra_regressors=grid.regressor_values,
     )
+    params = np.concatenate(([model.k, model.m], model.delta, model.beta))
+    parts = _model_parts(params, design, model.scaled_trend)
+    layout = design.layout
+    components = dict.fromkeys(layout.component_names, np.zeros_like(parts.trend))
+    components["trend"] = parts.trend
+    for block in layout.coefficients:
+        contribution = design.columns(block) @ parts.beta[layout.beta_slice(block)]
+        if block.mode == "multiplicative":
+            contribution = parts.trend * contribution
+        components[block.name] = contribution
+
+    yhat = np.zeros_like(parts.trend)
+    for contribution in components.values():
+        yhat = yhat + contribution
+    return _Evaluation(design.t_scaled, parts, components, yhat)
 
 
-def _packed_params(model: FittedModel) -> np.ndarray:
-    return np.concatenate(([model.k, model.m], model.delta, model.beta))
-
-
-def _scaled_trend_spec(model: FittedModel):
-    trend = model.config.trend
-    if trend.growth == "logistic":
-        trend = replace(trend, capacity=trend.capacity / model.y_scale)
-    return trend
-
-
-def _scaled_parts(model: FittedModel, grid: FutureGrid):
-    design = _grid_design(model, grid)
-    params = _packed_params(model)
-    trend = _scaled_trend_spec(model)
-    _, g, s_mul, _, Xr, mul_mask, _, unpacked = _model_parts(params, design, trend)
-    _, _, _, beta = unpacked
-
-    components: dict[str, np.ndarray] = {"trend": g}
-    offset = design.trend_block.stop
-    for block in design.blocks[1:]:
-        cols = design.columns(block)
-        coef = beta[block.start - offset : block.stop - offset]
-        contribution = cols @ coef
-        if block.kind == "seasonal":
-            if block.mode == "multiplicative":
-                contribution = g * contribution
-            components[block.name] = contribution
-        else:
-            components[block.kind] = contribution
-    components.setdefault("holidays", np.zeros_like(g))
-    components.setdefault("regressors", np.zeros_like(g))
-
-    yhat = np.zeros_like(g)
-    for key in _component_order(model):
-        yhat = yhat + components[key]
-    return design, components, yhat, g, s_mul
-
-
-def _component_order(model: FittedModel) -> list[str]:
-    return (
-        ["trend"]
-        + [s.name for s in model.config.seasonalities]
-        + ["holidays", "regressors"]
+def _point_forecast(model: FittedModel, grid: FutureGrid, evaluation: _Evaluation) -> Forecast:
+    return Forecast(
+        timestamps=grid.timestamps,
+        yhat=evaluation.yhat * model.y_scale,
+        components={k: v * model.y_scale for k, v in evaluation.components.items()},
+        bounds={},
     )
 
 
 def predict(model: FittedModel, grid: FutureGrid) -> Forecast:
     """Point forecast with additive component decomposition, original units."""
-    _, components, yhat, _, _ = _scaled_parts(model, grid)
-    scaled = {k: v * model.y_scale for k, v in components.items()}
-    return Forecast(
-        timestamps=grid.timestamps,
-        yhat=yhat * model.y_scale,
-        components=scaled,
-        bounds={},
-    )
+    return _point_forecast(model, grid, _evaluate(model, grid))
 
 
 def simulate_intervals(model: FittedModel, grid: FutureGrid, seed: int) -> dict:
@@ -161,25 +144,24 @@ def simulate_intervals(model: FittedModel, grid: FutureGrid, seed: int) -> dict:
     Normal(0, sigma) observation noise; bounds are type-7 empirical quantiles.
     Deterministic given (model, grid, seed); draws are sequential per sample.
     """
-    if model.config.interval_samples < 100:
-        raise DomainError("interval_samples must be >= 100")
-    design, _, yhat, g, s_mul = _scaled_parts(model, grid)
+    return _simulate(model, _evaluate(model, grid), seed)
 
-    t = design.t_scaled
-    cps = design.changepoints_scaled
+
+def _simulate(model: FittedModel, evaluation: _Evaluation, seed: int) -> dict:
+    t = evaluation.t_scaled
+    g = evaluation.parts.trend
+    cps = model.changepoints_scaled
     n_hist = len(cps)
     future_span = float(max(0.0, t[-1] - 1.0)) if len(t) else 0.0
     laplace_scale = float(np.mean(np.abs(model.delta))) if n_hist else 0.0
     sample_trend = n_hist > 0 and laplace_scale > 0.0 and future_span > 0.0
-    logistic = model.config.trend.growth == "logistic"
-    capacity_scaled = (
-        model.config.trend.capacity / model.y_scale if logistic else None
-    )
+    trend = model.scaled_trend
+    logistic = trend.growth == "logistic"
 
     rng = np.random.Generator(np.random.Philox(int(seed)))
     n_samples = model.config.interval_samples
     samples = np.empty((n_samples, len(t)))
-    seasonal_factor = 1.0 + s_mul
+    seasonal_factor = 1.0 + evaluation.parts.s_mul
     for i in range(n_samples):
         deviation = 0.0
         if sample_trend:
@@ -197,14 +179,14 @@ def simulate_intervals(model: FittedModel, grid: FutureGrid, seed: int) -> dict:
                         delta_aug,
                         gamma_from_delta(cps_aug, delta_aug),
                         cps_aug,
-                        capacity_scaled,
+                        trend.capacity,
                     )
                     deviation = g_new - g
                 else:
                     active = t[:, np.newaxis] >= locs
                     deviation = (active * (t[:, np.newaxis] - locs)) @ mags
         noise = rng.normal(0.0, model.sigma, len(t))
-        samples[i] = yhat + deviation * seasonal_factor + noise
+        samples[i] = evaluation.yhat + deviation * seasonal_factor + noise
 
     bounds = {}
     for level in model.config.interval_levels:
@@ -216,29 +198,23 @@ def simulate_intervals(model: FittedModel, grid: FutureGrid, seed: int) -> dict:
 
 def forecast_with_intervals(model: FittedModel, grid: FutureGrid, seed=None) -> Forecast:
     """predict plus simulate_intervals under the model's (or given) seed."""
-    point = predict(model, grid)
-    bounds = simulate_intervals(
-        model, grid, model.config.seed if seed is None else seed
-    )
-    return Forecast(
-        timestamps=point.timestamps,
-        yhat=point.yhat,
-        components=point.components,
-        bounds=bounds,
-    )
+    evaluation = _evaluate(model, grid)
+    bounds = _simulate(model, evaluation, model.config.seed if seed is None else seed)
+    return replace(_point_forecast(model, grid, evaluation), bounds=bounds)
 
 
 def write_forecast_csv(forecast: Forecast, model: FittedModel, path) -> None:
-    """Forecast table: ds, yhat, per-level bounds, then component columns."""
+    """Forecast table: ds, yhat, per-level bounds, then component columns
+    (regressors only when the model declares any)."""
     levels = sorted(forecast.bounds)
     header = ["ds", "yhat"]
     for level in levels:
         pct = int(round(level * 100))
         header += [f"yhat_lower_{pct}", f"yhat_upper_{pct}"]
-    seasonal_names = [s.name for s in model.config.seasonalities]
-    header += ["trend"] + seasonal_names + ["holidays"]
-    if model.config.regressors:
-        header.append("regressors")
+    names = model.layout.component_names
+    if not model.config.regressors:
+        names.remove("regressors")
+    header += names
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -247,10 +223,5 @@ def write_forecast_csv(forecast: Forecast, model: FittedModel, path) -> None:
             for level in levels:
                 lower, upper = forecast.bounds[level]
                 row += [repr(float(lower[i])), repr(float(upper[i]))]
-            row.append(repr(float(forecast.components["trend"][i])))
-            for name in seasonal_names:
-                row.append(repr(float(forecast.components[name][i])))
-            row.append(repr(float(forecast.components["holidays"][i])))
-            if model.config.regressors:
-                row.append(repr(float(forecast.components["regressors"][i])))
+            row += [repr(float(forecast.components[name][i])) for name in names]
             writer.writerow(row)

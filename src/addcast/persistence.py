@@ -22,6 +22,7 @@ from . import __version__
 from .config import ModelConfig, config_from_dict, config_to_dict
 from .errors import SchemaError, UnsupportedVersion
 from .estimator import FittedModel
+from .features import model_layout
 from .timeseries import TimeSeries, format_epoch_day
 
 FORMAT_VERSION = 1
@@ -38,10 +39,17 @@ def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def config_digest(config: ModelConfig) -> str:
+def _config_form(config):
+    if isinstance(config, ModelConfig):
+        return config_to_dict(config)
+    return config if isinstance(config, dict) else [_config_form(c) for c in config]
+
+
+def config_digest(config) -> str:
     """Content hash of the canonical config form; whitespace-only edits of a
-    config file do not change it."""
-    return sha256_hex(canonical_json_bytes(config_to_dict(config)))
+    config file do not change it. A list (the candidates of a compare run,
+    ModelConfigs or baseline dicts) hashes as the list of their forms."""
+    return sha256_hex(canonical_json_bytes(_config_form(config)))
 
 
 def dataset_digest(ts: TimeSeries) -> str:
@@ -109,9 +117,10 @@ class ModelDocument:
 
 
 def model_to_document(model: FittedModel) -> ModelDocument:
+    layout = model.layout
     blocks = [
-        {"kind": kind, "name": name, "values": [float(v) for v in values]}
-        for kind, name, values in model.coefficient_blocks()
+        {"kind": b.kind, "name": b.name, "values": model.beta[layout.beta_slice(b)].tolist()}
+        for b in layout.coefficients
     ]
     return ModelDocument(
         format_version=FORMAT_VERSION,
@@ -142,6 +151,13 @@ def model_from_document(doc: ModelDocument) -> FittedModel:
     try:
         config = config_from_dict(doc.config)
         params = doc.parameters
+        layout = model_layout(config, len(params["changepoints"]))
+        found = [(b["kind"], b["name"], len(b["values"])) for b in params["blocks"]]
+        expected = [(b.kind, b.name, b.width) for b in layout.coefficients]
+        if found != expected:
+            raise SchemaError(
+                f"coefficient blocks (kind, name, width) are {found}, expected {expected}"
+            )
         beta_parts = [np.array(b["values"], dtype=np.float64) for b in params["blocks"]]
         beta = np.concatenate(beta_parts) if beta_parts else np.empty(0)
         model = FittedModel(
@@ -159,12 +175,6 @@ def model_from_document(doc: ModelDocument) -> FittedModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed model document: {exc}") from None
-    expected = sum(2 * s.fourier_order for s in config.seasonalities)
-    expected += len(config.holidays) + len(config.regressors)
-    if len(model.beta) != expected:
-        raise SchemaError(
-            f"coefficient blocks have {len(model.beta)} values, expected {expected}"
-        )
     if len(model.delta) != len(model.changepoints_scaled):
         raise SchemaError("delta and changepoints length mismatch")
     return model
@@ -209,9 +219,9 @@ class RunManifest:
         }
 
 
-def make_manifest(
-    seed: int, config: ModelConfig, ts: TimeSeries, metrics: dict
-) -> RunManifest:
+def make_manifest(seed: int, config, ts: TimeSeries, metrics: dict) -> RunManifest:
+    """Manifest of a run on ``ts``; ``config`` is a ModelConfig or a list as
+    taken by config_digest."""
     return RunManifest(
         seed=int(seed),
         version=__version__,

@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from addcast.timeseries import TimeSeries, parse_iso_date
+
+# pyproject.toml puts src/ on this process's path; tests that start
+# `python -m addcast` need it too when the package is not installed.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def daily_days(start_iso: str, n: int) -> np.ndarray:

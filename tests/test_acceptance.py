@@ -115,7 +115,7 @@ def test_criterion_03_ridge_oracle_equivalence():
             design = build_design(ts, config)
             A = np.column_stack([design.t_scaled, np.ones(n), design.X])
             penalties = np.concatenate(
-                [[0.0, 0.0]] + [1.0 / np.square(b.prior_scales) for b in design.blocks[1:]]
+                [[0.0, 0.0]] + [1.0 / np.square(b.prior_scales) for b in design.layout.blocks[1:]]
             )
             theta = np.linalg.solve(
                 A.T @ A + np.diag(penalties), A.T @ (y / model.y_scale)

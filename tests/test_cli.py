@@ -389,6 +389,68 @@ class TestCompareCommand:
         assert {"rmse", "mae", "mape_percent", "coverage_percent", "n_predicted"} <= set(entry)
 
 
+    def run_compare(self, tmp_path, rng, seeds, flags=()):
+        """compare over one config per seed (None: a naive baseline)."""
+        data = tmp_path / "data.csv"
+        days = self.seasonal_data(data, rng, n=400)
+        configs = []
+        for i, seed in enumerate(seeds):
+            path = tmp_path / f"m{i}.json"
+            if seed is None:
+                path.write_text(json.dumps({"baseline": "naive", "name": f"b{i}"}))
+            else:
+                small_config(path, seed=seed)
+            configs.append(path)
+        out = tmp_path / "out.json"
+        code = main(
+            ["compare", "--input", str(data), "--config", *map(str, configs),
+             "--cutoff", format_epoch_day(int(days[320])), "--output", str(out), *flags]
+        )
+        return code, configs, tmp_path / "out.json.manifest.json"
+
+    @pytest.mark.parametrize(
+        "seeds,flags,recorded",
+        [
+            ((7,), (), 7),
+            ((7, 7, None), (), 7),
+            ((3, 5), ("--seed", "9"), 9),
+            ((None, None), (), 42),
+        ],
+    )
+    def test_manifest_seed_and_digest(self, tmp_path, rng, capsys, seeds, flags, recorded):
+        from addcast.config import config_to_dict, load_config
+        from addcast.persistence import canonical_json_bytes, sha256_hex
+
+        code, configs, manifest_path = self.run_compare(tmp_path, rng, seeds, flags)
+        assert code == 0
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["seed"] == recorded
+        forms = [
+            json.loads(p.read_text()) if seed is None else config_to_dict(load_config(p))
+            for p, seed in zip(configs, seeds)
+        ]
+        assert manifest["config_digest"] == sha256_hex(canonical_json_bytes(forms))
+
+    def test_differing_seeds_need_seed_flag(self, tmp_path, rng, capsys):
+        code, _, manifest_path = self.run_compare(tmp_path, rng, (3, 5))
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DomainError" and "--seed" in err["message"]
+        assert not manifest_path.exists()
+
+    def test_non_object_config_exits_1(self, tmp_path, rng, capsys):
+        data = tmp_path / "data.csv"
+        days = self.seasonal_data(data, rng, n=400)
+        cfg = tmp_path / "list.json"
+        cfg.write_text("[]")
+        assert main(
+            ["compare", "--input", str(data), "--config", str(cfg),
+             "--cutoff", format_epoch_day(int(days[320])),
+             "--output", str(tmp_path / "o.json")]
+        ) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+
 class TestUsageErrors:
     def test_missing_required_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

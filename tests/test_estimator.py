@@ -67,7 +67,7 @@ class TestMapObjective:
         ts = make_series("2020-01-01", np.zeros(50))
         config = ModelConfig(trend=TrendSpec(n_changepoints=4), seasonalities=())
         design = build_design(ts, config)
-        n_cp = design.trend_block.width
+        n_cp = design.layout.trend.width
         assert n_cp == 4
         params = np.zeros(2 + design.X.shape[1])
         value = map_objective(params, design, ts.values, config.trend)
@@ -105,8 +105,8 @@ class TestMapObjective:
                 np.sum(
                     np.square(
                         y
-                        - (design.columns(design.trend_block) @ delta) * design.t_scaled
-                        - design.columns(design.trend_block)
+                        - (design.columns(design.layout.trend) @ delta) * design.t_scaled
+                        - design.columns(design.layout.trend)
                         @ (-design.changepoints_scaled * delta)
                     )
                 )
@@ -292,7 +292,7 @@ class TestFit:
             A = np.column_stack([design.t_scaled, np.ones(n), design.X])
             penalties = np.concatenate(
                 [[0.0, 0.0]]
-                + [1.0 / np.square(b.prior_scales) for b in design.blocks[1:]]
+                + [1.0 / np.square(b.prior_scales) for b in design.layout.blocks[1:]]
             )
             theta = np.linalg.solve(A.T @ A + np.diag(penalties), A.T @ (y / model.y_scale))
             fitted = pack(model.k, model.m, model.delta, model.beta)

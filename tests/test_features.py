@@ -222,15 +222,15 @@ class TestBuildDesign:
             seasonalities=(SeasonalitySpec(name="weekly", period=7.0, fourier_order=3),),
         )
         design = build_design(ts, config)
-        block = design.block("seasonal", "weekly")
+        block = design.layout.block("seasonal", "weekly")
         assert block.width == 6
         assert design.X.shape[1] == 6
 
     def test_default_config_widths(self):
         ts = make_series("2020-01-01", np.arange(120.0))
         design = build_design(ts, ModelConfig())
-        assert design.block("seasonal", "yearly").width == 20
-        assert design.block("seasonal", "weekly").width == 8
+        assert design.layout.block("seasonal", "yearly").width == 20
+        assert design.layout.block("seasonal", "weekly").width == 8
 
     def test_block_order_and_total_width(self, rng):
         days = daily_days("2020-01-01", 60)
@@ -249,17 +249,17 @@ class TestBuildDesign:
         )
         ts = TimeSeries(days, rng.normal(0, 1, 60))
         design = build_design(ts, config)
-        kinds = [b.kind for b in design.blocks]
+        kinds = [b.kind for b in design.layout.blocks]
         assert kinds == ["trend", "seasonal", "seasonal", "holidays", "regressors"]
-        names = [b.name for b in design.blocks[1:3]]
+        names = [b.name for b in design.layout.blocks[1:3]]
         assert names == ["weekly", "monthly"]
-        n_cp = design.trend_block.width
+        n_cp = design.layout.trend.width
         assert design.X.shape[1] == n_cp + 4 + 6 + 2 + 1
         # prior scales attached per column
-        assert np.all(design.trend_block.prior_scales == 0.05)
-        assert np.all(design.block("seasonal", "weekly").prior_scales == 10.0)
-        assert list(design.block("holidays").prior_scales) == [10.0, 3.0]
-        assert list(design.block("regressors").prior_scales) == [2.0]
+        assert np.all(design.layout.trend.prior_scales == 0.05)
+        assert np.all(design.layout.block("seasonal", "weekly").prior_scales == 10.0)
+        assert list(design.layout.block("holidays").prior_scales) == [10.0, 3.0]
+        assert list(design.layout.block("regressors").prior_scales) == [2.0]
 
     def test_missing_regressor_value(self):
         days = daily_days("2020-01-01", 30)

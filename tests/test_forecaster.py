@@ -65,13 +65,40 @@ class TestMakeFutureGrid:
         )
         ts = TimeSeries(days, np.arange(60.0))
         model = fit(ts, config)
-        with pytest.raises(MissingRegressorValue):
+        with pytest.raises(MissingRegressorValue, match="'x' has no value for 2021-03-02"):
             make_future_grid(model, 1)
         # supplying the missing day resolves it
         grid = make_future_grid(
             model, 1, extra_regressors={"x": {int(days[-1]) + 1: 2.0}}
         )
         assert len(grid) == 61
+
+    def test_design_builds_per_call(self, monkeypatch):
+        import addcast.features
+        import addcast.forecast
+
+        builds = []
+        original = addcast.features.design_for_grid
+
+        def counted(*args, **kwargs):
+            builds.append(1)
+            return original(*args, **kwargs)
+
+        for module in (addcast.features, addcast.forecast):
+            monkeypatch.setattr(module, "design_for_grid", counted)
+        days = daily_days("2021-01-01", 60)
+        values = {int(d): float(d % 3) for d in daily_days("2021-01-01", 70)}
+        config = ModelConfig(
+            trend=TrendSpec(n_changepoints=2),
+            regressors=(RegressorSpec(name="x", prior_scale=1.0, values=values),),
+            interval_samples=100,
+        )
+        model = fit(TimeSeries(days, np.arange(60.0) % 7), config)
+        assert len(builds) == 1
+        grid = make_future_grid(model, 10)
+        assert len(builds) == 1
+        forecast_with_intervals(model, grid)
+        assert len(builds) == 2
 
     def test_negative_periods_rejected(self):
         with pytest.raises(DomainError):

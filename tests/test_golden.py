@@ -1,0 +1,144 @@
+"""Pinned SHA-256 digests of every file the CLI writes for two small seeded
+models, so a change that alters any output byte shows here.
+
+The linear model has additive seasonality, a holiday and a regressor; the
+logistic one mixes a multiplicative and an additive seasonal block. Together
+they cover every coefficient block kind.
+
+The digests were produced on x86_64 with Python 3.11.7, numpy 2.4.6,
+scipy 1.17.1 and OpenBLAS 0.3.31 (scipy-openblas64). Another numpy, scipy or
+BLAS build may round differently in the last digit. A deliberate change to
+numeric output updates these digests and says why in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+
+from addcast.cli import main
+from addcast.timeseries import format_epoch_day
+
+from conftest import daily_days
+
+N_DAYS = 240
+CUTOFF_INDEX = 200
+
+GOLDEN = {
+    "linear": {
+        "model": "1650bb5f6c9f6d3567398070c7e5cabb706ae713185422ba9e18c5fe39f5cabf",
+        "forecast": "d997026febc970fef2f98ebef49df928484f24252dcb994b48ebefb210cf7840",
+        "folds": "96ec48ed51263fab6647e6c5db70c8d5ce55547031ca5af67dc05c2addde0fe7",
+        "metrics": "ce80e4a12fd60fd7e67ebfe581cbabe51ce1e3f4940db393ac6c79d7f75c86b3",
+    },
+    "logistic": {
+        "model": "5120b9defb06d2e4397114c3b7267adbf155476f6c650c82d2e727f17b738217",
+        "forecast": "7d79ee96dc6ed6e359eece67852103e5265164e2a46b58f99a004355a2980d6d",
+        "folds": "ce6810af8c0ec6b5bc44e874633f775abd833e8f136c0ecf65f855653f94ed7c",
+        "metrics": "2871770042086f9ddd1790921a9ed95738a16bb1a995aec00c8529262a0c0443",
+    },
+    "compare": "40d294c9560b78392c51c22616d20329a97a22c43226b956aeafab157149a451",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _write_inputs(tmp_path):
+    rng = np.random.default_rng(20240601)
+    days = daily_days("2022-01-01", N_DAYS)
+    t = np.arange(N_DAYS) / N_DAYS
+    x = rng.normal(0.0, 1.0, N_DAYS)
+    holiday = np.isin(days % 30, (0, 1)).astype(float)
+    y = (
+        8.0 / (1.0 + np.exp(-4.0 * (t - 0.3)))
+        + 0.6 * np.sin(2 * np.pi * days / 7.0)
+        + 0.3 * np.cos(2 * np.pi * days / 30.5)
+        + 0.8 * holiday
+        + 0.4 * x
+        + rng.normal(0.0, 0.1, N_DAYS)
+    )
+    data = tmp_path / "data.csv"
+    data.write_text(
+        "ds,y\n"
+        + "".join(f"{format_epoch_day(int(d))},{float(v)!r}\n" for d, v in zip(days, y))
+    )
+    future = tmp_path / "future.csv"
+    future.write_text(
+        "ds,x\n"
+        + "".join(f"{format_epoch_day(int(days[-1]) + i)},{0.1 * i!r}\n" for i in range(1, 15))
+    )
+    linear = {
+        "name": "linear",
+        "trend": {"n_changepoints": 4},
+        "seasonalities": [
+            {"name": "weekly", "period": 7.0, "fourier_order": 2},
+            {"name": "monthly", "period": 30.5, "fourier_order": 1, "prior_scale": 5.0},
+        ],
+        "holidays": [
+            {
+                "name": "payday",
+                "dates": [format_epoch_day(int(d)) for d in days if d % 30 == 0],
+                "upper_window": 1,
+                "prior_scale": 2.0,
+            }
+        ],
+        "regressors": [
+            {
+                "name": "x",
+                "prior_scale": 1.0,
+                "values": {format_epoch_day(int(d)): float(v) for d, v in zip(days, x)},
+            }
+        ],
+        "interval_samples": 100,
+        "seed": 11,
+    }
+    logistic = {
+        "name": "logistic",
+        "trend": {"growth": "logistic", "n_changepoints": 3, "capacity": 12.0},
+        "seasonalities": [
+            {"name": "weekly", "period": 7.0, "fourier_order": 2, "mode": "multiplicative"},
+            {"name": "monthly", "period": 30.5, "fourier_order": 1},
+        ],
+        "interval_levels": [0.5, 0.95],
+        "interval_samples": 100,
+        "seed": 5,
+    }
+    paths = {}
+    for name, config in (("linear", linear), ("logistic", logistic)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(config))
+    return data, future, paths, days
+
+
+def test_cli_outputs_match_pinned_digests(tmp_path, capsys):
+    data, future, configs, days = _write_inputs(tmp_path)
+    digests = {}
+    for name, config in configs.items():
+        model = tmp_path / f"{name}.model.json"
+        forecast = tmp_path / f"{name}.forecast.csv"
+        folds = tmp_path / f"{name}.folds.csv"
+        assert main(["fit", "--input", str(data), "--config", str(config),
+                     "--output", str(model)]) == 0
+        assert main(["predict", "--input", str(model), str(future), "--periods", "14",
+                     "--output", str(forecast)]) == 0
+        assert main(["cv", "--input", str(data), "--config", str(config),
+                     "--initial-days", "150", "--period-days", "40",
+                     "--horizon-days", "30", "--output", str(folds)]) == 0
+        digests[name] = {
+            "model": _sha256(model),
+            "forecast": _sha256(forecast),
+            "folds": _sha256(folds),
+            "metrics": _sha256(tmp_path / f"{name}.folds.csv.metrics.json"),
+        }
+    naive = tmp_path / "naive.json"
+    naive.write_text(json.dumps({"baseline": "seasonal_naive", "period": 7}))
+    report = tmp_path / "compare.json"
+    assert main(["compare", "--input", str(data),
+                 "--config", str(configs["linear"]), str(configs["logistic"]), str(naive),
+                 "--cutoff", format_epoch_day(int(days[CUTOFF_INDEX])),
+                 "--output", str(report), "--seed", "3"]) == 0
+    digests["compare"] = _sha256(report)
+    capsys.readouterr()
+    assert digests == GOLDEN

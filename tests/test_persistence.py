@@ -5,7 +5,7 @@ import pytest
 
 from addcast.config import ModelConfig, SeasonalitySpec, TrendSpec, load_config
 from addcast.errors import SchemaError, UnsupportedVersion
-from addcast.estimator import fit
+from addcast.estimator import FittedModel, fit
 from addcast.forecast import forecast_with_intervals, make_future_grid, predict
 from addcast.persistence import (
     ModelDocument,
@@ -79,6 +79,27 @@ class TestModelDocument:
         data = json.loads(model_to_document(model).to_bytes())
         data["parameters"]["blocks"][0]["values"].append(0.0)
         with pytest.raises(SchemaError):
+            model_from_document(ModelDocument.from_dict(data))
+
+    @pytest.mark.parametrize("edit", ["shifted_widths", "renamed", "kind"])
+    def test_block_layout_mismatch_rejected(self, edit):
+        days = daily_days("2021-01-01", 60)
+        model = FittedModel(
+            config=ModelConfig(),  # yearly (20 values) and weekly (8 values)
+            k=0.1, m=1.0, delta=[], beta=np.arange(28.0), sigma=0.1,
+            t_start=float(days[0]), t_span=59.0, y_scale=1.0,
+            changepoints_scaled=[], train_timestamps=days,
+        )
+        data = json.loads(model_to_document(model).to_bytes())
+        model_from_document(ModelDocument.from_dict(data))
+        yearly, weekly = data["parameters"]["blocks"]
+        if edit == "shifted_widths":  # 19 + 9 keeps the total at 28
+            weekly["values"].insert(0, yearly["values"].pop())
+        elif edit == "renamed":
+            weekly["name"] = "daily"
+        else:
+            weekly["kind"] = "holidays"
+        with pytest.raises(SchemaError, match="coefficient blocks"):
             model_from_document(ModelDocument.from_dict(data))
 
     def test_tampering_is_digest_evident(self, fitted):
