@@ -6,10 +6,14 @@ blocks:
 
     0.5 * sum(r_t^2) + sum_j softabs(delta_j) / tau + sum_c beta_c^2 / (2 * scale_c^2)
 
-with softabs(x) = sqrt(x^2 + SOFTABS_EPS) keeping the objective C^1 for
-quasi-Newton minimization. Estimation operates on scaled time (training span
-mapped to [0, 1]) and scaled values (divided by the training max-abs), so
-prior scales mean the same thing across datasets.
+with softabs(x) = sqrt(x^2 + SOFTABS_EPS) keeping the objective C^2, so the
+penalty has exact curvature. ``minimize`` is a damped Gauss-Newton
+(Levenberg-Marquardt) solver: it builds the Jacobian of the prediction from
+the model parts, adds the exact penalty curvature to J^T J, and converges in
+a handful of steps on these problems of at most ~100 parameters. Estimation
+operates on scaled time (training span mapped to [0, 1]) and scaled values
+(divided by the training max-abs), so prior scales mean the same thing
+across datasets.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit
 
 from .config import ModelConfig, TrendSpec
 from .errors import (
@@ -34,6 +36,7 @@ from .features import (
     Layout,
     TimeScaling,
     build_design,
+    expit,
     gamma_from_delta,
     model_layout,
 )
@@ -46,6 +49,11 @@ SOFTABS_EPS = 1e-10
 MAX_ITERATIONS = 2000
 GRADIENT_TOLERANCE = 1e-8
 OBJECTIVE_TOLERANCE = 1e-10  # relative decrease per accepted iteration
+
+# Levenberg-Marquardt damping: its starting value, and the factor it shrinks
+# by after an accepted step and grows by after a rejected one.
+INITIAL_DAMPING = 1e-3
+DAMPING_FACTOR = 10.0
 
 
 def softabs(x):
@@ -117,51 +125,64 @@ def _model_parts(params, design: DesignMatrix, trend: TrendSpec) -> ModelParts:
     return ModelParts(yhat, g, s_mul, rate, offset, weight, delta, beta)
 
 
-def _objective_and_gradient(params, design, y, trend):
+def _objective(params, design, y, trend):
+    """The objective value, with the model parts and residuals behind it."""
     parts = _model_parts(params, design, trend)
-    delta, beta = parts.delta, parts.beta
     r = y - parts.yhat
     layout = design.layout
-    tau = layout.trend.prior_scales
-    scales = layout.prior_scales
-
-    sa = softabs(delta)
-    objective = (
+    value = (
         0.5 * float(r @ r)
-        + float(np.sum(sa / tau))
-        + 0.5 * float(np.sum(np.square(beta) / np.square(scales)))
+        + float(np.sum(softabs(parts.delta) / layout.trend.prior_scales))
+        + 0.5 * float(np.sum(np.square(parts.beta) / np.square(layout.prior_scales)))
     )
+    return value, parts, r
 
-    # Data term: d(obj)/d(theta) = -(d yhat / d theta)^T r.
-    r_eff = r * (1.0 + parts.s_mul)
+
+def _jacobian(parts: ModelParts, design: DesignMatrix) -> np.ndarray:
+    """d yhat / d theta: one row per observation, columns in packed order.
+
+    Trend columns are dg/dtheta times (1 + s_mul); multiplicative seasonal
+    columns are g times the feature; additive columns are the features.
+    """
+    layout = design.layout
     t = design.t_scaled
-    cps = design.changepoints_scaled
-    A = design.columns(layout.trend)
+    n_cp = layout.trend.width
+    J = np.empty((len(t), 2 + layout.width))
+    J[:, 2:] = design.X
+    A = J[:, 2 : 2 + n_cp]
     if parts.logistic_weight is None:
-        dk = -float(r_eff @ t)
-        dm = -float(np.sum(r_eff))
-        ddelta = -(A.T @ (r_eff * t)) + cps * (A.T @ r_eff)
+        J[:, 0] = t
+        J[:, 1] = 1.0
+        A *= t[:, np.newaxis] - design.changepoints_scaled
     else:
-        u1 = r_eff * parts.logistic_weight * (t - parts.offset)
-        u2 = r_eff * parts.logistic_weight * parts.rate
-        dk = -float(np.sum(u1))
-        dm = float(np.sum(u2))
-        ddelta = -(A.T @ u1) - cps * (A.T @ u2)
-
-    Xr = design.X[:, layout.trend.stop :]
+        # g = C * expit(rate * (t - offset)); d g / d(exponent) = logistic_weight.
+        d_rate = parts.logistic_weight * (t - parts.offset)
+        d_offset = parts.logistic_weight * parts.rate
+        J[:, 0] = d_rate
+        J[:, 1] = -d_offset
+        A *= d_rate[:, np.newaxis] + np.outer(d_offset, design.changepoints_scaled)
+    J[:, : 2 + n_cp] *= (1.0 + parts.s_mul)[:, np.newaxis]
     mul_mask = layout.multiplicative_mask
-    dbeta = np.empty_like(beta)
     if mul_mask.any():
-        dbeta[mul_mask] = -(Xr[:, mul_mask].T @ (r * parts.trend))
-        dbeta[~mul_mask] = -(Xr[:, ~mul_mask].T @ r)
-    else:
-        dbeta[:] = -(Xr.T @ r)
+        J[:, 2 + n_cp :][:, mul_mask] *= parts.trend[:, np.newaxis]
+    return J
 
-    ddelta = ddelta + delta / (sa * tau)
-    dbeta = dbeta + beta / np.square(scales)
 
-    gradient = np.concatenate(([dk, dm], ddelta, dbeta))
-    return objective, gradient
+def _gradient_and_hessian(parts: ModelParts, r, design: DesignMatrix):
+    """Exact gradient, and the Gauss-Newton Hessian J^T J plus the exact
+    curvature of the penalties. J^T J is the exact Hessian of the data term
+    for linear growth with additive seasonality."""
+    layout = design.layout
+    tau = layout.trend.prior_scales
+    inv_var = 1.0 / np.square(layout.prior_scales)
+    sa = softabs(parts.delta)
+    J = _jacobian(parts, design)
+    gradient = -(J.T @ r)
+    gradient[2:] += np.concatenate((parts.delta / (sa * tau), parts.beta * inv_var))
+    hessian = J.T @ J
+    curvature = np.concatenate(([0.0, 0.0], SOFTABS_EPS / (sa**3 * tau), inv_var))
+    hessian[np.diag_indices_from(hessian)] += curvature
+    return gradient, hessian
 
 
 def map_objective(params, design: DesignMatrix, y: np.ndarray, trend: TrendSpec) -> float:
@@ -171,7 +192,7 @@ def map_objective(params, design: DesignMatrix, y: np.ndarray, trend: TrendSpec)
     every non-trend block in design order). ``y`` is in scaled units; for
     logistic growth the trend's capacity must be in those same units.
     """
-    value, _ = _objective_and_gradient(np.asarray(params, dtype=np.float64), design, y, trend)
+    value, _, _ = _objective(np.asarray(params, dtype=np.float64), design, y, trend)
     if not np.isfinite(value):
         raise NonFiniteObjective(f"objective evaluated to {value}")
     return value
@@ -179,7 +200,8 @@ def map_objective(params, design: DesignMatrix, y: np.ndarray, trend: TrendSpec)
 
 def map_gradient(params, design: DesignMatrix, y: np.ndarray, trend: TrendSpec) -> np.ndarray:
     """Exact gradient of map_objective under the same parameter packing."""
-    _, grad = _objective_and_gradient(np.asarray(params, dtype=np.float64), design, y, trend)
+    _, parts, r = _objective(np.asarray(params, dtype=np.float64), design, y, trend)
+    grad, _ = _gradient_and_hessian(parts, r, design)
     if not np.all(np.isfinite(grad)):
         raise NonFiniteGradient("gradient contains non-finite entries")
     return grad
@@ -258,6 +280,73 @@ class FittedModel:
         return _scaled_trend(self.config.trend, self.y_scale)
 
 
+@dataclass(frozen=True)
+class MinimizeResult:
+    """Where the solver stopped: the parameters, the objective there, the
+    accepted steps taken and the objective evaluations made."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+
+
+def minimize(objective, derivatives, x0, callback=None) -> MinimizeResult:
+    """Damped Gauss-Newton (Levenberg-Marquardt) minimization.
+
+    ``objective(x)`` returns the objective value; ``derivatives(x)`` returns
+    its gradient g and a positive-semidefinite Hessian approximation H. Each
+    step solves (H + lam * diag(H)) p = -g by Cholesky and is accepted only
+    if it does not raise the objective; lam shrinks after an accepted step
+    and grows after a rejected one, so a rejected step is retried shorter
+    until it is accepted. ``callback(x)`` runs after every accepted step.
+
+    Stops when max|g| <= GRADIENT_TOLERANCE, or when an accepted step lowers
+    the objective by at most OBJECTIVE_TOLERANCE * max(|f|, 1), which
+    includes a step too short to change it. Raises ConvergenceFailure when
+    MAX_ITERATIONS accepted steps did not get there.
+    """
+    x = np.array(x0, dtype=np.float64)
+    f = objective(x)
+    nfev = 1
+    nit = 0
+    damping = INITIAL_DAMPING
+    while True:
+        gradient, hessian = derivatives(x)
+        if np.max(np.abs(gradient)) <= GRADIENT_TOLERANCE:
+            break
+        if nit >= MAX_ITERATIONS:
+            raise ConvergenceFailure(f"no convergence within {MAX_ITERATIONS} iterations")
+        # A zero diagonal entry (a parameter the data does not move, such as
+        # the offset of a flat logistic trend) is floored so that the damped
+        # matrix stays positive definite.
+        diagonal = np.diag(hessian)
+        scale = np.maximum(diagonal, np.finfo(np.float64).eps * np.max(diagonal))
+        while True:
+            try:
+                lower = np.linalg.cholesky(hessian + np.diag(damping * scale))
+            except np.linalg.LinAlgError:
+                damping *= DAMPING_FACTOR
+                continue
+            step = np.linalg.solve(lower.T, np.linalg.solve(lower, -gradient))
+            trial = objective(x + step)
+            nfev += 1
+            if trial <= f:
+                break
+            damping *= DAMPING_FACTOR
+        x = x + step
+        decrease = f - trial
+        f = trial
+        nit += 1
+        if callback is not None:
+            callback(x)
+        if decrease <= OBJECTIVE_TOLERANCE * max(abs(f), 1.0):
+            break
+        # Floored so that a long run of accepted steps cannot drive it to zero.
+        damping = max(damping / DAMPING_FACTOR, np.finfo(np.float64).eps)
+    return MinimizeResult(x, f, nit, nfev)
+
+
 def _initial_parameters(design: DesignMatrix, y_scaled: np.ndarray) -> np.ndarray:
     """Least-squares line through (scaled t, scaled y) seeds k and m; every
     other coefficient starts at zero."""
@@ -298,45 +387,21 @@ def fit(ts: TimeSeries, config: ModelConfig, iteration_callback=None) -> FittedM
 
     trend = _scaled_trend(config.trend, y_scale)
 
-    x0 = _initial_parameters(design, y_scaled)
+    def objective(params):
+        return _objective(params, design, y_scaled, trend)[0]
 
-    def fused(params):
-        value, grad = _objective_and_gradient(params, design, y_scaled, trend)
+    def derivatives(params):
+        value, parts, r = _objective(params, design, y_scaled, trend)
         if not np.isfinite(value):
             raise NonFiniteObjective(f"objective evaluated to {value}")
-        if not np.all(np.isfinite(grad)):
+        gradient, hessian = _gradient_and_hessian(parts, r, design)
+        if not np.all(np.isfinite(gradient)):
             raise NonFiniteGradient("gradient contains non-finite entries")
-        return value, grad
+        return gradient, hessian
 
-    # Correction history of 50 keeps the quasi-Newton model close to full
-    # rank for these <=100-parameter problems; near-collinear seasonal blocks
-    # otherwise stall the default memory of 10 for thousands of iterations.
     result = minimize(
-        fused,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        callback=iteration_callback,
-        options={
-            "maxiter": MAX_ITERATIONS,
-            "maxfun": 50 * MAX_ITERATIONS,
-            "maxcor": 50,
-            "ftol": OBJECTIVE_TOLERANCE,
-            "gtol": GRADIENT_TOLERANCE,
-        },
+        objective, derivatives, _initial_parameters(design, y_scaled), iteration_callback
     )
-    if result.status == 1:
-        raise ConvergenceFailure(
-            f"no convergence within {MAX_ITERATIONS} iterations"
-        )
-    if result.status == 2:
-        # Line-search hit the rounding floor: no further objective decrease
-        # is representable, which meets the relative-decrease criterion as
-        # long as we are actually near a stationary point.
-        grad_norm = float(np.max(np.abs(result.jac))) if result.jac is not None else np.inf
-        if not np.isfinite(result.fun) or grad_norm > 1e-3:
-            raise ConvergenceFailure(f"optimizer stalled: {result.message}")
-
     params = result.x
     k, m, delta, beta = _split_params(params, design)
     sigma = estimate_sigma(y_scaled - _model_parts(params, design, trend).yhat)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 from .config import ModelConfig
 from .errors import DomainError, MissingRegressorValue
@@ -69,6 +68,11 @@ def linear_trend(t, k: float, m: float, delta, changepoints) -> np.ndarray:
     gamma = gamma_from_delta(changepoints, delta)
     t_arr = np.asarray(t, dtype=np.float64)
     return (k + a @ np.asarray(delta, dtype=np.float64)) * t_arr + (m + a @ gamma)
+
+
+def expit(x):
+    """Logistic sigmoid 1 / (1 + exp(-x)), in a form that cannot overflow."""
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
 def logistic_trend(t, k: float, m: float, delta, gamma, changepoints, capacity) -> np.ndarray:

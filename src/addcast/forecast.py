@@ -188,12 +188,10 @@ def _simulate(model: FittedModel, evaluation: _Evaluation, seed: int) -> dict:
         noise = rng.normal(0.0, model.sigma, len(t))
         samples[i] = evaluation.yhat + deviation * seasonal_factor + noise
 
-    bounds = {}
-    for level in model.config.interval_levels:
-        lower = np.quantile(samples, (1.0 - level) / 2.0, axis=0)
-        upper = np.quantile(samples, (1.0 + level) / 2.0, axis=0)
-        bounds[level] = (lower * model.y_scale, upper * model.y_scale)
-    return bounds
+    levels = model.config.interval_levels
+    qs = [q for level in levels for q in ((1.0 - level) / 2.0, (1.0 + level) / 2.0)]
+    quantiles = np.quantile(samples, qs, axis=0) * model.y_scale
+    return {level: (quantiles[2 * i], quantiles[2 * i + 1]) for i, level in enumerate(levels)}
 
 
 def forecast_with_intervals(model: FittedModel, grid: FutureGrid, seed=None) -> Forecast:

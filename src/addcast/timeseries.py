@@ -22,6 +22,7 @@ from .errors import (
     DuplicateTimestamp,
     EmptySeries,
     LeadingMissing,
+    LengthMismatch,
     ParseError,
 )
 
@@ -77,9 +78,9 @@ class TimeSeries:
         t = np.ascontiguousarray(self.timestamps, dtype=np.int64)
         v = np.ascontiguousarray(self.values, dtype=np.float64)
         if t.ndim != 1 or v.ndim != 1:
-            raise ValueError("timestamps and values must be 1-dimensional")
+            raise DomainError("timestamps and values must be 1-dimensional")
         if len(t) != len(v):
-            raise ValueError(
+            raise LengthMismatch(
                 f"length mismatch: {len(t)} timestamps vs {len(v)} values"
             )
         if len(t) == 0:
@@ -91,7 +92,7 @@ class TimeSeries:
                 f"duplicate timestamp {format_epoch_day(dup)}"
             )
         if np.any(diffs < 0):
-            raise ValueError("timestamps must be strictly increasing")
+            raise DomainError("timestamps must be strictly increasing")
         if np.any(np.isinf(v)):
             raise ParseError("values must be finite (or NaN for missing)")
         t.setflags(write=False)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -461,3 +463,37 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestImports:
+    @staticmethod
+    def imported_modules(args):
+        """Modules a fresh interpreter imports running ``args``, read from
+        the interpreter's -X importtime log."""
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *args], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        return {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+
+    def test_cli_runs_without_scipy(self, tmp_path, rng, capsys):
+        data = tmp_path / "data.csv"
+        config = tmp_path / "config.json"
+        model = tmp_path / "model.json"
+        synthetic_csv(data, rng)
+        small_config(config)
+        assert main(
+            ["fit", "--input", str(data), "--config", str(config), "--output", str(model)]
+        ) == 0
+        for args in (
+            ["-c", "import addcast.cli"],
+            ["-m", "addcast", "predict", "--input", str(model), "--periods", "10",
+             "--output", str(tmp_path / "forecast.csv")],
+        ):
+            modules = self.imported_modules(args)
+            assert "addcast.cli" in modules
+            assert not {m for m in modules if m.split(".")[0] == "scipy"}

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from addcast.config import ModelConfig, RegressorSpec, SeasonalitySpec, TrendSpec
+from addcast.config import HolidaySpec, ModelConfig, RegressorSpec, SeasonalitySpec, TrendSpec
 from addcast.errors import (
     DomainError,
     NonFiniteGradient,
@@ -13,6 +13,8 @@ from addcast.errors import (
 )
 from addcast.estimator import (
     SOFTABS_EPS,
+    _gradient_and_hessian,
+    _objective,
     estimate_sigma,
     fit,
     map_gradient,
@@ -162,6 +164,32 @@ class TestMapGradient:
             # stopped on the relative-decrease rule instead; verify it held
             objs = [map_objective(x, design, ys, config.trend) for x in trace[-2:]]
             assert objs[-2] - objs[-1] <= 1e-10 * (1.0 + abs(objs[-1]))
+
+
+class TestHessian:
+    def test_matches_finite_differences_of_gradient(self, rng):
+        # Linear growth with additive seasonality: J^T J plus the penalty
+        # curvature is the exact Hessian.
+        design, y, trend = gradient_test_problem(rng)
+        n_params = 2 + design.X.shape[1]
+        step = 1e-6
+        worst = 0.0
+        for _ in range(5):
+            params = rng.normal(0, 0.5, n_params)
+            _, parts, r = _objective(params, design, y, trend)
+            _, analytic = _gradient_and_hessian(parts, r, design)
+            numeric = np.empty_like(analytic)
+            for i in range(n_params):
+                hi = params.copy()
+                lo = params.copy()
+                hi[i] += step
+                lo[i] -= step
+                numeric[:, i] = (
+                    map_gradient(hi, design, y, trend) - map_gradient(lo, design, y, trend)
+                ) / (2 * step)
+            rel = np.max(np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1.0))
+            worst = max(worst, float(rel))
+        assert worst <= 1e-4
 
 
 class TestNonFiniteGuards:
@@ -343,6 +371,36 @@ class TestFit:
         model = fit(ts, config)
         fitted = predict(model, make_future_grid(model, 0)).components["trend"]
         assert np.sqrt(np.mean((fitted - true) ** 2)) < 0.1
+
+    def test_logistic_multiplicative_holiday_fit_is_stationary(self, rng):
+        n = 730
+        days = daily_days("2020-01-01", n)
+        t = np.arange(n) / (n - 1)
+        capacity = 1000.0
+        trend = capacity / (1.0 + np.exp(-5.0 * (t - 0.4)))
+        seasonal = 0.04 * np.sin(2 * np.pi * days / 365.25) + 0.02 * np.cos(2 * np.pi * days / 7.0)
+        holiday_days = days[(days % 365) == 100]
+        bumps = 40.0 * np.isin(days, holiday_days)
+        y = trend * (1.0 + seasonal) + bumps + rng.normal(0, 10.0, n)
+        config = ModelConfig(
+            trend=TrendSpec(growth="logistic", capacity=capacity),
+            seasonalities=(
+                SeasonalitySpec(name="yearly", period=365.25, fourier_order=6,
+                                mode="multiplicative"),
+                SeasonalitySpec(name="weekly", period=7.0, fourier_order=3,
+                                mode="multiplicative"),
+            ),
+            holidays=(
+                HolidaySpec(name="h", dates=frozenset(int(d) for d in holiday_days),
+                            upper_window=1),
+            ),
+        )
+        ts = TimeSeries(days, y)
+        model = fit(ts, config)
+        design = build_design(ts, config)
+        params = pack(model.k, model.m, model.delta, model.beta)
+        grad = map_gradient(params, design, y / model.y_scale, model.scaled_trend)
+        assert np.max(np.abs(grad)) <= 1e-6
 
     def test_sigma_matches_residual_std(self, rng):
         n = 200

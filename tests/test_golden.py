@@ -5,10 +5,11 @@ The linear model has additive seasonality, a holiday and a regressor; the
 logistic one mixes a multiplicative and an additive seasonal block. Together
 they cover every coefficient block kind.
 
-The digests were produced on x86_64 with Python 3.11.7, numpy 2.4.6,
-scipy 1.17.1 and OpenBLAS 0.3.31 (scipy-openblas64). Another numpy, scipy or
-BLAS build may round differently in the last digit. A deliberate change to
-numeric output updates these digests and says why in CHANGES.md.
+The digests were produced on x86_64 with Python 3.11.7, numpy 2.4.6 and
+the OpenBLAS 0.3.31 that numpy's wheel bundles (scipy-openblas64); the
+package imports nothing else. Another numpy or BLAS build may round
+differently in the last digit. A deliberate change to numeric output updates
+these digests and says why in CHANGES.md.
 """
 
 import hashlib
@@ -26,18 +27,18 @@ CUTOFF_INDEX = 200
 
 GOLDEN = {
     "linear": {
-        "model": "1650bb5f6c9f6d3567398070c7e5cabb706ae713185422ba9e18c5fe39f5cabf",
-        "forecast": "d997026febc970fef2f98ebef49df928484f24252dcb994b48ebefb210cf7840",
-        "folds": "96ec48ed51263fab6647e6c5db70c8d5ce55547031ca5af67dc05c2addde0fe7",
-        "metrics": "ce80e4a12fd60fd7e67ebfe581cbabe51ce1e3f4940db393ac6c79d7f75c86b3",
+        "model": "db7f4a45ffe6eed6b634743dbfb7bf14a0d25d98573acbe7ee476b0580375c3b",
+        "forecast": "998c2efe65e50b460ddfac1293199cf98342a7da35d2111a873202764ea14ca6",
+        "folds": "f71e635abc5e522e2713c2e660bf5ed26dcb0903daaf88f07278482e25e27f20",
+        "metrics": "2ead2b4d3b5348b4fd2df52e7060d90a1896597090f92b77c0378f38de71bdba",
     },
     "logistic": {
-        "model": "5120b9defb06d2e4397114c3b7267adbf155476f6c650c82d2e727f17b738217",
-        "forecast": "7d79ee96dc6ed6e359eece67852103e5265164e2a46b58f99a004355a2980d6d",
-        "folds": "ce6810af8c0ec6b5bc44e874633f775abd833e8f136c0ecf65f855653f94ed7c",
-        "metrics": "2871770042086f9ddd1790921a9ed95738a16bb1a995aec00c8529262a0c0443",
+        "model": "ee06ed1f44dfe9792e8b9d55a4dfd7e8ae7a7cd7d1f401c7fd72f5c729d0dc90",
+        "forecast": "c3f9ad49e0b5381ee390190911b490165ed43bc82e81f40e002bbab5f5194173",
+        "folds": "6b3e68b55d6bb0edac24bc56de4fea73d0c806443143e920cc131abe85209f46",
+        "metrics": "3a66a6bfaa96de12419b21a33ecb97924e99b5efab8449be56606cb62dd271d8",
     },
-    "compare": "40d294c9560b78392c51c22616d20329a97a22c43226b956aeafab157149a451",
+    "compare": "c12014db86113039d06e8463eeb9cfaad03e5181251cffa7f25445e873050954",
 }
 
 

@@ -9,6 +9,7 @@ from addcast.errors import (
     DuplicateTimestamp,
     EmptySeries,
     LeadingMissing,
+    LengthMismatch,
     ParseError,
 )
 from addcast.timeseries import (
@@ -224,8 +225,16 @@ class TestTimeSeriesInvariants:
             TimeSeries(np.array([1, 1, 2]), np.array([1.0, 2.0, 3.0]))
 
     def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             TimeSeries(np.array([2, 1]), np.array([1.0, 2.0]))
+
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(DomainError):
+            TimeSeries(np.array([[1, 2]]), np.array([[1.0, 2.0]]))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(LengthMismatch):
+            TimeSeries(np.array([1, 2, 3]), np.array([1.0, 2.0]))
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySeries):
