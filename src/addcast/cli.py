@@ -272,8 +272,8 @@ def _run_candidate(spec, train: TimeSeries, test: TimeSeries, seed):
     model = fit(train, config)
     periods = int(test.timestamps[-1]) - model.last_day
     grid = make_future_grid(model, periods)
-    fc = forecast_with_intervals(model, grid)
-    idx = np.searchsorted(grid.timestamps, test.timestamps)
+    fc = forecast_with_intervals(model, grid, history=False)
+    idx = np.searchsorted(fc.timestamps, test.timestamps)
     bounds95 = None
     if 0.95 in fc.bounds:
         lo, hi = fc.bounds[0.95]

@@ -157,6 +157,8 @@ class ModelConfig:
         object.__setattr__(self, "interval_levels", levels)
         if self.interval_samples < 100:
             raise DomainError("interval_samples must be >= 100")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         names = [s.name for s in self.seasonalities]
         if len(set(names)) != len(names):
             raise DomainError("seasonality names must be unique")

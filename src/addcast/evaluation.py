@@ -153,7 +153,11 @@ def rolling_cv(
 ) -> list[CvFold]:
     """Fit at each cutoff on data <= cutoff, forecast the next ``horizon``
     days, and join with the held-out actuals. Folds are independent and
-    deterministic; fit errors are annotated with their cutoff."""
+    deterministic; fit errors are annotated with their cutoff.
+
+    Each fold simulates intervals only for the days after its training
+    data; its point forecast and bounds are bit-identical to those of a
+    full-grid ``forecast_with_intervals`` at the same days."""
     folds = []
     for cutoff in enumerate_cutoffs(ts, initial, period, horizon):
         train_mask = ts.timestamps <= cutoff
@@ -163,13 +167,13 @@ def rolling_cv(
             model = fit(train, config)
             periods = cutoff + horizon - int(train.timestamps[-1])
             grid = make_future_grid(model, periods)
-            fc = forecast_with_intervals(model, grid)
+            fc = forecast_with_intervals(model, grid, history=False)
         except AddcastError as exc:
             raise type(exc)(
                 f"cutoff {format_epoch_day(cutoff)}: {exc}"
             ) from exc
         test_days = ts.timestamps[test_mask]
-        idx = np.searchsorted(grid.timestamps, test_days)
+        idx = np.searchsorted(fc.timestamps, test_days)
         bounds = {
             level: (lo[idx], hi[idx]) for level, (lo, hi) in fc.bounds.items()
         }

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .estimator import FittedModel, ModelParts, _model_parts
-from .features import design_for_grid, gamma_from_delta, logistic_trend, regressor_column
+from .features import design_for_grid, expit, regressor_column
 from .timeseries import format_epoch_day
 
 
@@ -121,11 +121,14 @@ def _evaluate(model: FittedModel, grid: FutureGrid) -> _Evaluation:
     return _Evaluation(design.t_scaled, parts, components, yhat)
 
 
-def _point_forecast(model: FittedModel, grid: FutureGrid, evaluation: _Evaluation) -> Forecast:
+def _point_forecast(
+    model: FittedModel, grid: FutureGrid, evaluation: _Evaluation, start: int = 0
+) -> Forecast:
+    """The point forecast of the grid's rows [start:]."""
     return Forecast(
-        timestamps=grid.timestamps,
-        yhat=evaluation.yhat * model.y_scale,
-        components={k: v * model.y_scale for k, v in evaluation.components.items()},
+        timestamps=grid.timestamps[start:],
+        yhat=evaluation.yhat[start:] * model.y_scale,
+        components={k: v[start:] * model.y_scale for k, v in evaluation.components.items()},
         bounds={},
     )
 
@@ -142,63 +145,133 @@ def simulate_intervals(model: FittedModel, grid: FutureGrid, seed: int) -> dict:
     the historical changepoints-per-unit-scaled-time rate, locations uniform
     over the future span, magnitudes Laplace with scale mean|delta|) plus
     Normal(0, sigma) observation noise; bounds are type-7 empirical quantiles.
-    Deterministic given (model, grid, seed); draws are sequential per sample.
+
+    A pure function of (model, grid, seed). The seed is split into three
+    independent Philox streams: history-row noise, future-row noise, and
+    future trend changes. A future day's draws therefore do not depend on
+    whether history rows are in the grid.
     """
     return _simulate(model, _evaluate(model, grid), seed)
 
 
-def _simulate(model: FittedModel, evaluation: _Evaluation, seed: int) -> dict:
-    t = evaluation.t_scaled
-    g = evaluation.parts.trend
-    cps = model.changepoints_scaled
-    n_hist = len(cps)
-    future_span = float(max(0.0, t[-1] - 1.0)) if len(t) else 0.0
-    laplace_scale = float(np.mean(np.abs(model.delta))) if n_hist else 0.0
-    sample_trend = n_hist > 0 and laplace_scale > 0.0 and future_span > 0.0
-    trend = model.scaled_trend
-    logistic = trend.growth == "logistic"
+# Samples per block of trend-deviation temporaries; bounds the extra memory
+# of the simulation to a few (future rows x block) arrays.
+_SAMPLE_BLOCK = 128
 
-    rng = np.random.Generator(np.random.Philox(int(seed)))
+
+def _streams(seed) -> tuple[np.random.Generator, ...]:
+    """History-noise, future-noise and trend-change generators of a seed."""
+    seed = int(seed)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    children = np.random.SeedSequence(seed).spawn(3)
+    return tuple(np.random.Generator(np.random.Philox(child)) for child in children)
+
+
+def _trend_deviations(model: FittedModel, evaluation: _Evaluation, first: int, stream):
+    """Yield (columns, deviation) blocks of the sampled trend minus the fitted
+    trend on the future rows ``[first:]``, in scaled units.
+
+    All changepoint counts, locations and magnitudes are drawn from
+    ``stream`` as three block draws; sample s owns the locations and
+    magnitudes at [sum(counts[:s]), sum(counts[:s+1])). A changepoint at loc
+    adds its magnitude to the rate and loc * magnitude to the negated offset
+    of every row with t >= loc: a cumulative sum down the rows of what each
+    changepoint adds at its first such row. The sampled trend is then
+    evaluated exactly as the fitted one is, rate * t + offset (linear) or
+    capacity * expit(rate * (t - offset)) (logistic), so a sample without
+    changepoints up to a row deviates by exactly 0 there. Yields nothing
+    when there are no future rows or no historical changepoint behaviour.
+    """
+    t = evaluation.t_scaled[first:]
+    n_hist = len(model.changepoints_scaled)
+    if len(t) == 0 or n_hist == 0:
+        return
+    laplace_scale = float(np.mean(np.abs(model.delta)))
+    if laplace_scale == 0.0:
+        return
+    span = float(t[-1] - 1.0)
     n_samples = model.config.interval_samples
-    samples = np.empty((n_samples, len(t)))
-    seasonal_factor = 1.0 + evaluation.parts.s_mul
-    for i in range(n_samples):
-        deviation = 0.0
-        if sample_trend:
-            n_new = rng.poisson(n_hist * future_span)
-            if n_new > 0:
-                locs = np.sort(rng.uniform(1.0, 1.0 + future_span, n_new))
-                mags = rng.laplace(0.0, laplace_scale, n_new)
-                if logistic:
-                    cps_aug = np.concatenate([cps, locs])
-                    delta_aug = np.concatenate([model.delta, mags])
-                    g_new = logistic_trend(
-                        t,
-                        model.k,
-                        model.m,
-                        delta_aug,
-                        gamma_from_delta(cps_aug, delta_aug),
-                        cps_aug,
-                        trend.capacity,
-                    )
-                    deviation = g_new - g
-                else:
-                    active = t[:, np.newaxis] >= locs
-                    deviation = (active * (t[:, np.newaxis] - locs)) @ mags
-        noise = rng.normal(0.0, model.sigma, len(t))
-        samples[i] = evaluation.yhat + deviation * seasonal_factor + noise
+    counts = stream.poisson(n_hist * span, n_samples)
+    locs = stream.uniform(1.0, 1.0 + span, int(counts.sum()))
+    mags = stream.laplace(0.0, laplace_scale, len(locs))
+    owner = np.repeat(np.arange(n_samples), counts)
+    row = np.searchsorted(t, locs, side="left")
+    cp_start = np.concatenate(([0], np.cumsum(counts)))
+
+    parts = evaluation.parts
+    rate = parts.rate[first:, np.newaxis]
+    offset = parts.offset[first:, np.newaxis]
+    g = parts.trend[first:, np.newaxis]
+    t_col = t[:, np.newaxis]
+    trend = model.scaled_trend
+    n_rows = len(t)
+    for lo in range(0, n_samples, _SAMPLE_BLOCK):
+        hi = min(lo + _SAMPLE_BLOCK, n_samples)
+        width = hi - lo
+        cps = slice(cp_start[lo], cp_start[hi])
+        cell = row[cps] * width + (owner[cps] - lo)
+
+        def active_sum(weights):
+            """Per (row, sample) sum of ``weights`` over changepoints <= t."""
+            per_cell = np.bincount(cell, weights=weights, minlength=(n_rows + 1) * width)
+            return np.cumsum(per_cell.reshape(n_rows + 1, width)[:n_rows], axis=0)
+
+        new_rate = rate + active_sum(mags[cps])
+        new_offset = offset - active_sum(locs[cps] * mags[cps])
+        if trend.growth == "linear":
+            g_new = new_rate * t_col + new_offset
+        else:
+            g_new = trend.capacity * expit(new_rate * (t_col - new_offset))
+        yield slice(lo, hi), g_new - g
+
+
+def _first_future_row(t_scaled: np.ndarray) -> int:
+    """Index of the first grid row after the training span (scaled t > 1)."""
+    return int(np.searchsorted(t_scaled, 1.0, side="right"))
+
+
+def _simulate(model: FittedModel, evaluation: _Evaluation, seed: int, start: int = 0) -> dict:
+    """Bounds of the grid's rows [start:], sampled as an (n_rows, S) matrix
+    whose history and future rows are contiguous blocks."""
+    history_stream, future_stream, trend_stream = _streams(seed)
+    t = evaluation.t_scaled
+    first = max(start, _first_future_row(t))
+    samples = np.empty((len(t) - start, model.config.interval_samples))
+    history, future = samples[: first - start], samples[first - start :]
+    for block, stream, yhat in (
+        (history, history_stream, evaluation.yhat[start:first]),
+        (future, future_stream, evaluation.yhat[first:]),
+    ):
+        stream.standard_normal(out=block)
+        block *= model.sigma
+        block += yhat[:, np.newaxis]
+
+    seasonal_factor = (1.0 + evaluation.parts.s_mul[first:])[:, np.newaxis]
+    for columns, deviation in _trend_deviations(model, evaluation, first, trend_stream):
+        deviation *= seasonal_factor
+        future[:, columns] += deviation
 
     levels = model.config.interval_levels
     qs = [q for level in levels for q in ((1.0 - level) / 2.0, (1.0 + level) / 2.0)]
-    quantiles = np.quantile(samples, qs, axis=0) * model.y_scale
+    quantiles = np.quantile(samples, qs, axis=1, overwrite_input=True) * model.y_scale
     return {level: (quantiles[2 * i], quantiles[2 * i + 1]) for i, level in enumerate(levels)}
 
 
-def forecast_with_intervals(model: FittedModel, grid: FutureGrid, seed=None) -> Forecast:
-    """predict plus simulate_intervals under the model's (or given) seed."""
+def forecast_with_intervals(
+    model: FittedModel, grid: FutureGrid, seed=None, history: bool = True
+) -> Forecast:
+    """predict plus simulate_intervals under the model's (or given) seed.
+
+    With ``history=False`` only the grid's rows after the training span are
+    forecast and simulated. The model is still evaluated on the whole grid,
+    so those rows' point forecast and bounds are bit-identical to the ones a
+    full forecast of the same grid gives.
+    """
     evaluation = _evaluate(model, grid)
-    bounds = _simulate(model, evaluation, model.config.seed if seed is None else seed)
-    return replace(_point_forecast(model, grid, evaluation), bounds=bounds)
+    start = 0 if history else _first_future_row(evaluation.t_scaled)
+    bounds = _simulate(model, evaluation, model.config.seed if seed is None else seed, start)
+    return replace(_point_forecast(model, grid, evaluation, start), bounds=bounds)
 
 
 def write_forecast_csv(forecast: Forecast, model: FittedModel, path) -> None:

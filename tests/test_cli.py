@@ -41,6 +41,16 @@ def small_config(path, n_changepoints=3, seed=42):
     )
 
 
+def assert_one_error_line(capsys, error, fragment):
+    """stderr holds exactly one JSON error line of the given type, naming
+    ``fragment``, and no traceback."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == error
+    assert fragment in err["message"]
+
+
 class TestFitCommand:
     def test_smoke(self, tmp_path, rng, capsys):
         data = tmp_path / "data.csv"
@@ -84,6 +94,19 @@ class TestFitCommand:
             ) == 0
         capsys.readouterr()
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_negative_seed_in_config_rejected(self, tmp_path, rng, capsys):
+        data = tmp_path / "data.csv"
+        config = tmp_path / "config.json"
+        model = tmp_path / "model.json"
+        synthetic_csv(data, rng)
+        small_config(config, seed=-3)
+        code = main(
+            ["fit", "--input", str(data), "--config", str(config), "--output", str(model)]
+        )
+        assert code == 1
+        assert not model.exists()
+        assert_one_error_line(capsys, "DomainError", "seed")
 
     def test_preprocessing_flags(self, tmp_path, rng, capsys):
         days = daily_days("2021-01-04", 200)
@@ -147,6 +170,32 @@ class TestPredictCommand:
              "--output", str(out_c), "--seed", "8"]
         ) == 0
         assert out_c.read_bytes() != out_a.read_bytes()
+
+
+    def test_negative_seed_flag_rejected(self, tmp_path, rng, capsys):
+        model = self.fit_once(tmp_path, rng)
+        capsys.readouterr()
+        out = tmp_path / "forecast.csv"
+        code = main(
+            ["predict", "--input", str(model), "--periods", "5",
+             "--output", str(out), "--seed", "-1"]
+        )
+        assert code == 1
+        assert not out.exists()
+        assert_one_error_line(capsys, "DomainError", "seed")
+
+    def test_model_document_with_negative_seed_rejected(self, tmp_path, rng, capsys):
+        model = self.fit_once(tmp_path, rng)
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        doc["config"]["seed"] = -3
+        model.write_text(json.dumps(doc))
+        code = main(
+            ["predict", "--input", str(model), "--periods", "5",
+             "--output", str(tmp_path / "forecast.csv")]
+        )
+        assert code == 1
+        assert_one_error_line(capsys, "DomainError", "seed")
 
 
 class TestRegressorFlow:

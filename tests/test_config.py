@@ -46,6 +46,15 @@ class TestModelConfig:
         with pytest.raises(DomainError):
             ModelConfig(interval_samples=99)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed"):
+            ModelConfig(seed=-3)
+        with pytest.raises(DomainError, match="seed"):
+            ModelConfig().with_seed(-1)
+        with pytest.raises(DomainError, match="seed"):
+            config_from_dict({"seed": -1})
+        assert ModelConfig(seed=0).seed == 0
+
     def test_duplicate_seasonality_names(self):
         with pytest.raises(DomainError):
             ModelConfig(

@@ -193,6 +193,12 @@ class TestRollingCv:
         idx = np.searchsorted(grid.timestamps, fold.ds)
         assert np.array_equal(fold.yhat, fc.yhat[idx])
         assert np.array_equal(fold.y_true, split.test.values)
+        # the fold simulates only its horizon, yet its bounds are the
+        # full-grid forecast's bounds at the same days, bit for bit
+        assert sorted(fold.bounds) == [0.80, 0.95]
+        for level, (lo, hi) in fold.bounds.items():
+            assert np.array_equal(lo, fc.bounds[level][0][idx])
+            assert np.array_equal(hi, fc.bounds[level][1][idx])
 
     def test_fold_errors_annotated_with_cutoff(self, rng):
         from addcast.errors import UnderdeterminedModel

@@ -1,10 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from addcast.config import ModelConfig, RegressorSpec, SeasonalitySpec, TrendSpec
 from addcast.errors import DomainError, MissingRegressorValue
 from addcast.estimator import FittedModel, fit
+from addcast.features import gamma_from_delta, linear_trend, logistic_trend
 from addcast.forecast import (
+    FutureGrid,
+    _evaluate,
+    _first_future_row,
+    _streams,
+    _trend_deviations,
     forecast_with_intervals,
     make_future_grid,
     predict,
@@ -272,6 +280,154 @@ class TestSimulateIntervals:
         assert np.array_equal(hi[:n], fc.yhat[:n])
         # while the extrapolated region does widen
         assert np.any(hi[n:] > fc.yhat[n:])
+
+
+    def test_negative_seed_rejected(self):
+        model = flat_model(sigma=0.5)
+        with pytest.raises(DomainError, match="seed"):
+            simulate_intervals(model, make_future_grid(model, 5), seed=-1)
+
+    def test_grid_without_history_rows(self):
+        # rows are independent in a model with no changepoints or seasonal
+        # blocks, so dropping the history rows leaves the future bounds as
+        # they were: their noise comes from a stream of their own
+        model = flat_model(sigma=0.5)
+        full = make_future_grid(model, 20)
+        future = FutureGrid(full.timestamps[100:], full.regressor_values)
+        fc_full = forecast_with_intervals(model, full)
+        fc = forecast_with_intervals(model, future)
+        assert len(fc) == 20 and np.array_equal(fc.timestamps, future.timestamps)
+        for level, (lo, hi) in fc.bounds.items():
+            assert np.array_equal(lo, fc_full.bounds[level][0][100:])
+            assert np.array_equal(hi, fc_full.bounds[level][1][100:])
+            assert np.all(lo < hi)
+
+    def test_grid_without_future_rows(self, rng):
+        days = daily_days("2021-01-01", 120)
+        y = 1.0 + 0.01 * np.arange(120) + rng.normal(0, 0.2, 120)
+        config = ModelConfig(
+            trend=TrendSpec(n_changepoints=4),
+            seasonalities=(SeasonalitySpec(name="weekly", period=7.0, fourier_order=2),),
+            interval_samples=200,
+        )
+        model = fit(TimeSeries(days, y), config)
+        fc = forecast_with_intervals(model, make_future_grid(model, 0))
+        assert len(fc) == 120
+        for lo, hi in fc.bounds.values():
+            assert lo.shape == hi.shape == (120,)
+            assert np.all(lo <= fc.yhat) and np.all(fc.yhat <= hi)
+        horizon = forecast_with_intervals(model, make_future_grid(model, 0), history=False)
+        assert len(horizon) == 0
+        assert all(lo.shape == hi.shape == (0,) for lo, hi in horizon.bounds.values())
+
+    def test_horizon_only_matches_full_grid(self, rng):
+        days = daily_days("2021-01-01", 157)
+        y = 3.0 + 0.02 * np.arange(157) + np.sin(2 * np.pi * days / 7.0)
+        config = ModelConfig(
+            trend=TrendSpec(growth="logistic", n_changepoints=5, capacity=12.0),
+            seasonalities=(
+                SeasonalitySpec(name="weekly", period=7.0, fourier_order=2, mode="multiplicative"),
+            ),
+            interval_samples=150,
+        )
+        model = fit(TimeSeries(days, y + rng.normal(0, 0.1, 157)), config)
+        grid = make_future_grid(model, 33)
+        full = forecast_with_intervals(model, grid, seed=4)
+        horizon = forecast_with_intervals(model, grid, seed=4, history=False)
+        assert np.array_equal(horizon.timestamps, grid.timestamps[157:])
+        assert np.array_equal(horizon.yhat, full.yhat[157:])
+        for name, values in horizon.components.items():
+            assert np.array_equal(values, full.components[name][157:])
+        for level, (lo, hi) in horizon.bounds.items():
+            assert np.array_equal(lo, full.bounds[level][0][157:])
+            assert np.array_equal(hi, full.bounds[level][1][157:])
+
+
+def _oracle_deviations(model, evaluation, seed):
+    """Each sample's trend deviation on every grid row, the way a per-sample
+    loop computes it: replay the trend stream's draws and evaluate the trend
+    on the changepoints augmented with each sample's new ones."""
+    stream = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed).spawn(3)[2]))
+    t = evaluation.t_scaled
+    cps = model.changepoints_scaled
+    span = t[-1] - 1.0
+    n_samples = model.config.interval_samples
+    counts = stream.poisson(len(cps) * span, n_samples)
+    locs = stream.uniform(1.0, 1.0 + span, counts.sum())
+    mags = stream.laplace(0.0, np.mean(np.abs(model.delta)), len(locs))
+    ends = np.cumsum(counts)
+    trend = model.scaled_trend
+    deviations = np.empty((len(t), n_samples))
+    for s in range(n_samples):
+        new = slice(ends[s] - counts[s], ends[s])
+        cps_aug = np.concatenate([cps, locs[new]])
+        delta_aug = np.concatenate([model.delta, mags[new]])
+        if trend.growth == "linear":
+            g_new = linear_trend(t, model.k, model.m, delta_aug, cps_aug)
+        else:
+            gamma = gamma_from_delta(cps_aug, delta_aug)
+            g_new = logistic_trend(
+                t, model.k, model.m, delta_aug, gamma, cps_aug, trend.capacity
+            )
+        deviations[:, s] = g_new - evaluation.parts.trend
+    return deviations, counts, locs, ends
+
+
+class TestTrendDeviationOracle:
+    """The block-vectorized trend deviation against a per-sample replay."""
+
+    @pytest.fixture(params=["linear", "logistic"])
+    def model(self, request, rng):
+        n = 200
+        days = daily_days("2021-01-01", n)
+        y = 4.0 + 0.02 * np.arange(n) + np.sin(2 * np.pi * days / 7.0)
+        weekly = SeasonalitySpec(name="weekly", period=7.0, fourier_order=2)
+        if request.param == "linear":
+            trend = TrendSpec(n_changepoints=8)
+        else:
+            trend = TrendSpec(growth="logistic", n_changepoints=8, capacity=15.0)
+            weekly = SeasonalitySpec(
+                name="weekly", period=7.0, fourier_order=2, mode="multiplicative"
+            )
+        # 300 samples span three blocks of the simulator, the last one partial
+        config = ModelConfig(trend=trend, seasonalities=(weekly,), interval_samples=300)
+        return fit(TimeSeries(days, y + rng.normal(0, 0.2, n)), config)
+
+    def test_matches_per_sample_replay(self, model):
+        seed = 17
+        grid = make_future_grid(model, 25)
+        evaluation = _evaluate(model, grid)
+        first = _first_future_row(evaluation.t_scaled)
+        assert first == len(model.train_timestamps)
+        blocks = list(_trend_deviations(model, evaluation, first, _streams(seed)[2]))
+        assert len(blocks) == 3
+        vectorized = np.hstack([deviation for _, deviation in blocks])
+        oracle, counts, locs, ends = _oracle_deviations(model, evaluation, seed)
+
+        scale = np.max(np.abs(evaluation.parts.trend))
+        np.testing.assert_allclose(vectorized, oracle[first:], rtol=1e-10, atol=1e-10 * scale)
+        assert np.max(np.abs(oracle[:first])) <= 1e-10 * scale
+        # samples without new changepoints, and rows before a sample's first
+        # new changepoint, get exactly zero deviation
+        assert 0 < np.sum(counts == 0) < len(counts)
+        assert np.all(vectorized[:, counts == 0] == 0.0)
+        t_future = evaluation.t_scaled[first:, np.newaxis]
+        first_loc = np.array(
+            [locs[e - c : e].min() if c else np.inf for c, e in zip(counts, ends)]
+        )
+        before = t_future < first_loc
+        assert before.any() and np.all(vectorized[before] == 0.0)
+        assert np.all(vectorized[~before] != 0.0)
+
+    def test_history_rows_get_no_trend_deviation(self, model):
+        model = replace(model, sigma=0.0)
+        grid = make_future_grid(model, 25)
+        fc = forecast_with_intervals(model, grid, seed=17)
+        n = len(model.train_timestamps)
+        for lo, hi in fc.bounds.values():
+            assert np.array_equal(lo[:n], fc.yhat[:n])
+            assert np.array_equal(hi[:n], fc.yhat[:n])
+            assert np.any(hi[n:] > fc.yhat[n:])
 
 
 class TestForecastCsv:

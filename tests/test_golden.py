@@ -28,17 +28,17 @@ CUTOFF_INDEX = 200
 GOLDEN = {
     "linear": {
         "model": "db7f4a45ffe6eed6b634743dbfb7bf14a0d25d98573acbe7ee476b0580375c3b",
-        "forecast": "998c2efe65e50b460ddfac1293199cf98342a7da35d2111a873202764ea14ca6",
-        "folds": "f71e635abc5e522e2713c2e660bf5ed26dcb0903daaf88f07278482e25e27f20",
-        "metrics": "2ead2b4d3b5348b4fd2df52e7060d90a1896597090f92b77c0378f38de71bdba",
+        "forecast": "55193419b81b3bbc4b8c1df9ae873b63d695060658ab46233e21473b4fb564d5",
+        "folds": "be873635271398f8addbef4e2b95dfbcfc2cde71f1b3dcabe151eb17ad5b87f5",
+        "metrics": "e66c0e79df248e4f1144d80824a4c84e30779654d9c7ee0b0cde862f41ff8f36",
     },
     "logistic": {
         "model": "ee06ed1f44dfe9792e8b9d55a4dfd7e8ae7a7cd7d1f401c7fd72f5c729d0dc90",
-        "forecast": "c3f9ad49e0b5381ee390190911b490165ed43bc82e81f40e002bbab5f5194173",
-        "folds": "6b3e68b55d6bb0edac24bc56de4fea73d0c806443143e920cc131abe85209f46",
-        "metrics": "3a66a6bfaa96de12419b21a33ecb97924e99b5efab8449be56606cb62dd271d8",
+        "forecast": "0cfc57311eb42dfa8fe06c6b8f6c4ad25dfd408a29801149d0a0fc076a74bef0",
+        "folds": "49f245175cd7f014069e64a35aedfd8349c6af56141dab7fc26186504dac947e",
+        "metrics": "e0e9ca70caa8adcafab31823ab5b5c0cef8ab0756b82848166d5f198d04bdf98",
     },
-    "compare": "c12014db86113039d06e8463eeb9cfaad03e5181251cffa7f25445e873050954",
+    "compare": "e351ae35685ada577b3b90b3f94e825f1bd645aa45fe8472d4d853f3179ea993",
 }
 
 
