@@ -239,9 +239,13 @@ def _load_candidate(path):
 
 def _compare_seed(seed, configs) -> int:
     """The seed a compare run records: ``--seed`` when given, else the model
-    candidates' shared seed, else DEFAULT_SEED when all are baselines."""
+    candidates' shared seed, else DEFAULT_SEED when all are baselines. A
+    negative ``--seed`` is a DomainError."""
     if seed is not None:
-        return int(seed)
+        seed = int(seed)
+        if seed < 0:
+            raise DomainError(f"seed must be >= 0, got {seed}")
+        return seed
     seeds = sorted({c.seed for c in configs if isinstance(c, ModelConfig)})
     if len(seeds) > 1:
         raise DomainError(f"model configs have different seeds {seeds}; pass --seed")

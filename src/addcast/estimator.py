@@ -387,11 +387,21 @@ def fit(ts: TimeSeries, config: ModelConfig, iteration_callback=None) -> FittedM
 
     trend = _scaled_trend(config.trend, y_scale)
 
+    # The last parameters evaluated and their (value, parts, residuals): the
+    # solver asks for derivatives at the point its accepted step just
+    # evaluated, and sigma is estimated where it stopped.
+    last = [None, None]
+
+    def evaluate(params):
+        if last[0] is None or not np.array_equal(params, last[0]):
+            last[:] = params, _objective(params, design, y_scaled, trend)
+        return last[1]
+
     def objective(params):
-        return _objective(params, design, y_scaled, trend)[0]
+        return evaluate(params)[0]
 
     def derivatives(params):
-        value, parts, r = _objective(params, design, y_scaled, trend)
+        value, parts, r = evaluate(params)
         if not np.isfinite(value):
             raise NonFiniteObjective(f"objective evaluated to {value}")
         gradient, hessian = _gradient_and_hessian(parts, r, design)
@@ -404,7 +414,7 @@ def fit(ts: TimeSeries, config: ModelConfig, iteration_callback=None) -> FittedM
     )
     params = result.x
     k, m, delta, beta = _split_params(params, design)
-    sigma = estimate_sigma(y_scaled - _model_parts(params, design, trend).yhat)
+    sigma = estimate_sigma(evaluate(params)[2])
 
     return FittedModel(
         config=config,

@@ -41,7 +41,11 @@ def place_changepoints(
         return np.empty(0, dtype=np.int64)
     eligible = int(np.floor(range_fraction * len(t)))
     idx = (np.arange(1, n + 1, dtype=np.int64) * eligible) // (n + 1)
-    idx = np.unique(idx[idx >= 1])
+    # idx is non-decreasing: dropping adjacent repeats leaves unique indices.
+    idx = idx[idx >= 1]
+    keep = np.ones(len(idx), dtype=bool)
+    keep[1:] = idx[1:] != idx[:-1]
+    idx = idx[keep]
     return t[idx]
 
 

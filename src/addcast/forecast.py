@@ -14,6 +14,7 @@ function of (model, grid, seed).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -144,7 +145,9 @@ def simulate_intervals(model: FittedModel, grid: FutureGrid, seed: int) -> dict:
     Each draw samples future changepoints (count from a Poisson process at
     the historical changepoints-per-unit-scaled-time rate, locations uniform
     over the future span, magnitudes Laplace with scale mean|delta|) plus
-    Normal(0, sigma) observation noise; bounds are type-7 empirical quantiles.
+    Normal(0, sigma) observation noise. The bounds are numpy's default
+    type-7 (linear) empirical quantiles, bit for bit, read from one sort of
+    each row of the sample matrix.
 
     A pure function of (model, grid, seed). The seed is split into three
     independent Philox streams: history-row noise, future-row noise, and
@@ -254,8 +257,35 @@ def _simulate(model: FittedModel, evaluation: _Evaluation, seed: int, start: int
 
     levels = model.config.interval_levels
     qs = [q for level in levels for q in ((1.0 - level) / 2.0, (1.0 + level) / 2.0)]
-    quantiles = np.quantile(samples, qs, axis=1, overwrite_input=True) * model.y_scale
+    quantiles = [bound * model.y_scale for bound in _row_quantiles(samples, qs)]
     return {level: (quantiles[2 * i], quantiles[2 * i + 1]) for i, level in enumerate(levels)}
+
+
+def _row_quantiles(samples: np.ndarray, qs) -> list[np.ndarray]:
+    """Type-7 quantiles of each row of ``samples`` at each q, bit for bit
+    what ``np.quantile(samples, qs, axis=1)`` returns (up to the sign of a
+    zero among tied zeros), read off one in-place sort of the rows.
+
+    A row's q-quantile interpolates between its sorted entries ``below =
+    floor((S - 1) * q)`` and the next one with numpy's ``_lerp``, which
+    works from the nearer end; a row holding NaN gives NaN. Leaves
+    ``samples`` sorted along its rows.
+    """
+    n = samples.shape[1]
+    samples.sort(axis=1)
+    has_nan = np.isnan(samples[:, -1])
+    bounds = []
+    for q in qs:
+        virtual = (n - 1) * q
+        below = math.floor(virtual)
+        gamma = virtual - below
+        a = samples[:, below]
+        b = samples[:, min(below + 1, n - 1)]
+        diff = b - a
+        bound = b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
+        bound[has_nan] = np.nan
+        bounds.append(bound)
+    return bounds
 
 
 def forecast_with_intervals(

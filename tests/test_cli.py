@@ -489,6 +489,14 @@ class TestCompareCommand:
         assert err["error"] == "DomainError" and "--seed" in err["message"]
         assert not manifest_path.exists()
 
+    @pytest.mark.parametrize("seeds", [(None,), (7,)])
+    def test_negative_seed_exits_1(self, tmp_path, rng, capsys, seeds):
+        code, _, manifest_path = self.run_compare(tmp_path, rng, seeds, ("--seed", "-1"))
+        assert code == 1
+        assert_one_error_line(capsys, "DomainError", "seed must be >= 0")
+        assert not (tmp_path / "out.json").exists()
+        assert not manifest_path.exists()
+
     def test_non_object_config_exits_1(self, tmp_path, rng, capsys):
         data = tmp_path / "data.csv"
         days = self.seasonal_data(data, rng, n=400)
@@ -528,6 +536,28 @@ class TestImports:
             for line in proc.stderr.splitlines()
             if line.startswith("import time:")
         }
+
+    def test_commands_do_not_load_numpy_ma(self, tmp_path, rng):
+        # np.unique and np.quantile import numpy.ma on first use; no command
+        # calls either
+        data = tmp_path / "data.csv"
+        config = tmp_path / "config.json"
+        naive = tmp_path / "naive.json"
+        model = tmp_path / "model.json"
+        days, _ = synthetic_csv(data, rng)
+        small_config(config)
+        naive.write_text(json.dumps({"baseline": "naive"}))
+        for args in (  # fit first: predict reads its model
+            ["fit", "--input", str(data), "--config", str(config), "--output", str(model)],
+            ["predict", "--input", str(model), "--periods", "10",
+             "--output", str(tmp_path / "forecast.csv")],
+            ["compare", "--input", str(data), "--config", str(config), str(naive),
+             "--cutoff", format_epoch_day(int(days[240])),
+             "--output", str(tmp_path / "compare.json")],
+        ):
+            modules = self.imported_modules(["-m", "addcast", *args])
+            assert "addcast.cli" in modules
+            assert not {m for m in modules if m.split(".")[:2] == ["numpy", "ma"]}, args[0]
 
     def test_cli_runs_without_scipy(self, tmp_path, rng, capsys):
         data = tmp_path / "data.csv"

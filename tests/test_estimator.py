@@ -402,6 +402,42 @@ class TestFit:
         grad = map_gradient(params, design, y / model.y_scale, model.scaled_trend)
         assert np.max(np.abs(grad)) <= 1e-6
 
+    def test_one_model_evaluation_per_objective_evaluation(self, rng, monkeypatch):
+        # derivatives at an accepted point and the final sigma reuse the
+        # objective evaluation the solver already made there
+        import addcast.estimator as est
+
+        real_parts, real_minimize = est._model_parts, est.minimize
+        parts_calls = []
+        results = []
+
+        def counted_parts(*args):
+            parts_calls.append(1)
+            return real_parts(*args)
+
+        def recorded_minimize(*args, **kwargs):
+            results.append(real_minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(est, "_model_parts", counted_parts)
+        monkeypatch.setattr(est, "minimize", recorded_minimize)
+        n = 400
+        days = daily_days("2020-01-01", n)
+        t = np.arange(n) / (n - 1)
+        y = 50.0 / (1.0 + np.exp(-5.0 * (t - 0.4))) * (
+            1.0 + 0.05 * np.sin(2 * np.pi * days / 7.0)
+        ) + rng.normal(0, 0.5, n)
+        config = ModelConfig(
+            trend=TrendSpec(growth="logistic", capacity=50.0),
+            seasonalities=(
+                SeasonalitySpec(name="weekly", period=7.0, fourier_order=3,
+                                mode="multiplicative"),
+            ),
+        )
+        fit(TimeSeries(days, y), config)
+        assert len(results) == 1 and results[0].nit >= 2
+        assert len(parts_calls) == results[0].nfev
+
     def test_sigma_matches_residual_std(self, rng):
         n = 200
         days = daily_days("2020-01-01", n)

@@ -53,6 +53,20 @@ class TestPlaceChangepoints:
             assert np.all(out > days[0])
             assert len(np.unique(out)) == len(out)
 
+    @pytest.mark.parametrize("range_fraction", [0.5, 0.8, 1.0])
+    def test_matches_unique_definition(self, range_fraction):
+        # dropping adjacent repeats of the non-decreasing indices gives what
+        # np.unique of them did
+        for n in range(2, 150, 7):
+            days = daily_days("2020-01-01", n)
+            eligible = int(np.floor(range_fraction * n))
+            for count in range(1, 2 * n, 3):
+                idx = (np.arange(1, count + 1, dtype=np.int64) * eligible) // (count + 1)
+                expected = days[np.unique(idx[idx >= 1])]
+                out = place_changepoints(days, count, range_fraction)
+                assert out.dtype == expected.dtype
+                assert np.array_equal(out, expected)
+
 
 class TestChangepointBasis:
     def test_before_all(self):

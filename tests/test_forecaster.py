@@ -11,6 +11,7 @@ from addcast.forecast import (
     FutureGrid,
     _evaluate,
     _first_future_row,
+    _row_quantiles,
     _streams,
     _trend_deviations,
     forecast_with_intervals,
@@ -342,6 +343,31 @@ class TestSimulateIntervals:
             assert np.array_equal(lo, full.bounds[level][0][157:])
             assert np.array_equal(hi, full.bounds[level][1][157:])
 
+
+class TestRowQuantiles:
+    """The bounds helper against np.quantile over rows, bit for bit."""
+
+    LEVELS = (0.37, 0.5, 0.8, 0.95, 0.99)
+    QS = [q for level in LEVELS for q in ((1.0 - level) / 2.0, (1.0 + level) / 2.0)]
+
+    @pytest.mark.parametrize("n_samples", [100, 101, 128, 1000, 1001])
+    def test_matches_numpy_quantile(self, rng, n_samples):
+        x = 3.0 * rng.standard_normal((12, n_samples)) + 1.0
+        x[1] = 2.5  # one value repeated
+        x[2] = np.floor(x[2]) + 0.5  # ties, and no zero of either sign
+        x[3] = rng.choice([-1.5, 4.25], n_samples)
+        x[4, 17] = np.nan
+        x[5, 3] = np.inf
+        x[6, 9] = -np.inf
+        x[7, : n_samples // 10] = np.inf
+        x[8, :2] = (np.inf, -np.inf)
+        x[9, : n_samples // 2] = -np.inf
+        with np.errstate(invalid="ignore"):
+            expected = np.quantile(x, self.QS, axis=1)
+            got = np.array(_row_quantiles(x.copy(), self.QS))
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert np.all(np.isnan(got[:, 4]))
 
 def _oracle_deviations(model, evaluation, seed):
     """Each sample's trend deviation on every grid row, the way a per-sample
