@@ -8,7 +8,6 @@ machine-readable JSON line on stderr).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -22,7 +21,7 @@ from .baselines import (
     seasonal_naive,
     walk_forward_forecast,
 )
-from .config import DEFAULT_SEED, ModelConfig, config_from_dict, load_config
+from .config import DEFAULT_SEED, ModelConfig, config_from_dict, load_config, read_json
 from .errors import AddcastError, DomainError, EmptyInput, LengthMismatch, ParseError, SchemaError
 from .estimator import fit
 from .evaluation import dm_test, evaluate_forecast, performance_by_horizon, rolling_cv, write_cv_folds_csv
@@ -37,6 +36,7 @@ from .persistence import (  # noqa: F401 -- perfbench/spans.py wraps addcast.cli
 from .timeseries import (
     TimeSeries,
     chronological_split,
+    csv_reader,
     filter_weekdays,
     format_epoch_day,
     forward_fill,
@@ -88,10 +88,7 @@ def _dump_json(data, path=None) -> str:
 
 
 def _read_column(path, column: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or column not in reader.fieldnames:
-            raise ParseError(f"{path}: missing column {column!r}")
+    with csv_reader(path, (column,)) as reader:
         out = []
         for lineno, row in enumerate(reader, start=2):
             try:
@@ -107,10 +104,7 @@ def _read_column(path, column: str) -> np.ndarray:
 
 def _read_forecast_table(path) -> dict[str, dict[int, float]]:
     """Forecast CSV as {column: {epoch_day: value}} for ds-aligned joins."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "ds" not in reader.fieldnames:
-            raise ParseError(f"{path}: missing 'ds' column")
+    with csv_reader(path, ("ds",)) as reader:
         columns: dict[str, dict[int, float]] = {
             c: {} for c in reader.fieldnames if c != "ds"
         }
@@ -131,10 +125,9 @@ def cmd_fit(args) -> int:
     config = _effective_config(args.config, args.seed)
     ts = _preprocess(load_csv(args.input[0]), args)
     model = fit(ts, config)
-    save_model(model, args.output)
-    grid = make_future_grid(model, 0)
-    fc = predict(model, grid)
+    fc = predict(model, make_future_grid(model, 0))
     report = evaluate_forecast("in_sample", ts.values, fc.yhat)
+    save_model(model, args.output)
     print(
         _dump_json(
             {
@@ -155,8 +148,7 @@ def cmd_predict(args) -> int:
     seed = args.seed if args.seed is not None else model.config.seed
     extra = None
     if len(args.input) > 1:
-        table = _read_forecast_table(args.input[1])
-        extra = {name: values for name, values in table.items()}
+        extra = _read_forecast_table(args.input[1])
     grid = make_future_grid(model, args.periods, extra_regressors=extra)
     fc = forecast_with_intervals(model, grid, seed=seed)
     write_forecast_csv(fc, model, args.output)
@@ -222,11 +214,7 @@ def cmd_dm(args) -> int:
 
 def _load_candidate(path):
     """One compare entry as (name, ModelConfig or baseline dict)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+    data = read_json(path)
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: config must be a JSON object")
     name = str(data.get("name") or Path(path).stem)

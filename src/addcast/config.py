@@ -7,12 +7,11 @@ canonical dict form used for JSON config files and content digests.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field, replace
 
 from .errors import DomainError, ParseError, SchemaError
-from .timeseries import format_epoch_day, parse_iso_date
+from .timeseries import csv_reader, format_epoch_day, open_text, parse_iso_date
 
 DEFAULT_CHANGEPOINT_PRIOR_SCALE = 0.05
 DEFAULT_SEASONALITY_PRIOR_SCALE = 10.0
@@ -229,6 +228,9 @@ def config_to_dict(config: ModelConfig) -> dict:
 def config_from_dict(data: dict) -> ModelConfig:
     if not isinstance(data, dict):
         raise SchemaError("model config must be a JSON object")
+    seed = data.get("seed", DEFAULT_SEED)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise SchemaError(f"seed must be an integer, got {seed!r}")
     try:
         trend_data = dict(data.get("trend", {}))
         trend = TrendSpec(
@@ -285,19 +287,23 @@ def config_from_dict(data: dict) -> ModelConfig:
             regressors=regressors,
             interval_levels=tuple(data.get("interval_levels", (0.80, 0.95))),
             interval_samples=int(data.get("interval_samples", 1000)),
-            seed=int(data.get("seed", DEFAULT_SEED)),
+            seed=seed,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed model config: {exc}") from None
 
 
-def load_config(path) -> ModelConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+def read_json(path):
+    """The JSON value in a UTF-8 file; invalid JSON is a SchemaError."""
+    with open_text(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON: {exc}") from None
-    return config_from_dict(data)
+
+
+def load_config(path) -> ModelConfig:
+    return config_from_dict(read_json(path))
 
 
 def load_holiday_calendar(path) -> tuple[HolidaySpec, ...]:
@@ -307,15 +313,8 @@ def load_holiday_calendar(path) -> tuple[HolidaySpec, ...]:
     Window columns must agree across rows of the same holiday name.
     """
     required = ("holiday", "ds", "lower_window", "upper_window")
-    grouped: dict[str, dict] = {}
-    order: list[str] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError(f"{path}: missing header row")
-        for col in required:
-            if col not in reader.fieldnames:
-                raise ParseError(f"{path}: missing column {col!r}")
+    grouped: dict[str, dict] = {}  # in order of first appearance
+    with csv_reader(path, required) as reader:
         for lineno, row in enumerate(reader, start=2):
             name = (row["holiday"] or "").strip()
             if not name:
@@ -332,8 +331,6 @@ def load_holiday_calendar(path) -> tuple[HolidaySpec, ...]:
                     f"{path}: row {lineno}: window mismatch for holiday {name!r}"
                 )
             entry["dates"].add(day)
-            if name not in order:
-                order.append(name)
     if not grouped:
         raise ParseError(f"{path}: no holiday rows")
     return tuple(
@@ -343,5 +340,5 @@ def load_holiday_calendar(path) -> tuple[HolidaySpec, ...]:
             lower_window=grouped[name]["windows"][0],
             upper_window=grouped[name]["windows"][1],
         )
-        for name in order
+        for name in grouped
     )

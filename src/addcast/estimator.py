@@ -95,6 +95,12 @@ class ModelParts:
     beta: np.ndarray
 
 
+def row_dot(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M @ v with each row's value independent of the row's position in M,
+    which BLAS matrix-vector kernels do not guarantee."""
+    return np.einsum("ij,j->i", M, v)
+
+
 def _model_parts(params, design: DesignMatrix, trend: TrendSpec) -> ModelParts:
     """Evaluate the prediction and the intermediates the gradient reuses.
 
@@ -104,8 +110,8 @@ def _model_parts(params, design: DesignMatrix, trend: TrendSpec) -> ModelParts:
     k, m, delta, beta = _split_params(params, design)
     t = design.t_scaled
     A = design.columns(design.layout.trend)
-    rate = k + A @ delta
-    offset = m + A @ gamma_from_delta(design.changepoints_scaled, delta)
+    rate = k + row_dot(A, delta)
+    offset = m + row_dot(A, gamma_from_delta(design.changepoints_scaled, delta))
     if trend.growth == "linear":
         g = rate * t + offset
         weight = None
@@ -115,12 +121,8 @@ def _model_parts(params, design: DesignMatrix, trend: TrendSpec) -> ModelParts:
 
     Xr = design.X[:, design.layout.trend.stop :]
     mul_mask = design.layout.multiplicative_mask
-    if mul_mask.any():
-        s_mul = Xr[:, mul_mask] @ beta[mul_mask]
-        s_add = Xr[:, ~mul_mask] @ beta[~mul_mask]
-    else:
-        s_mul = np.zeros_like(t)
-        s_add = Xr @ beta
+    s_mul = row_dot(Xr[:, mul_mask], beta[mul_mask])
+    s_add = row_dot(Xr[:, ~mul_mask], beta[~mul_mask])
     yhat = g * (1.0 + s_mul) + s_add
     return ModelParts(yhat, g, s_mul, rate, offset, weight, delta, beta)
 

@@ -98,17 +98,22 @@ class MetricReport:
 def evaluate_forecast(
     model_name: str, y_true, y_pred, lower=None, upper=None
 ) -> MetricReport:
-    """All accuracy metrics for one forecast, coverage when bounds given."""
+    """All accuracy metrics for one forecast, coverage when bounds given;
+    a metric that overflows is a DomainError."""
     cov = None
     if lower is not None and upper is not None:
         cov = coverage(y_true, lower, upper)
-    return MetricReport(
-        model_name=model_name,
-        rmse=rmse(y_true, y_pred),
-        mae=mae(y_true, y_pred),
-        mape_percent=mape(y_true, y_pred),
-        coverage_percent=cov,
-    )
+    with np.errstate(over="ignore"):  # an overflow is raised below instead
+        report = MetricReport(
+            model_name=model_name,
+            rmse=rmse(y_true, y_pred),
+            mae=mae(y_true, y_pred),
+            mape_percent=mape(y_true, y_pred),
+            coverage_percent=cov,
+        )
+    if not all(v is None or math.isfinite(v) for v in report.to_dict().values()):
+        raise DomainError(f"{model_name}: a metric overflowed: {report.to_dict()}")
+    return report
 
 
 # --- rolling-origin cross-validation -----------------------------------------
@@ -155,9 +160,9 @@ def rolling_cv(
     days, and join with the held-out actuals. Folds are independent and
     deterministic; fit errors are annotated with their cutoff.
 
-    Each fold simulates intervals only for the days after its training
-    data; its point forecast and bounds are bit-identical to those of a
-    full-grid ``forecast_with_intervals`` at the same days."""
+    Each fold builds, evaluates and simulates only the days after its
+    training data. Its point forecast and bounds equal a full-grid
+    ``forecast_with_intervals`` at the same days bit for bit."""
     folds = []
     for cutoff in enumerate_cutoffs(ts, initial, period, horizon):
         train_mask = ts.timestamps <= cutoff

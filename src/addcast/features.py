@@ -107,7 +107,7 @@ def fourier_features(t, period: float, order: int) -> np.ndarray:
     t_arr = np.asarray(t, dtype=np.float64)
     harmonics = np.arange(1, order + 1, dtype=np.float64)
     angles = (2.0 * np.pi / period) * t_arr[..., np.newaxis] * harmonics
-    return np.stack([np.cos(angles), np.sin(angles)], axis=-1).reshape(t_arr.shape + (-1,))
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-1).reshape(*t_arr.shape, 2 * order)
 
 
 def holiday_features(timestamps, specs) -> np.ndarray:

@@ -5,10 +5,10 @@ The point forecast is the sum of the reported components, so the additive
 identity holds exactly for additive models. The model's layout
 (``features.model_layout``) is the single owner of the components' order:
 trend, each seasonal block, holidays, regressors. A forecast evaluates the
-model on its grid once, for both the point forecast and the simulation.
-Interval simulation draws future trend changes from the historical
-changepoint behaviour plus per-timestamp observation noise, and is a pure
-function of (model, grid, seed).
+model on its grid once, for both the point forecast and the simulation; a
+day's point forecast is a function of (model, day). Interval simulation
+draws future trend changes from the historical changepoint behaviour plus
+per-timestamp observation noise, and is a pure function of (model, grid, seed).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .estimator import FittedModel, ModelParts, _model_parts
+from .estimator import FittedModel, ModelParts, _model_parts, row_dot
 from .features import design_for_grid, expit, regressor_column
 from .timeseries import format_epoch_day
 
@@ -111,7 +111,7 @@ def _evaluate(model: FittedModel, grid: FutureGrid) -> _Evaluation:
     components = dict.fromkeys(layout.component_names, np.zeros_like(parts.trend))
     components["trend"] = parts.trend
     for block in layout.coefficients:
-        contribution = design.columns(block) @ parts.beta[layout.beta_slice(block)]
+        contribution = row_dot(design.columns(block), parts.beta[layout.beta_slice(block)])
         if block.mode == "multiplicative":
             contribution = parts.trend * contribution
         components[block.name] = contribution
@@ -122,14 +122,11 @@ def _evaluate(model: FittedModel, grid: FutureGrid) -> _Evaluation:
     return _Evaluation(design.t_scaled, parts, components, yhat)
 
 
-def _point_forecast(
-    model: FittedModel, grid: FutureGrid, evaluation: _Evaluation, start: int = 0
-) -> Forecast:
-    """The point forecast of the grid's rows [start:]."""
+def _point_forecast(model: FittedModel, grid: FutureGrid, evaluation: _Evaluation) -> Forecast:
     return Forecast(
-        timestamps=grid.timestamps[start:],
-        yhat=evaluation.yhat[start:] * model.y_scale,
-        components={k: v[start:] * model.y_scale for k, v in evaluation.components.items()},
+        timestamps=grid.timestamps,
+        yhat=evaluation.yhat * model.y_scale,
+        components={k: v * model.y_scale for k, v in evaluation.components.items()},
         bounds={},
     )
 
@@ -154,7 +151,7 @@ def simulate_intervals(model: FittedModel, grid: FutureGrid, seed: int) -> dict:
     future trend changes. A future day's draws therefore do not depend on
     whether history rows are in the grid.
     """
-    return _simulate(model, _evaluate(model, grid), seed)
+    return _simulate(model, grid, _evaluate(model, grid), seed)
 
 
 # Samples per block of trend-deviation temporaries; bounds the extra memory
@@ -229,21 +226,20 @@ def _trend_deviations(model: FittedModel, evaluation: _Evaluation, first: int, s
         yield slice(lo, hi), g_new - g
 
 
-def _first_future_row(t_scaled: np.ndarray) -> int:
-    """Index of the first grid row after the training span (scaled t > 1)."""
-    return int(np.searchsorted(t_scaled, 1.0, side="right"))
+def _first_future_row(model: FittedModel, grid: FutureGrid) -> int:
+    """Index of the first grid row after the model's last training day."""
+    return int(np.searchsorted(grid.timestamps, model.last_day, side="right"))
 
 
-def _simulate(model: FittedModel, evaluation: _Evaluation, seed: int, start: int = 0) -> dict:
-    """Bounds of the grid's rows [start:], sampled as an (n_rows, S) matrix
-    whose history and future rows are contiguous blocks."""
+def _simulate(model: FittedModel, grid: FutureGrid, evaluation: _Evaluation, seed: int) -> dict:
+    """Bounds of the grid's rows, sampled as an (n_rows, S) matrix whose
+    history and future rows are contiguous blocks."""
     history_stream, future_stream, trend_stream = _streams(seed)
-    t = evaluation.t_scaled
-    first = max(start, _first_future_row(t))
-    samples = np.empty((len(t) - start, model.config.interval_samples))
-    history, future = samples[: first - start], samples[first - start :]
+    first = _first_future_row(model, grid)
+    samples = np.empty((len(grid), model.config.interval_samples))
+    history, future = samples[:first], samples[first:]
     for block, stream, yhat in (
-        (history, history_stream, evaluation.yhat[start:first]),
+        (history, history_stream, evaluation.yhat[:first]),
         (future, future_stream, evaluation.yhat[first:]),
     ):
         stream.standard_normal(out=block)
@@ -293,15 +289,18 @@ def forecast_with_intervals(
 ) -> Forecast:
     """predict plus simulate_intervals under the model's (or given) seed.
 
-    With ``history=False`` only the grid's rows after the training span are
-    forecast and simulated. The model is still evaluated on the whole grid,
-    so those rows' point forecast and bounds are bit-identical to the ones a
-    full forecast of the same grid gives.
+    With ``history=False`` only the grid's days after the model's last
+    training day are built, evaluated and simulated. A day's point forecast
+    is a function of (model, day), and on ``make_future_grid``'s consecutive
+    days a future day's bounds are a function of (model, day, seed, last
+    grid day), so both equal the full forecast's rows bit for bit.
     """
+    if not history:
+        future = grid.timestamps[_first_future_row(model, grid) :]
+        grid = FutureGrid(future, grid.regressor_values)
     evaluation = _evaluate(model, grid)
-    start = 0 if history else _first_future_row(evaluation.t_scaled)
-    bounds = _simulate(model, evaluation, model.config.seed if seed is None else seed, start)
-    return replace(_point_forecast(model, grid, evaluation, start), bounds=bounds)
+    bounds = _simulate(model, grid, evaluation, model.config.seed if seed is None else seed)
+    return replace(_point_forecast(model, grid, evaluation), bounds=bounds)
 
 
 def write_forecast_csv(forecast: Forecast, model: FittedModel, path) -> None:

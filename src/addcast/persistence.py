@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .config import ModelConfig, config_from_dict, config_to_dict
+from .config import ModelConfig, config_from_dict, config_to_dict, read_json
 from .errors import SchemaError, UnsupportedVersion
 from .estimator import FittedModel
 from .features import model_layout
@@ -185,12 +185,7 @@ def save_model(model: FittedModel, path) -> None:
 
 
 def load_model(path) -> FittedModel:
-    with open(path, "rb") as fh:
-        try:
-            data = json.loads(fh.read().decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise SchemaError(f"{path}: invalid model document: {exc}") from None
-    return model_from_document(ModelDocument.from_dict(data))
+    return model_from_document(ModelDocument.from_dict(read_json(path)))
 
 
 @dataclass(frozen=True)
@@ -237,11 +232,7 @@ def write_manifest(manifest: RunManifest, path) -> None:
 
 
 def read_manifest(path) -> RunManifest:
-    with open(path, "rb") as fh:
-        try:
-            data = json.loads(fh.read().decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise SchemaError(f"{path}: invalid manifest: {exc}") from None
+    data = read_json(path)
     try:
         return RunManifest(
             seed=int(data["seed"]),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 
@@ -31,6 +32,29 @@ _EPOCH_ORDINAL = _EPOCH.toordinal()
 
 # CSV fields treated as missing markers (besides the empty field).
 _MISSING_TOKENS = {"", "NA"}
+
+
+@contextmanager
+def open_text(path):
+    """Open a UTF-8 text file to read; bytes that are not UTF-8 raise ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+@contextmanager
+def csv_reader(path, required):
+    """A csv.DictReader over a UTF-8 file whose header has the ``required`` columns."""
+    with open_text(path) as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ParseError(f"{path}: missing header row")
+        for col in required:
+            if col not in reader.fieldnames:
+                raise ParseError(f"{path}: missing column {col!r}")
+        yield reader
 
 
 def date_to_epoch_day(d: date) -> int:
@@ -135,13 +159,7 @@ def load_csv(path, date_column: str = "ds", value_column: str = "y") -> TimeSeri
     by date; duplicated dates are an error.
     """
     rows: list[tuple[int, float]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError(f"{path}: missing header row")
-        for col in (date_column, value_column):
-            if col not in reader.fieldnames:
-                raise ParseError(f"{path}: missing column {col!r} in header")
+    with csv_reader(path, (date_column, value_column)) as reader:
         for lineno, row in enumerate(reader, start=2):
             raw_date = row[date_column]
             if raw_date is None:

@@ -5,8 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from addcast.cli import main
-from addcast.timeseries import format_epoch_day
+from addcast.cli import _load_candidate, _read_column, _read_forecast_table, main
+from addcast.config import load_config, load_holiday_calendar
+from addcast.errors import ParseError
+from addcast.persistence import load_model, read_manifest
+from addcast.timeseries import format_epoch_day, load_csv
 
 from conftest import daily_days
 
@@ -108,6 +111,35 @@ class TestFitCommand:
         assert not model.exists()
         assert_one_error_line(capsys, "DomainError", "seed")
 
+    @pytest.mark.parametrize("seed", [1.5, True, "7"])
+    def test_non_integer_seed_in_config_rejected(self, tmp_path, rng, capsys, seed):
+        data = tmp_path / "data.csv"
+        config = tmp_path / "config.json"
+        model = tmp_path / "model.json"
+        synthetic_csv(data, rng)
+        small_config(config, seed=seed)
+        code = main(
+            ["fit", "--input", str(data), "--config", str(config), "--output", str(model)]
+        )
+        assert code == 1
+        assert not model.exists()
+        assert_one_error_line(capsys, "SchemaError", "seed must be an integer")
+
+    def test_overflowing_in_sample_metric_writes_nothing(self, tmp_path, rng, capsys):
+        # the fit is finite, but squared residuals of ~1e299 overflow the RMSE
+        data = tmp_path / "data.csv"
+        days = daily_days("2021-01-01", 120)
+        write_series_csv(data, days, 1e300 * (1.0 + 0.3 * rng.normal(size=120)))
+        config = tmp_path / "config.json"
+        small_config(config)
+        model = tmp_path / "model.json"
+        code = main(
+            ["fit", "--input", str(data), "--config", str(config), "--output", str(model)]
+        )
+        assert code == 1
+        assert not model.exists()
+        assert_one_error_line(capsys, "DomainError", "a metric overflowed")
+
     def test_preprocessing_flags(self, tmp_path, rng, capsys):
         days = daily_days("2021-01-04", 200)
         y = np.abs(rng.normal(5, 1, 200))
@@ -196,6 +228,56 @@ class TestPredictCommand:
         )
         assert code == 1
         assert_one_error_line(capsys, "DomainError", "seed")
+
+    @pytest.mark.parametrize("seed", [1.5, True, "7"])
+    def test_model_document_with_non_integer_seed_rejected(self, tmp_path, rng, capsys, seed):
+        model = self.fit_once(tmp_path, rng)
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        doc["config"]["seed"] = seed
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "forecast.csv"
+        code = main(["predict", "--input", str(model), "--periods", "5", "--output", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert_one_error_line(capsys, "SchemaError", "seed must be an integer")
+
+
+class TestNonUtf8Input:
+    """A file that is not UTF-8 text is a ParseError in every reader the CLI
+    reaches, never a UnicodeDecodeError."""
+
+    @pytest.mark.parametrize(
+        "read",
+        [load_csv, load_holiday_calendar, _read_forecast_table, lambda p: _read_column(p, "e")],
+    )
+    def test_csv_readers(self, tmp_path, read):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"ds,e,holiday,lower_window,upper_window\n2021-01-01,1.0,caf\xe9,0,0\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            read(path)
+
+    @pytest.mark.parametrize("read", [load_config, _load_candidate, load_model, read_manifest])
+    def test_json_readers(self, tmp_path, read):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "caf\xe9"}')
+        with pytest.raises(ParseError, match="not UTF-8"):
+            read(path)
+
+    @pytest.mark.parametrize("bad", ["input", "config"])
+    def test_fit_exits_1(self, tmp_path, rng, capsys, bad):
+        paths = {"input": tmp_path / "data.csv", "config": tmp_path / "config.json"}
+        synthetic_csv(paths["input"], rng)
+        small_config(paths["config"])
+        paths[bad].write_bytes(paths[bad].read_bytes().replace(b"2", b"\xe9", 1))
+        model = tmp_path / "model.json"
+        code = main(
+            ["fit", "--input", str(paths["input"]), "--config", str(paths["config"]),
+             "--output", str(model)]
+        )
+        assert code == 1
+        assert not model.exists()
+        assert_one_error_line(capsys, "ParseError", "not UTF-8")
 
 
 class TestRegressorFlow:

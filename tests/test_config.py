@@ -55,6 +55,11 @@ class TestModelConfig:
             config_from_dict({"seed": -1})
         assert ModelConfig(seed=0).seed == 0
 
+    @pytest.mark.parametrize("seed", [1.5, 7.0, True, False, "7", None, float("nan")])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(SchemaError, match="seed must be an integer"):
+            config_from_dict({"seed": seed})
+
     def test_duplicate_seasonality_names(self):
         with pytest.raises(DomainError):
             ModelConfig(

@@ -5,6 +5,7 @@ import pytest
 
 from addcast.config import ModelConfig, SeasonalitySpec, TrendSpec
 from addcast.errors import (
+    DomainError,
     EmptyInput,
     InvertedBounds,
     LengthMismatch,
@@ -355,3 +356,8 @@ class TestEvaluateForecast:
     def test_no_bounds_no_coverage(self):
         report = evaluate_forecast("m", [1.0], [1.0])
         assert report.coverage_percent is None
+
+    def test_overflowing_metric_rejected(self):
+        # squared residuals of 1e300 overflow, so RMSE would read inf
+        with pytest.raises(DomainError, match="m: a metric overflowed"):
+            evaluate_forecast("m", [1e300, -1e300], [-1e300, 1e300])

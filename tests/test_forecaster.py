@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from addcast.config import ModelConfig, RegressorSpec, SeasonalitySpec, TrendSpec
+from addcast.config import HolidaySpec, ModelConfig, RegressorSpec, SeasonalitySpec, TrendSpec
 from addcast.errors import DomainError, MissingRegressorValue
 from addcast.estimator import FittedModel, fit
 from addcast.features import gamma_from_delta, linear_trend, logistic_trend
@@ -152,19 +152,14 @@ class TestPredict:
         total = sum(fc.components[name] for name in fc.components)
         assert np.max(np.abs(total - fc.yhat)) <= 1e-9
 
-    def test_in_sample_prefix_independent_of_periods(self, rng):
-        n = 80
-        days = daily_days("2022-01-01", n)
-        y = 1.0 + rng.normal(0, 0.1, n)
-        ts = TimeSeries(days, y)
-        config = ModelConfig(
-            trend=TrendSpec(n_changepoints=3),
-            seasonalities=(SeasonalitySpec(name="weekly", period=7.0, fourier_order=1),),
-        )
-        model = fit(ts, config)
-        short = predict(model, make_future_grid(model, 0))
-        long = predict(model, make_future_grid(model, 40))
-        assert np.array_equal(short.yhat, long.yhat[:n])
+    def test_empty_grid(self, rng):
+        model = row_local_model("linear", rng)
+        grid = FutureGrid(np.empty(0, dtype=np.int64), {})
+        fc = predict(model, grid)
+        assert len(fc) == 0 and fc.yhat.shape == (0,)
+        assert all(values.shape == (0,) for values in fc.components.values())
+        fc = forecast_with_intervals(model, grid)
+        assert all(lo.shape == hi.shape == (0,) for lo, hi in fc.bounds.values())
 
     def test_multiplicative_composition(self):
         # one multiplicative weekly block: yhat must equal
@@ -321,27 +316,72 @@ class TestSimulateIntervals:
         assert len(horizon) == 0
         assert all(lo.shape == hi.shape == (0,) for lo, hi in horizon.bounds.values())
 
-    def test_horizon_only_matches_full_grid(self, rng):
-        days = daily_days("2021-01-01", 157)
-        y = 3.0 + 0.02 * np.arange(157) + np.sin(2 * np.pi * days / 7.0)
-        config = ModelConfig(
-            trend=TrendSpec(growth="logistic", n_changepoints=5, capacity=12.0),
-            seasonalities=(
-                SeasonalitySpec(name="weekly", period=7.0, fourier_order=2, mode="multiplicative"),
-            ),
-            interval_samples=150,
-        )
-        model = fit(TimeSeries(days, y + rng.normal(0, 0.1, 157)), config)
+
+def row_local_model(growth, rng):
+    """A model fitted on 157 days with a holiday, a regressor that covers 33
+    more days and, for logistic growth, a multiplicative seasonal block."""
+    n = 157
+    days = daily_days("2021-01-01", n + 33)
+    x = rng.normal(0, 1, n + 33)
+    weekly = SeasonalitySpec(name="weekly", period=7.0, fourier_order=2)
+    trend = TrendSpec(n_changepoints=5)
+    if growth == "logistic":
+        trend = TrendSpec(growth="logistic", n_changepoints=5, capacity=12.0)
+        weekly = replace(weekly, mode="multiplicative")
+    config = ModelConfig(
+        trend=trend,
+        seasonalities=(weekly, SeasonalitySpec(name="monthly", period=30.5, fourier_order=2)),
+        holidays=(HolidaySpec(name="h", dates=frozenset(days[::17].tolist()), upper_window=1),),
+        regressors=(RegressorSpec(name="x", prior_scale=1.0, values=dict(zip(days.tolist(), x))),),
+        interval_samples=150,
+    )
+    y = 3.0 + 0.02 * np.arange(n) + np.sin(2 * np.pi * days[:n] / 7.0) + 0.5 * x[:n]
+    return fit(TimeSeries(days[:n], y + rng.normal(0, 0.1, n)), config)
+
+
+class TestRowLocality:
+    """A day's point forecast depends only on (model, day), and a horizon
+    forecast builds and evaluates only its horizon rows."""
+
+    @pytest.mark.parametrize("growth", ["linear", "logistic"])
+    def test_suffix_grid_matches_full_grid(self, rng, monkeypatch, growth):
+        import addcast.forecast
+
+        model = row_local_model(growth, rng)
+        n = model.n_obs
         grid = make_future_grid(model, 33)
         full = forecast_with_intervals(model, grid, seed=4)
+        # the training-days grid is the prefix of any longer grid
+        prefix = predict(model, make_future_grid(model, 0))
+        assert np.array_equal(prefix.yhat, full.yhat[:n])
+        for offset in (1, 37, n - 1, n, n + 13, len(grid) - 1):
+            suffix_grid = FutureGrid(grid.timestamps[offset:], grid.regressor_values)
+            suffix = forecast_with_intervals(model, suffix_grid, seed=4)
+            assert np.array_equal(suffix.yhat, full.yhat[offset:]), offset
+            for name, values in suffix.components.items():
+                assert np.array_equal(values, full.components[name][offset:]), (offset, name)
+            if offset == n:  # the future-only suffix also keeps its bounds
+                for level, (lo, hi) in suffix.bounds.items():
+                    assert np.array_equal(lo, full.bounds[level][0][n:])
+                    assert np.array_equal(hi, full.bounds[level][1][n:])
+
+        rows = []
+        original = addcast.forecast.design_for_grid
+
+        def counted(timestamps, *args, **kwargs):
+            rows.append(len(timestamps))
+            return original(timestamps, *args, **kwargs)
+
+        monkeypatch.setattr(addcast.forecast, "design_for_grid", counted)
         horizon = forecast_with_intervals(model, grid, seed=4, history=False)
-        assert np.array_equal(horizon.timestamps, grid.timestamps[157:])
-        assert np.array_equal(horizon.yhat, full.yhat[157:])
+        assert rows == [33]
+        assert np.array_equal(horizon.timestamps, grid.timestamps[n:])
+        assert np.array_equal(horizon.yhat, full.yhat[n:])
         for name, values in horizon.components.items():
-            assert np.array_equal(values, full.components[name][157:])
+            assert np.array_equal(values, full.components[name][n:])
         for level, (lo, hi) in horizon.bounds.items():
-            assert np.array_equal(lo, full.bounds[level][0][157:])
-            assert np.array_equal(hi, full.bounds[level][1][157:])
+            assert np.array_equal(lo, full.bounds[level][0][n:])
+            assert np.array_equal(hi, full.bounds[level][1][n:])
 
 
 class TestRowQuantiles:
@@ -423,7 +463,7 @@ class TestTrendDeviationOracle:
         seed = 17
         grid = make_future_grid(model, 25)
         evaluation = _evaluate(model, grid)
-        first = _first_future_row(evaluation.t_scaled)
+        first = _first_future_row(model, grid)
         assert first == len(model.train_timestamps)
         blocks = list(_trend_deviations(model, evaluation, first, _streams(seed)[2]))
         assert len(blocks) == 3

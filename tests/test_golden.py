@@ -27,18 +27,18 @@ CUTOFF_INDEX = 200
 
 GOLDEN = {
     "linear": {
-        "model": "db7f4a45ffe6eed6b634743dbfb7bf14a0d25d98573acbe7ee476b0580375c3b",
-        "forecast": "55193419b81b3bbc4b8c1df9ae873b63d695060658ab46233e21473b4fb564d5",
-        "folds": "be873635271398f8addbef4e2b95dfbcfc2cde71f1b3dcabe151eb17ad5b87f5",
-        "metrics": "e66c0e79df248e4f1144d80824a4c84e30779654d9c7ee0b0cde862f41ff8f36",
+        "model": "8fd762e668066022b87d70b03621246e0f0c7ae164404291ea503744cc5f9aa3",
+        "forecast": "0a3047b898ede0878d6c0def2a696462ff1cacf231ae9496e600410469c0b259",
+        "folds": "05976f28d61f20d46ee77df014174a6a5c31d4bc1c202d541642bcfc2df0ec3d",
+        "metrics": "298d8d441cd3a29faf1fdf2ae912a4bd8888fdb50bde23bbc3c0a9ce2f1fdb4c",
     },
     "logistic": {
-        "model": "ee06ed1f44dfe9792e8b9d55a4dfd7e8ae7a7cd7d1f401c7fd72f5c729d0dc90",
-        "forecast": "0cfc57311eb42dfa8fe06c6b8f6c4ad25dfd408a29801149d0a0fc076a74bef0",
-        "folds": "49f245175cd7f014069e64a35aedfd8349c6af56141dab7fc26186504dac947e",
-        "metrics": "e0e9ca70caa8adcafab31823ab5b5c0cef8ab0756b82848166d5f198d04bdf98",
+        "model": "996e444beef2e7d059cb10064018b5c3d5037ea745e7fea9c844665f1f678b7c",
+        "forecast": "aa56195c8b74a178b3902ab0c90edb52110f5f6a2bbc75d7e8210552b0816cb5",
+        "folds": "acb4d48c9be5ff918717b63598f89e70cdd951b25b32a845ba075851819f745c",
+        "metrics": "8f011360aac5434433add1be95e1265deaf2d3e3919b6db86dace524b5548f9f",
     },
-    "compare": "e351ae35685ada577b3b90b3f94e825f1bd645aa45fe8472d4d853f3179ea993",
+    "compare": "a1dfe16f1f90450ba79b0586c8b710fca28d859e8f48d518d3a4d1d814a6de2c",
 }
 
 
