@@ -109,7 +109,12 @@ def _read_forecast_table(path) -> dict[str, dict[int, float]]:
             c: {} for c in reader.fieldnames if c != "ds"
         }
         for lineno, row in enumerate(reader, start=2):
-            day = parse_iso_date(row["ds"])
+            if row["ds"] is None:
+                raise ParseError(f"{path}: row {lineno}: missing date field")
+            try:
+                day = parse_iso_date(row["ds"])
+            except ParseError as exc:
+                raise ParseError(f"{path}: row {lineno}: {exc}") from None
             for c, store in columns.items():
                 raw = row[c]
                 try:

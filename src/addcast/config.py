@@ -225,17 +225,22 @@ def config_to_dict(config: ModelConfig) -> dict:
     }
 
 
+def _integer(value, name: str) -> int:
+    """``value`` if it is a JSON integer; a bool, a float (also 7.0), a
+    string or null is a SchemaError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def config_from_dict(data: dict) -> ModelConfig:
     if not isinstance(data, dict):
         raise SchemaError("model config must be a JSON object")
-    seed = data.get("seed", DEFAULT_SEED)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise SchemaError(f"seed must be an integer, got {seed!r}")
     try:
         trend_data = dict(data.get("trend", {}))
         trend = TrendSpec(
             growth=trend_data.get("growth", "linear"),
-            n_changepoints=int(trend_data.get("n_changepoints", 25)),
+            n_changepoints=_integer(trend_data.get("n_changepoints", 25), "n_changepoints"),
             changepoint_range=float(trend_data.get("changepoint_range", 0.8)),
             changepoint_prior_scale=float(
                 trend_data.get("changepoint_prior_scale", DEFAULT_CHANGEPOINT_PRIOR_SCALE)
@@ -249,7 +254,7 @@ def config_from_dict(data: dict) -> ModelConfig:
                 SeasonalitySpec(
                     name=str(s["name"]),
                     period=float(s["period"]),
-                    fourier_order=int(s["fourier_order"]),
+                    fourier_order=_integer(s["fourier_order"], "fourier_order"),
                     prior_scale=float(
                         s.get("prior_scale", DEFAULT_SEASONALITY_PRIOR_SCALE)
                     ),
@@ -263,8 +268,8 @@ def config_from_dict(data: dict) -> ModelConfig:
             HolidaySpec(
                 name=str(h["name"]),
                 dates=frozenset(parse_iso_date(d) for d in h["dates"]),
-                lower_window=int(h.get("lower_window", 0)),
-                upper_window=int(h.get("upper_window", 0)),
+                lower_window=_integer(h.get("lower_window", 0), "lower_window"),
+                upper_window=_integer(h.get("upper_window", 0), "upper_window"),
                 prior_scale=float(h.get("prior_scale", DEFAULT_HOLIDAY_PRIOR_SCALE)),
             )
             for h in data.get("holidays", ())
@@ -286,8 +291,8 @@ def config_from_dict(data: dict) -> ModelConfig:
             holidays=holidays,
             regressors=regressors,
             interval_levels=tuple(data.get("interval_levels", (0.80, 0.95))),
-            interval_samples=int(data.get("interval_samples", 1000)),
-            seed=seed,
+            interval_samples=_integer(data.get("interval_samples", 1000), "interval_samples"),
+            seed=_integer(data.get("seed", DEFAULT_SEED), "seed"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed model config: {exc}") from None

@@ -223,7 +223,8 @@ class FittedModel:
 
     Trend parameters (k, m, delta, changepoints) live in scaled time and
     scaled values; sigma is in scaled-value units. gamma is always derived
-    from (changepoints, delta), never stored.
+    from (changepoints, delta), never stored. Every parameter and scaling
+    must be finite, or construction raises DomainError.
     """
 
     config: ModelConfig
@@ -246,6 +247,12 @@ class FittedModel:
         tt = np.ascontiguousarray(self.train_timestamps, dtype=np.int64)
         tt.setflags(write=False)
         object.__setattr__(self, "train_timestamps", tt)
+        for name in (
+            "k", "m", "delta", "beta", "sigma", "t_start", "t_span", "y_scale",
+            "changepoints_scaled",
+        ):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise DomainError(f"{name} must be finite")
         if self.sigma < 0:
             raise DomainError("sigma must be nonnegative")
         if self.t_span <= 0 or self.y_scale <= 0:
@@ -349,15 +356,32 @@ def minimize(objective, derivatives, x0, callback=None) -> MinimizeResult:
     return MinimizeResult(x, f, nit, nfev)
 
 
-def _initial_parameters(design: DesignMatrix, y_scaled: np.ndarray) -> np.ndarray:
-    """Least-squares line through (scaled t, scaled y) seeds k and m; every
-    other coefficient starts at zero."""
+def _initial_parameters(
+    design: DesignMatrix, y_scaled: np.ndarray, trend: TrendSpec
+) -> np.ndarray:
+    """Start point of the solver: k and m from a least-squares line over
+    scaled t, every other coefficient zero.
+
+    Linear growth fits the line a * t + b to the scaled values and starts at
+    k = a, m = b. Logistic growth fits it to logit(y / capacity), with the
+    ratio clipped to [0.01, 0.99] as in Prophet's ``logistic_growth_init``
+    (seasonal peaks can exceed the capacity), and starts at k = a,
+    m = -b / a, so that k * (t - m) is that line. ``trend.capacity`` is in
+    the units of ``y_scaled``. A zero slope, or one so small that -b / a
+    overflows, has no such offset; the start is then k = m = 0.
+    """
     t = design.t_scaled
     A = np.column_stack([t, np.ones_like(t)])
-    (k0, m0), *_ = np.linalg.lstsq(A, y_scaled, rcond=None)
     x0 = np.zeros(2 + design.layout.width)
-    x0[0] = k0
-    x0[1] = m0
+    if trend.growth == "linear":
+        (x0[0], x0[1]), *_ = np.linalg.lstsq(A, y_scaled, rcond=None)
+        return x0
+    ratio = np.clip(y_scaled / trend.capacity, 0.01, 0.99)
+    (a, b), *_ = np.linalg.lstsq(A, np.log(ratio / (1.0 - ratio)), rcond=None)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m0 = -b / a
+    if np.isfinite(m0):
+        x0[0], x0[1] = a, m0
     return x0
 
 
@@ -412,7 +436,7 @@ def fit(ts: TimeSeries, config: ModelConfig, iteration_callback=None) -> FittedM
         return gradient, hessian
 
     result = minimize(
-        objective, derivatives, _initial_parameters(design, y_scaled), iteration_callback
+        objective, derivatives, _initial_parameters(design, y_scaled, trend), iteration_callback
     )
     params = result.x
     k, m, delta, beta = _split_params(params, design)

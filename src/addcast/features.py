@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import ModelConfig
-from .errors import DomainError, MissingRegressorValue
+from .errors import DomainError, DuplicateTimestamp, MissingRegressorValue
 from .timeseries import TimeSeries, format_epoch_day
 
 
@@ -112,12 +112,23 @@ def fourier_features(t, period: float, order: int) -> np.ndarray:
 
 def holiday_features(timestamps, specs) -> np.ndarray:
     """0/1 indicator matrix, one column per holiday spec in order; entry is 1
-    iff the timestamp falls in the spec's window-expanded date set."""
+    iff the timestamp falls in the spec's window-expanded date set.
+
+    The timestamps must be distinct. Every spec's expanded dates are looked
+    up in the sorted timestamps at once, and only exact hits are kept."""
     t = np.asarray(timestamps, dtype=np.int64)
+    order = np.argsort(t, kind="stable")
+    sorted_t = t[order]
+    if np.any(sorted_t[1:] == sorted_t[:-1]):
+        raise DuplicateTimestamp("holiday features need distinct timestamps")
+    expanded = [np.fromiter(spec.expanded_dates(), dtype=np.int64) for spec in specs]
+    days = np.concatenate([np.empty(0, dtype=np.int64), *expanded])
+    columns = np.repeat(np.arange(len(specs)), [len(d) for d in expanded])
+    rows = np.searchsorted(sorted_t, days)
+    hit = rows < len(t)
+    hit[hit] = sorted_t[rows[hit]] == days[hit]
     out = np.zeros((len(t), len(specs)), dtype=np.float64)
-    for j, spec in enumerate(specs):
-        expanded = np.fromiter(spec.expanded_dates(), dtype=np.int64)
-        out[:, j] = np.isin(t, expanded).astype(np.float64)
+    out[order[rows[hit]], columns[hit]] = 1.0
     return out
 
 

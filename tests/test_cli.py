@@ -243,6 +243,47 @@ class TestPredictCommand:
         assert_one_error_line(capsys, "SchemaError", "seed must be an integer")
 
 
+    @pytest.mark.parametrize(
+        "section, key, index, value",
+        [
+            ("parameters", "sigma", None, float("nan")),
+            ("parameters", "k", None, float("inf")),
+            ("parameters", "m", None, float("-inf")),
+            ("parameters", "delta", 0, float("nan")),
+            ("parameters", "changepoints", 1, float("inf")),
+            ("scaling", "y_scale", None, float("inf")),
+            ("scaling", "t_start", None, float("nan")),
+        ],
+    )
+    def test_model_document_with_non_finite_value_rejected(
+        self, tmp_path, rng, capsys, section, key, index, value
+    ):
+        model = self.fit_once(tmp_path, rng)
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        if index is None:
+            doc[section][key] = value
+        else:
+            doc[section][key][index] = value
+        model.write_text(json.dumps(doc))  # NaN and Infinity literals
+        out = tmp_path / "forecast.csv"
+        code = main(["predict", "--input", str(model), "--periods", "5", "--output", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert_one_error_line(capsys, "DomainError", "must be finite")
+
+    def test_model_document_with_non_finite_coefficient_rejected(self, tmp_path, rng, capsys):
+        model = self.fit_once(tmp_path, rng)
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        doc["parameters"]["blocks"][0]["values"][0] = float("nan")
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "forecast.csv"
+        code = main(["predict", "--input", str(model), "--periods", "5", "--output", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert_one_error_line(capsys, "DomainError", "beta must be finite")
+
 class TestNonUtf8Input:
     """A file that is not UTF-8 text is a ParseError in every reader the CLI
     reaches, never a UnicodeDecodeError."""
@@ -402,6 +443,22 @@ class TestEvaluateCommand:
         assert err["error"] == "LengthMismatch"
         assert "2022-01-02" in err["message"] and "2022-01-03" in err["message"]
 
+
+    def test_bad_prediction_date_names_file_and_row(self, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("ds,y\n2021-01-01,2.0\n2021-01-02,4.0\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("ds,yhat\n2021-01-01,1.0\n2021-13-02,5.0\n")
+        assert main(["evaluate", "--input", str(truth), str(pred)]) == 1
+        assert_one_error_line(capsys, "ParseError", f"{pred}: row 3: invalid ISO-8601 date")
+
+    def test_missing_prediction_date_names_file_and_row(self, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("ds,y\n2021-01-01,2.0\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("yhat,ds\n1.0\n")
+        assert main(["evaluate", "--input", str(truth), str(pred)]) == 1
+        assert_one_error_line(capsys, "ParseError", f"{pred}: row 2: missing date field")
 
 class TestDmCommand:
     def write_errors(self, path, values):

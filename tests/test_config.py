@@ -60,6 +60,31 @@ class TestModelConfig:
         with pytest.raises(SchemaError, match="seed must be an integer"):
             config_from_dict({"seed": seed})
 
+
+    @pytest.mark.parametrize("value", [2.7, 3.0, True, "3", None])
+    @pytest.mark.parametrize(
+        "field", ["fourier_order", "n_changepoints", "interval_samples",
+                  "lower_window", "upper_window"]
+    )
+    def test_non_integer_count_rejected(self, field, value):
+        data = {
+            "trend": {"n_changepoints": 3},
+            "seasonalities": [{"name": "weekly", "period": 7.0, "fourier_order": 3}],
+            "holidays": [{"name": "h", "dates": ["2021-01-01"],
+                          "lower_window": 1, "upper_window": 1}],
+            "interval_samples": 300,
+        }
+        target = {
+            "fourier_order": data["seasonalities"][0],
+            "n_changepoints": data["trend"],
+            "interval_samples": data,
+            "lower_window": data["holidays"][0],
+            "upper_window": data["holidays"][0],
+        }[field]
+        config_from_dict(data)  # valid as written
+        target[field] = value
+        with pytest.raises(SchemaError, match=f"{field} must be an integer"):
+            config_from_dict(data)
     def test_duplicate_seasonality_names(self):
         with pytest.raises(DomainError):
             ModelConfig(

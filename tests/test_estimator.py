@@ -12,15 +12,18 @@ from addcast.errors import (
     UnderdeterminedModel,
 )
 from addcast.estimator import (
+    GRADIENT_TOLERANCE,
+    OBJECTIVE_TOLERANCE,
     SOFTABS_EPS,
     _gradient_and_hessian,
+    _initial_parameters,
     _objective,
     estimate_sigma,
     fit,
     map_gradient,
     map_objective,
 )
-from addcast.features import build_design
+from addcast.features import DesignMatrix, build_design, model_layout
 from addcast.forecast import make_future_grid, predict
 from addcast.timeseries import TimeSeries
 
@@ -62,6 +65,34 @@ def gradient_test_problem(rng, growth="linear", multiplicative=False):
     ts = TimeSeries(days, y)
     design = build_design(ts, config)
     return design, y, config.trend
+
+
+def logistic_holiday_problem(rng):
+    """730 days of logistic growth with multiplicative yearly and weekly
+    seasonality and a two-day holiday, with the config that generated them."""
+    n = 730
+    days = daily_days("2020-01-01", n)
+    t = np.arange(n) / (n - 1)
+    capacity = 1000.0
+    trend = capacity / (1.0 + np.exp(-5.0 * (t - 0.4)))
+    seasonal = 0.04 * np.sin(2 * np.pi * days / 365.25) + 0.02 * np.cos(2 * np.pi * days / 7.0)
+    holiday_days = days[(days % 365) == 100]
+    bumps = 40.0 * np.isin(days, holiday_days)
+    y = trend * (1.0 + seasonal) + bumps + rng.normal(0, 10.0, n)
+    config = ModelConfig(
+        trend=TrendSpec(growth="logistic", capacity=capacity),
+        seasonalities=(
+            SeasonalitySpec(name="yearly", period=365.25, fourier_order=6,
+                            mode="multiplicative"),
+            SeasonalitySpec(name="weekly", period=7.0, fourier_order=3,
+                            mode="multiplicative"),
+        ),
+        holidays=(
+            HolidaySpec(name="h", dates=frozenset(int(d) for d in holiday_days),
+                        upper_window=1),
+        ),
+    )
+    return TimeSeries(days, y), config
 
 
 class TestMapObjective:
@@ -373,33 +404,11 @@ class TestFit:
         assert np.sqrt(np.mean((fitted - true) ** 2)) < 0.1
 
     def test_logistic_multiplicative_holiday_fit_is_stationary(self, rng):
-        n = 730
-        days = daily_days("2020-01-01", n)
-        t = np.arange(n) / (n - 1)
-        capacity = 1000.0
-        trend = capacity / (1.0 + np.exp(-5.0 * (t - 0.4)))
-        seasonal = 0.04 * np.sin(2 * np.pi * days / 365.25) + 0.02 * np.cos(2 * np.pi * days / 7.0)
-        holiday_days = days[(days % 365) == 100]
-        bumps = 40.0 * np.isin(days, holiday_days)
-        y = trend * (1.0 + seasonal) + bumps + rng.normal(0, 10.0, n)
-        config = ModelConfig(
-            trend=TrendSpec(growth="logistic", capacity=capacity),
-            seasonalities=(
-                SeasonalitySpec(name="yearly", period=365.25, fourier_order=6,
-                                mode="multiplicative"),
-                SeasonalitySpec(name="weekly", period=7.0, fourier_order=3,
-                                mode="multiplicative"),
-            ),
-            holidays=(
-                HolidaySpec(name="h", dates=frozenset(int(d) for d in holiday_days),
-                            upper_window=1),
-            ),
-        )
-        ts = TimeSeries(days, y)
+        ts, config = logistic_holiday_problem(rng)
         model = fit(ts, config)
         design = build_design(ts, config)
         params = pack(model.k, model.m, model.delta, model.beta)
-        grad = map_gradient(params, design, y / model.y_scale, model.scaled_trend)
+        grad = map_gradient(params, design, ts.values / model.y_scale, model.scaled_trend)
         assert np.max(np.abs(grad)) <= 1e-6
 
     def test_one_model_evaluation_per_objective_evaluation(self, rng, monkeypatch):
@@ -407,20 +416,15 @@ class TestFit:
         # objective evaluation the solver already made there
         import addcast.estimator as est
 
-        real_parts, real_minimize = est._model_parts, est.minimize
+        real_parts = est._model_parts
         parts_calls = []
-        results = []
 
         def counted_parts(*args):
             parts_calls.append(1)
             return real_parts(*args)
 
-        def recorded_minimize(*args, **kwargs):
-            results.append(real_minimize(*args, **kwargs))
-            return results[-1]
-
         monkeypatch.setattr(est, "_model_parts", counted_parts)
-        monkeypatch.setattr(est, "minimize", recorded_minimize)
+        results = recorded_minimize(monkeypatch)
         n = 400
         days = daily_days("2020-01-01", n)
         t = np.arange(n) / (n - 1)
@@ -448,3 +452,133 @@ class TestFit:
         fc = predict(model, make_future_grid(model, 0))
         observed = np.std(y - fc.yhat, ddof=1)
         assert abs(observed - model.sigma_rescaled) < 1e-9
+
+
+def recorded_minimize(monkeypatch):
+    """Wrap estimator.minimize; the returned list receives each fit's result."""
+    import addcast.estimator as est
+
+    real_minimize = est.minimize
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(real_minimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(est, "minimize", recorded)
+    return results
+
+
+def logistic_config(capacity, seasonalities=()):
+    return ModelConfig(
+        trend=TrendSpec(growth="logistic", capacity=capacity), seasonalities=seasonalities
+    )
+
+
+def flat_design(t_scaled):
+    """A design with no changepoints and no seasonal columns on ``t_scaled``."""
+    layout = model_layout(logistic_config(1.0), 0)
+    return DesignMatrix(
+        t_scaled=np.asarray(t_scaled, dtype=np.float64),
+        changepoints_scaled=np.empty(0),
+        X=np.empty((len(t_scaled), 0)),
+        layout=layout,
+    )
+
+
+class TestInitialParameters:
+    def test_linear_start_is_least_squares_line(self, rng):
+        t = np.linspace(0.0, 1.0, 50)
+        y = 0.3 + 0.8 * t + rng.normal(0, 0.1, 50)
+        design = flat_design(t)
+        line, *_ = np.linalg.lstsq(np.column_stack([t, np.ones_like(t)]), y, rcond=None)
+        x0 = _initial_parameters(design, y, TrendSpec())
+        assert np.array_equal(x0, line)
+
+    def test_logistic_start_is_logit_line(self):
+        # y / capacity stays inside the clip, so the logit of the data is the
+        # line 6 * t - 2.4 exactly and the start is the generating curve
+        t = np.linspace(0.0, 1.0, 60)
+        capacity = 2.5
+        y = capacity / (1.0 + np.exp(-6.0 * (t - 0.4)))
+        x0 = _initial_parameters(flat_design(t), y, TrendSpec("logistic", capacity=capacity))
+        assert x0[0] == pytest.approx(6.0, rel=1e-12)
+        assert x0[1] == pytest.approx(0.4, rel=1e-12)
+
+    def test_zero_slope_starts_at_origin(self):
+        # every t equal: the line has slope exactly 0 and intercept logit(0.01),
+        # so -b / a is infinite
+        x0 = _initial_parameters(
+            flat_design(np.zeros(5)), np.full(5, 1e-6), TrendSpec("logistic", capacity=1.0)
+        )
+        assert np.array_equal(x0, [0.0, 0.0])
+
+    def test_half_capacity_starts_at_origin(self):
+        # y = capacity / 2: the logit line is 0 * t + 0 and -b / a is 0 / 0
+        t = np.linspace(0.0, 1.0, 40)
+        trend = TrendSpec("logistic", capacity=3.0)
+        x0 = _initial_parameters(flat_design(t), np.full(40, 1.5), trend)
+        assert np.array_equal(x0, [0.0, 0.0])
+
+    def test_half_capacity_fit_is_exact_without_steps(self, monkeypatch):
+        results = recorded_minimize(monkeypatch)
+        ts = make_series("2020-01-01", np.full(200, 4.0))
+        model = fit(ts, logistic_config(8.0))
+        assert results[0].nit == 0
+        assert np.isfinite(model.k) and np.isfinite(model.m)
+        assert np.array_equal(predict(model, make_future_grid(model, 0)).yhat, ts.values)
+
+
+class TestLogisticStart:
+    def test_capacity_far_above_data(self, monkeypatch):
+        # constant y = 5 under a capacity of 1e13: the ratio clips at 0.01 and
+        # the logit line is flat up to rounding, so the start's offset is huge
+        # but finite, and k * (t - m) starts on the line logit(0.01)
+        results = recorded_minimize(monkeypatch)
+        ts = make_series("2020-01-01", np.full(400, 5.0))
+        config = logistic_config(
+            1e13,
+            (
+                SeasonalitySpec(name="yearly", period=365.25, fourier_order=10),
+                SeasonalitySpec(name="weekly", period=7.0, fourier_order=4,
+                                mode="multiplicative"),
+            ),
+        )
+        # scaled by y_scale = 5: y is 1 and the capacity 2e12
+        x0 = _initial_parameters(
+            build_design(ts, config), np.ones(400), TrendSpec("logistic", capacity=2e12)
+        )
+        assert np.all(np.isfinite(x0))
+        model = fit(ts, config)
+        fc = predict(model, make_future_grid(model, 0))
+        assert np.max(np.abs(fc.yhat - 5.0)) <= 5.0 * 1e-4
+        assert model.sigma_rescaled <= 1e-9
+        assert results[0].nit <= 50
+
+    def test_optimum_at_infinity_takes_few_steps(self, monkeypatch):
+        # capacity 10 over all-zero data: the fit drives the trend towards 0,
+        # an optimum at infinite offset
+        results = recorded_minimize(monkeypatch)
+        model = fit(make_series("2020-01-01", np.zeros(400)), logistic_config(10.0))
+        assert results[0].nit <= 30
+        assert np.max(np.abs(predict(model, make_future_grid(model, 0)).yhat)) <= 1e-5
+
+    def test_multiplicative_holiday_fit_converges_in_few_steps(self, rng, monkeypatch):
+        results = recorded_minimize(monkeypatch)
+        ts, config = logistic_holiday_problem(rng)
+        iterates = []
+        model = fit(ts, config, iteration_callback=lambda x: iterates.append(x.copy()))
+        assert 1 <= results[0].nit <= 5
+        # the solver stopped by its own rule: a small gradient, or a last
+        # accepted step that lowered the objective by a negligible amount
+        design = build_design(ts, config)
+        y = ts.values / model.y_scale
+        trend = model.scaled_trend
+        x_prev = iterates[-2] if len(iterates) > 1 else _initial_parameters(design, y, trend)
+        f_last = map_objective(iterates[-1], design, y, trend)
+        small_gradient = np.max(np.abs(map_gradient(iterates[-1], design, y, trend)))
+        small_decrease = map_objective(x_prev, design, y, trend) - f_last
+        assert (
+            small_gradient <= GRADIENT_TOLERANCE
+            or small_decrease <= OBJECTIVE_TOLERANCE * max(abs(f_last), 1.0)
+        )

@@ -9,7 +9,7 @@ from addcast.config import (
     TrendSpec,
     load_holiday_calendar,
 )
-from addcast.errors import MissingRegressorValue, ParseError
+from addcast.errors import DuplicateTimestamp, MissingRegressorValue, ParseError
 from addcast.features import (
     build_design,
     changepoint_basis,
@@ -227,6 +227,57 @@ class TestHolidayFeatures:
         out = holiday_features(np.array([d + 2]), [a, b])
         assert list(out[0]) == [1.0, 1.0]
 
+
+    @staticmethod
+    def isin_definition(timestamps, specs):
+        out = np.zeros((len(timestamps), len(specs)))
+        for j, spec in enumerate(specs):
+            expanded = np.fromiter(spec.expanded_dates(), dtype=np.int64)
+            out[:, j] = np.isin(timestamps, expanded)
+        return out
+
+    @pytest.mark.parametrize("grid", ["sorted", "shuffled", "no_holidays", "empty"])
+    def test_matches_isin_definition(self, rng, grid):
+        start = parse_iso_date("2021-01-01")
+        days = daily_days("2021-01-01", 400)
+        specs = [
+            # overlapping windows, within and across specs
+            HolidaySpec(name="a", dates=frozenset([start + 10, start + 12]),
+                        lower_window=2, upper_window=3),
+            HolidaySpec(name="b", dates=frozenset([start + 13]), upper_window=1),
+            # dates before, across and after the grid's ends
+            HolidaySpec(name="c", dates=frozenset([start - 50, start - 1, start + 399]),
+                        lower_window=1, upper_window=2),
+            HolidaySpec(name="d", dates=frozenset([start + 1000])),
+            *(
+                HolidaySpec(name=f"r{i}",
+                            dates=frozenset(int(d) for d in rng.choice(days, 4)),
+                            lower_window=int(rng.integers(0, 3)),
+                            upper_window=int(rng.integers(0, 3)))
+                for i in range(4)
+            ),
+        ]
+        if grid == "shuffled":
+            days = rng.permutation(days)
+        elif grid == "no_holidays":
+            days = daily_days("2026-01-01", 60)
+        elif grid == "empty":
+            days = days[:0]
+        out = holiday_features(days, specs)
+        expected = self.isin_definition(days, specs)
+        assert out.shape == expected.shape and out.dtype == np.float64
+        assert np.array_equal(out, expected)
+        if grid == "no_holidays":
+            assert not out.any()
+
+    def test_no_specs(self):
+        assert holiday_features(daily_days("2021-01-01", 5), []).shape == (5, 0)
+
+    def test_repeated_timestamp_rejected(self):
+        d = parse_iso_date("2021-01-01")
+        spec = HolidaySpec(name="a", dates=frozenset([d]))
+        with pytest.raises(DuplicateTimestamp):
+            holiday_features(np.array([d, d + 1, d]), [spec])
 
 class TestBuildDesign:
     def test_single_seasonal_block_width(self):

@@ -33,12 +33,12 @@ GOLDEN = {
         "metrics": "298d8d441cd3a29faf1fdf2ae912a4bd8888fdb50bde23bbc3c0a9ce2f1fdb4c",
     },
     "logistic": {
-        "model": "996e444beef2e7d059cb10064018b5c3d5037ea745e7fea9c844665f1f678b7c",
-        "forecast": "aa56195c8b74a178b3902ab0c90edb52110f5f6a2bbc75d7e8210552b0816cb5",
-        "folds": "acb4d48c9be5ff918717b63598f89e70cdd951b25b32a845ba075851819f745c",
-        "metrics": "8f011360aac5434433add1be95e1265deaf2d3e3919b6db86dace524b5548f9f",
+        "model": "d3773ccf8cd262b273ea248a318eff575e493eb186f709be0a1ad4bbc5a75111",
+        "forecast": "24ff814908a33d2c4e384864d175806aa0542ff7c9b1c49788bb2e16073c59d9",
+        "folds": "8af6e61793b62cd801d6cb674219d57a9353411f13fef0b376fac24b6e122c45",
+        "metrics": "c169cbbcbe7d5f2fcbcff713071bb0f1af3e42575306bdc7bb9c9490c53e0a36",
     },
-    "compare": "a1dfe16f1f90450ba79b0586c8b710fca28d859e8f48d518d3a4d1d814a6de2c",
+    "compare": "5d37409b89a7d1e90330c190f6e5534019b64c2f6945e4892fabb4a2dcf805c4",
 }
 
 
