@@ -36,6 +36,7 @@ from .persistence import (  # noqa: F401 -- perfbench/spans.py wraps addcast.cli
 from .timeseries import (
     TimeSeries,
     chronological_split,
+    csv_field,
     csv_reader,
     filter_weekdays,
     format_epoch_day,
@@ -88,14 +89,16 @@ def _dump_json(data, path=None) -> str:
 
 
 def _read_column(path, column: str) -> np.ndarray:
-    with csv_reader(path, (column,)) as reader:
+    with csv_reader(path, (column,)) as (columns, rows):
+        index = columns[column]
         out = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows, start=2):
+            raw = csv_field(row, index)
             try:
-                out.append(float(row[column]))
+                out.append(float(raw))
             except (TypeError, ValueError):
                 raise ParseError(
-                    f"{path}: row {lineno}: invalid number {row[column]!r}"
+                    f"{path}: row {lineno}: invalid number {raw!r}"
                 ) from None
     if not out:
         raise EmptyInput(f"{path}: no data rows")
@@ -104,26 +107,26 @@ def _read_column(path, column: str) -> np.ndarray:
 
 def _read_forecast_table(path) -> dict[str, dict[int, float]]:
     """Forecast CSV as {column: {epoch_day: value}} for ds-aligned joins."""
-    with csv_reader(path, ("ds",)) as reader:
-        columns: dict[str, dict[int, float]] = {
-            c: {} for c in reader.fieldnames if c != "ds"
-        }
-        for lineno, row in enumerate(reader, start=2):
-            if row["ds"] is None:
+    with csv_reader(path, ("ds",)) as (columns, rows):
+        date_index = columns["ds"]
+        stores = {c: (i, {}) for c, i in columns.items() if c != "ds"}
+        for lineno, row in enumerate(rows, start=2):
+            raw_date = csv_field(row, date_index)
+            if raw_date is None:
                 raise ParseError(f"{path}: row {lineno}: missing date field")
             try:
-                day = parse_iso_date(row["ds"])
+                day = parse_iso_date(raw_date)
             except ParseError as exc:
                 raise ParseError(f"{path}: row {lineno}: {exc}") from None
-            for c, store in columns.items():
-                raw = row[c]
+            for index, store in stores.values():
+                raw = csv_field(row, index)
                 try:
                     store[day] = float(raw)
                 except (TypeError, ValueError):
                     raise ParseError(
                         f"{path}: row {lineno}: invalid number {raw!r}"
                     ) from None
-    return columns
+    return {c: store for c, (_, store) in stores.items()}
 
 
 def cmd_fit(args) -> int:

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 from .errors import DomainError, ParseError, SchemaError
-from .timeseries import csv_reader, format_epoch_day, open_text, parse_iso_date
+from .timeseries import csv_field, csv_reader, format_epoch_day, open_text, parse_iso_date
 
 DEFAULT_CHANGEPOINT_PRIOR_SCALE = 0.05
 DEFAULT_SEASONALITY_PRIOR_SCALE = 10.0
@@ -233,6 +233,13 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _object(value, name: str) -> dict:
+    """``value`` if it is a JSON object; anything else is a SchemaError."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{name} must be an object, got {value!r}")
+    return value
+
+
 def config_from_dict(data: dict) -> ModelConfig:
     if not isinstance(data, dict):
         raise SchemaError("model config must be a JSON object")
@@ -280,7 +287,7 @@ def config_from_dict(data: dict) -> ModelConfig:
                 prior_scale=float(r["prior_scale"]),
                 values={
                     parse_iso_date(k): float(v)
-                    for k, v in r.get("values", {}).items()
+                    for k, v in _object(r.get("values", {}), "regressor values").items()
                 },
             )
             for r in data.get("regressors", ())
@@ -319,15 +326,19 @@ def load_holiday_calendar(path) -> tuple[HolidaySpec, ...]:
     """
     required = ("holiday", "ds", "lower_window", "upper_window")
     grouped: dict[str, dict] = {}  # in order of first appearance
-    with csv_reader(path, required) as reader:
-        for lineno, row in enumerate(reader, start=2):
-            name = (row["holiday"] or "").strip()
+    with csv_reader(path, required) as (columns, rows):
+        for lineno, row in enumerate(rows, start=2):
+            name, ds, lower, upper = (csv_field(row, columns[c]) for c in required)
+            name = (name or "").strip()
             if not name:
                 raise ParseError(f"{path}: row {lineno}: empty holiday name")
+            for col, value in zip(required[1:], (ds, lower, upper)):
+                if value is None:
+                    raise ParseError(f"{path}: row {lineno}: missing field {col!r}")
             try:
-                day = parse_iso_date(row["ds"])
-                lower = int(row["lower_window"])
-                upper = int(row["upper_window"])
+                day = parse_iso_date(ds)
+                lower = int(lower)
+                upper = int(upper)
             except (ParseError, ValueError) as exc:
                 raise ParseError(f"{path}: row {lineno}: {exc}") from None
             entry = grouped.setdefault(name, {"dates": set(), "windows": (lower, upper)})

@@ -140,51 +140,85 @@ def _objective(params, design, y, trend):
     return value, parts, r
 
 
-def _jacobian(parts: ModelParts, design: DesignMatrix) -> np.ndarray:
-    """d yhat / d theta: one row per observation, columns in packed order.
+def _gram(J: np.ndarray) -> np.ndarray:
+    """J^T J, the Gauss-Newton approximation of the data term's Hessian."""
+    return J.T @ J
 
-    Trend columns are dg/dtheta times (1 + s_mul); multiplicative seasonal
-    columns are g times the feature; additive columns are the features.
+
+class _Derivatives:
+    """Exact gradient and Gauss-Newton Hessian of the objective on one design.
+
+    The Jacobian d yhat / d theta (one row per observation, columns in packed
+    order) lives in a workspace: trend columns are dg/dtheta times
+    (1 + s_mul), multiplicative seasonal columns are g times the feature, and
+    additive columns are the features. Columns that do not depend on the
+    parameters are written once: the additive features, and for linear
+    growth the trend's t, 1 and A * (t - s). A call rewrites the rest in
+    place. With linear growth and no multiplicative block nothing depends on
+    the parameters (s_mul is an empty sum, so the factor is exactly 1.0), and
+    J^T J is formed once.
     """
-    layout = design.layout
-    t = design.t_scaled
-    n_cp = layout.trend.width
-    J = np.empty((len(t), 2 + layout.width))
-    J[:, 2:] = design.X
-    A = J[:, 2 : 2 + n_cp]
-    if parts.logistic_weight is None:
-        J[:, 0] = t
-        J[:, 1] = 1.0
-        A *= t[:, np.newaxis] - design.changepoints_scaled
-    else:
-        # g = C * expit(rate * (t - offset)); d g / d(exponent) = logistic_weight.
-        d_rate = parts.logistic_weight * (t - parts.offset)
-        d_offset = parts.logistic_weight * parts.rate
-        J[:, 0] = d_rate
-        J[:, 1] = -d_offset
-        A *= d_rate[:, np.newaxis] + np.outer(d_offset, design.changepoints_scaled)
-    J[:, : 2 + n_cp] *= (1.0 + parts.s_mul)[:, np.newaxis]
-    mul_mask = layout.multiplicative_mask
-    if mul_mask.any():
-        J[:, 2 + n_cp :][:, mul_mask] *= parts.trend[:, np.newaxis]
-    return J
 
+    def __init__(self, design: DesignMatrix, growth: str):
+        layout = design.layout
+        t = design.t_scaled
+        self.design = design
+        self.n_trend = 2 + layout.trend.width
+        self.multiplicative = [
+            slice(b.start, b.stop) for b in layout.coefficients if b.mode == "multiplicative"
+        ]
+        self.linear = growth == "linear"
+        J = np.empty((len(t), 2 + layout.width))
+        J[:, 2:] = design.X
+        if self.linear:
+            J[:, 0] = t
+            J[:, 1] = 1.0
+            J[:, 2 : self.n_trend] *= t[:, np.newaxis] - design.changepoints_scaled
+            self.trend_columns = J[:, : self.n_trend].copy()
+        self.J = J
+        self.gram = _gram(J) if self.linear and not self.multiplicative else None
 
-def _gradient_and_hessian(parts: ModelParts, r, design: DesignMatrix):
-    """Exact gradient, and the Gauss-Newton Hessian J^T J plus the exact
-    curvature of the penalties. J^T J is the exact Hessian of the data term
-    for linear growth with additive seasonality."""
-    layout = design.layout
-    tau = layout.trend.prior_scales
-    inv_var = 1.0 / np.square(layout.prior_scales)
-    sa = softabs(parts.delta)
-    J = _jacobian(parts, design)
-    gradient = -(J.T @ r)
-    gradient[2:] += np.concatenate((parts.delta / (sa * tau), parts.beta * inv_var))
-    hessian = J.T @ J
-    curvature = np.concatenate(([0.0, 0.0], SOFTABS_EPS / (sa**3 * tau), inv_var))
-    hessian[np.diag_indices_from(hessian)] += curvature
-    return gradient, hessian
+    def jacobian(self, parts: ModelParts) -> np.ndarray:
+        """The Jacobian at the iterate of ``parts``; the workspace itself, so
+        the next call overwrites it."""
+        design, J, n = self.design, self.J, self.n_trend
+        if not self.linear:
+            # g = C * expit(rate * (t - offset)); d g / d(exponent) = logistic_weight.
+            d_rate = parts.logistic_weight * (design.t_scaled - parts.offset)
+            d_offset = parts.logistic_weight * parts.rate
+            J[:, 0] = d_rate
+            J[:, 1] = -d_offset
+            np.multiply(
+                design.columns(design.layout.trend),
+                d_rate[:, np.newaxis] + np.outer(d_offset, design.changepoints_scaled),
+                out=J[:, 2:n],
+            )
+        if self.multiplicative:
+            factor = (1.0 + parts.s_mul)[:, np.newaxis]
+            if self.linear:
+                np.multiply(self.trend_columns, factor, out=J[:, :n])
+            else:
+                J[:, :n] *= factor
+            g = parts.trend[:, np.newaxis]
+            for block in self.multiplicative:
+                np.multiply(design.X[:, block], g, out=J[:, 2 + block.start : 2 + block.stop])
+        return J
+
+    def __call__(self, parts: ModelParts, r: np.ndarray):
+        """Exact gradient, and the Gauss-Newton Hessian J^T J plus the exact
+        curvature of the penalties. J^T J is the exact Hessian of the data
+        term for linear growth with additive seasonality."""
+        layout = self.design.layout
+        tau = layout.trend.prior_scales
+        inv_var = 1.0 / np.square(layout.prior_scales)
+        sa = softabs(parts.delta)
+        J = self.jacobian(parts)
+        gradient = -(J.T @ r)
+        gradient[2:] += np.concatenate((parts.delta / (sa * tau), parts.beta * inv_var))
+        hessian = self.gram.copy() if self.gram is not None else _gram(J)
+        curvature = np.concatenate(([0.0, 0.0], SOFTABS_EPS / (sa**3 * tau), inv_var))
+        hessian[np.diag_indices_from(hessian)] += curvature
+        return gradient, hessian
 
 
 def map_objective(params, design: DesignMatrix, y: np.ndarray, trend: TrendSpec) -> float:
@@ -203,7 +237,7 @@ def map_objective(params, design: DesignMatrix, y: np.ndarray, trend: TrendSpec)
 def map_gradient(params, design: DesignMatrix, y: np.ndarray, trend: TrendSpec) -> np.ndarray:
     """Exact gradient of map_objective under the same parameter packing."""
     _, parts, r = _objective(np.asarray(params, dtype=np.float64), design, y, trend)
-    grad, _ = _gradient_and_hessian(parts, r, design)
+    grad, _ = _Derivatives(design, trend.growth)(parts, r)
     if not np.all(np.isfinite(grad)):
         raise NonFiniteGradient("gradient contains non-finite entries")
     return grad
@@ -417,6 +451,7 @@ def fit(ts: TimeSeries, config: ModelConfig, iteration_callback=None) -> FittedM
     # solver asks for derivatives at the point its accepted step just
     # evaluated, and sigma is estimated where it stopped.
     last = [None, None]
+    gradient_and_hessian = _Derivatives(design, trend.growth)
 
     def evaluate(params):
         if last[0] is None or not np.array_equal(params, last[0]):
@@ -430,7 +465,7 @@ def fit(ts: TimeSeries, config: ModelConfig, iteration_callback=None) -> FittedM
         value, parts, r = evaluate(params)
         if not np.isfinite(value):
             raise NonFiniteObjective(f"objective evaluated to {value}")
-        gradient, hessian = _gradient_and_hessian(parts, r, design)
+        gradient, hessian = gradient_and_hessian(parts, r)
         if not np.all(np.isfinite(gradient)):
             raise NonFiniteGradient("gradient contains non-finite entries")
         return gradient, hessian

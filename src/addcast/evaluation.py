@@ -34,16 +34,41 @@ def _paired(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _row(x: np.ndarray) -> np.ndarray:
+    return x.reshape(1, -1)
+
+
+# Each metric is defined once, row-wise over (m, n) matrices: a row reduced
+# with axis=1 gives the same bits as the 1-D reduction of that row, so the
+# single-series functions and the per-horizon report share these.
+
+def _rmse_rows(error: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.mean(np.square(error), axis=1))
+
+
+def _mae_rows(error: np.ndarray) -> np.ndarray:
+    return np.mean(np.abs(error), axis=1)
+
+
+def _ape_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mean absolute percentage error of each row; every truth is nonzero."""
+    return np.mean(np.abs((a - b) / a), axis=1) * 100.0
+
+
+def _coverage_rows(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    return np.mean((a >= lo) & (a <= hi), axis=1) * 100.0
+
+
 def rmse(y_true, y_pred) -> float:
     """Root mean squared error."""
     a, b = _paired(y_true, y_pred)
-    return float(np.sqrt(np.mean(np.square(a - b))))
+    return float(_rmse_rows(_row(a - b))[0])
 
 
 def mae(y_true, y_pred) -> float:
     """Mean absolute error."""
     a, b = _paired(y_true, y_pred)
-    return float(np.mean(np.abs(a - b)))
+    return float(_mae_rows(_row(a - b))[0])
 
 
 def mape(y_true, y_pred) -> float | None:
@@ -55,7 +80,7 @@ def mape(y_true, y_pred) -> float | None:
     mask = a != 0
     if not mask.any():
         return None
-    return float(np.mean(np.abs((a[mask] - b[mask]) / a[mask])) * 100.0)
+    return float(_ape_rows(_row(a[mask]), _row(b[mask]))[0])
 
 
 def coverage(y_true, lower, upper) -> float:
@@ -69,7 +94,7 @@ def coverage(y_true, lower, upper) -> float:
         raise EmptyInput("coverage needs at least one observation")
     if np.any(lo > hi):
         raise InvertedBounds("lower bound exceeds upper bound")
-    return float(np.mean((a >= lo) & (a <= hi)) * 100.0)
+    return float(_coverage_rows(_row(a), _row(lo), _row(hi))[0])
 
 
 @dataclass(frozen=True)
@@ -95,6 +120,15 @@ class MetricReport:
         }
 
 
+def _checked_report(model_name, rmse_, mae_, mape_, coverage_) -> MetricReport:
+    """The report of one forecast; a metric that is not finite (it
+    overflowed) is a DomainError."""
+    report = MetricReport(model_name, rmse_, mae_, mape_, coverage_)
+    if not all(v is None or math.isfinite(v) for v in report.to_dict().values()):
+        raise DomainError(f"{model_name}: a metric overflowed: {report.to_dict()}")
+    return report
+
+
 def evaluate_forecast(
     model_name: str, y_true, y_pred, lower=None, upper=None
 ) -> MetricReport:
@@ -104,16 +138,9 @@ def evaluate_forecast(
     if lower is not None and upper is not None:
         cov = coverage(y_true, lower, upper)
     with np.errstate(over="ignore"):  # an overflow is raised below instead
-        report = MetricReport(
-            model_name=model_name,
-            rmse=rmse(y_true, y_pred),
-            mae=mae(y_true, y_pred),
-            mape_percent=mape(y_true, y_pred),
-            coverage_percent=cov,
+        return _checked_report(
+            model_name, rmse(y_true, y_pred), mae(y_true, y_pred), mape(y_true, y_pred), cov
         )
-    if not all(v is None or math.isfinite(v) for v in report.to_dict().values()):
-        raise DomainError(f"{model_name}: a metric overflowed: {report.to_dict()}")
-    return report
 
 
 # --- rolling-origin cross-validation -----------------------------------------
@@ -195,31 +222,68 @@ def rolling_cv(
 
 
 def performance_by_horizon(folds: list[CvFold]) -> dict[int, MetricReport]:
-    """Metrics grouped by lead time (ds - cutoff) in days, across folds."""
+    """Metrics grouped by lead time (ds - cutoff) in days, across folds.
+
+    Each lead's report equals ``evaluate_forecast`` on its rows in fold
+    order, bit for bit, with the widest interval level's bounds; coverage is
+    None for a lead with a row from a fold without bounds. Leads are checked
+    in ascending order, so the first one with inverted bounds or an
+    overflowing metric raises."""
     if not folds:
         raise EmptyInput("no cross-validation folds")
-    groups: dict[int, list] = {}
-    for fold in folds:
-        levels = sorted(fold.bounds)
-        widest = fold.bounds[levels[-1]] if levels else None
-        for j in range(len(fold)):
-            lead = int(fold.ds[j]) - fold.cutoff
-            row = [
-                fold.y_true[j],
-                fold.yhat[j],
-                widest[0][j] if widest is not None else None,
-                widest[1][j] if widest is not None else None,
-            ]
-            groups.setdefault(lead, []).append(row)
+    leads = np.concatenate([np.asarray(f.ds, dtype=np.int64) - f.cutoff for f in folds])
+    # A stable sort keeps each lead's rows in fold order.
+    order = np.argsort(leads, kind="stable")
+
+    def pooled(columns):
+        return np.concatenate([np.asarray(c, dtype=np.float64) for c in columns])[order]
+
+    widest = [
+        f.bounds[max(f.bounds)] if f.bounds else (np.full(len(f), np.nan),) * 2
+        for f in folds
+    ]
+    y = pooled(f.y_true for f in folds)
+    pred = pooled(f.yhat for f in folds)
+    lower = pooled(b[0] for b in widest)
+    upper = pooled(b[1] for b in widest)
+    bounded = np.repeat([bool(f.bounds) for f in folds], [len(f) for f in folds])[order]
+    # Each lead's rows are the run starts[i]:starts[i] + counts[i] of the
+    # sorted leads (np.unique would give the same but loads numpy.ma).
+    leads = leads[order]
+    first = np.ones(len(leads), dtype=bool)
+    first[1:] = leads[1:] != leads[:-1]
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, len(leads)))
+    lead_days = leads[starts]
+
+    n = len(lead_days)
+    rmse_ = np.empty(n)
+    mae_ = np.empty(n)
+    mape_ = np.full(n, None, dtype=object)
+    coverage_ = np.full(n, None, dtype=object)
+    inverted = np.zeros(n, dtype=bool)
+    with np.errstate(over="ignore"):  # an overflow is raised below instead
+        for count in sorted(set(counts.tolist())):
+            group = np.flatnonzero(counts == count)
+            rows = starts[group, np.newaxis] + np.arange(count)
+            a, b = y[rows], pred[rows]
+            rmse_[group] = _rmse_rows(a - b)
+            mae_[group] = _mae_rows(a - b)
+            nonzero = (a != 0).all(axis=1)
+            mape_[group[nonzero]] = _ape_rows(a[nonzero], b[nonzero]).tolist()
+            mape_[group[~nonzero]] = [mape(x, p) for x, p in zip(a[~nonzero], b[~nonzero])]
+            has = bounded[rows].all(axis=1)
+            lo, hi = lower[rows[has]], upper[rows[has]]
+            inverted[group[has]] = (lo > hi).any(axis=1)
+            coverage_[group[has]] = _coverage_rows(a[has], lo, hi).tolist()
+
     out = {}
-    for lead in sorted(groups):
-        rows = groups[lead]
-        y = np.array([r[0] for r in rows])
-        pred = np.array([r[1] for r in rows])
-        has_bounds = all(r[2] is not None for r in rows)
-        lo = np.array([r[2] for r in rows]) if has_bounds else None
-        hi = np.array([r[3] for r in rows]) if has_bounds else None
-        out[lead] = evaluate_forecast(f"horizon_{lead}d", y, pred, lo, hi)
+    for lead, *metrics, bad in zip(
+        lead_days.tolist(), rmse_.tolist(), mae_.tolist(), mape_, coverage_, inverted
+    ):
+        if bad:
+            raise InvertedBounds("lower bound exceeds upper bound")
+        out[lead] = _checked_report(f"horizon_{lead}d", *metrics)
     return out
 
 
@@ -232,17 +296,14 @@ def write_cv_folds_csv(folds: list[CvFold], path) -> None:
             if 0.95 not in fold.bounds:
                 raise DomainError("fold export requires 95% interval bounds")
             lo, hi = fold.bounds[0.95]
-            for j in range(len(fold)):
-                writer.writerow(
-                    [
-                        format_epoch_day(fold.cutoff),
-                        format_epoch_day(int(fold.ds[j])),
-                        repr(float(fold.y_true[j])),
-                        repr(float(fold.yhat[j])),
-                        repr(float(lo[j])),
-                        repr(float(hi[j])),
-                    ]
+            writer.writerows(
+                zip(
+                    [format_epoch_day(fold.cutoff)] * len(fold),
+                    map(format_epoch_day, fold.ds.tolist()),
+                    *(np.asarray(col, dtype=np.float64).tolist()
+                      for col in (fold.y_true, fold.yhat, lo, hi)),
                 )
+            )
 
 
 # --- Diebold-Mariano test -----------------------------------------------------

@@ -315,13 +315,16 @@ def write_forecast_csv(forecast: Forecast, model: FittedModel, path) -> None:
     if not model.config.regressors:
         names.remove("regressors")
     header += names
+    columns = [forecast.yhat]
+    for level in levels:
+        columns += forecast.bounds[level]
+    columns += [forecast.components[name] for name in names]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i, day in enumerate(forecast.timestamps):
-            row = [format_epoch_day(int(day)), repr(float(forecast.yhat[i]))]
-            for level in levels:
-                lower, upper = forecast.bounds[level]
-                row += [repr(float(lower[i])), repr(float(upper[i]))]
-            row += [repr(float(forecast.components[name][i])) for name in names]
-            writer.writerow(row)
+        writer.writerows(
+            zip(
+                map(format_epoch_day, forecast.timestamps.tolist()),
+                *(np.asarray(col, dtype=np.float64).tolist() for col in columns),
+            )
+        )

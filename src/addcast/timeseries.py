@@ -46,15 +46,33 @@ def open_text(path):
 
 @contextmanager
 def csv_reader(path, required):
-    """A csv.DictReader over a UTF-8 file whose header has the ``required`` columns."""
+    """The header and the data rows of a UTF-8 CSV file whose header has the
+    ``required`` columns, as ``(columns, rows)``.
+
+    ``columns`` maps each header name to its field index (the last one when
+    a name repeats), in header order. ``rows`` yields each non-blank data
+    row as a list of fields; a row may be shorter or longer than the header.
+    Bytes that are not UTF-8, and rows the csv module cannot split, raise
+    ParseError.
+    """
     with open_text(path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError(f"{path}: missing header row")
-        for col in required:
-            if col not in reader.fieldnames:
-                raise ParseError(f"{path}: missing column {col!r}")
-        yield reader
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: missing header row")
+            columns = {name: i for i, name in enumerate(header)}
+            for col in required:
+                if col not in columns:
+                    raise ParseError(f"{path}: missing column {col!r}")
+            yield columns, (row for row in reader if row)
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def csv_field(row: list, index: int) -> str | None:
+    """Field ``index`` of a CSV row, or None when the row is too short."""
+    return row[index] if index < len(row) else None
 
 
 def date_to_epoch_day(d: date) -> int:
@@ -66,7 +84,10 @@ def epoch_day_to_date(day: int) -> date:
 
 
 def parse_iso_date(text: str) -> int:
-    """Parse a strict ``YYYY-MM-DD`` string into an epoch-day."""
+    """Parse a strict ``YYYY-MM-DD`` string into an epoch-day; anything
+    else, also a value that is not a string, is a ParseError."""
+    if not isinstance(text, str):
+        raise ParseError(f"invalid ISO-8601 date {text!r}: not a string")
     try:
         d = date.fromisoformat(text.strip())
     except ValueError as exc:
@@ -158,17 +179,20 @@ def load_csv(path, date_column: str = "ds", value_column: str = "y") -> TimeSeri
     the literal ``NA`` treated as missing markers. Rows are sorted ascending
     by date; duplicated dates are an error.
     """
-    rows: list[tuple[int, float]] = []
-    with csv_reader(path, (date_column, value_column)) as reader:
-        for lineno, row in enumerate(reader, start=2):
-            raw_date = row[date_column]
+    days: list[int] = []
+    values: list[float] = []
+    with csv_reader(path, (date_column, value_column)) as (columns, rows):
+        date_index = columns[date_column]
+        value_index = columns[value_column]
+        for lineno, row in enumerate(rows, start=2):
+            raw_date = csv_field(row, date_index)
             if raw_date is None:
                 raise ParseError(f"{path}: row {lineno}: missing date field")
             try:
                 day = parse_iso_date(raw_date)
             except ParseError as exc:
                 raise ParseError(f"{path}: row {lineno}: {exc}") from None
-            raw_val = (row[value_column] or "").strip()
+            raw_val = (csv_field(row, value_index) or "").strip()
             if raw_val in _MISSING_TOKENS:
                 value = math.nan
             else:
@@ -182,18 +206,19 @@ def load_csv(path, date_column: str = "ds", value_column: str = "y") -> TimeSeri
                     raise ParseError(
                         f"{path}: row {lineno}: non-finite value {raw_val!r}"
                     )
-            rows.append((day, value))
-    if not rows:
+            days.append(day)
+            values.append(value)
+    if not days:
         raise EmptySeries(f"{path}: no data rows")
-    rows.sort(key=lambda r: r[0])
-    days = np.array([r[0] for r in rows], dtype=np.int64)
-    dup = np.flatnonzero(np.diff(days) == 0)
+    unsorted = np.array(days, dtype=np.int64)
+    order = np.argsort(unsorted, kind="stable")
+    sorted_days = unsorted[order]
+    dup = np.flatnonzero(np.diff(sorted_days) == 0)
     if len(dup):
         raise DuplicateTimestamp(
-            f"{path}: duplicate date {format_epoch_day(int(days[dup[0]]))}"
+            f"{path}: duplicate date {format_epoch_day(int(sorted_days[dup[0]]))}"
         )
-    values = np.array([r[1] for r in rows], dtype=np.float64)
-    return TimeSeries(days, values, name=value_column)
+    return TimeSeries(sorted_days, np.array(values, dtype=np.float64)[order], name=value_column)
 
 
 def write_csv(ts: TimeSeries, path, date_column: str = "ds", value_column: str = "y") -> None:
@@ -201,10 +226,12 @@ def write_csv(ts: TimeSeries, path, date_column: str = "ds", value_column: str =
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([date_column, value_column])
-        for day, value in zip(ts.timestamps, ts.values):
-            writer.writerow(
-                [format_epoch_day(int(day)), "NA" if math.isnan(value) else repr(float(value))]
+        writer.writerows(
+            zip(
+                map(format_epoch_day, ts.timestamps.tolist()),
+                ["NA" if math.isnan(v) else v for v in ts.values.tolist()],
             )
+        )
 
 
 def log_transform(ts: TimeSeries, offset: float = 0.0) -> TimeSeries:

@@ -125,6 +125,36 @@ class TestFitCommand:
         assert not model.exists()
         assert_one_error_line(capsys, "SchemaError", "seed must be an integer")
 
+    @pytest.mark.parametrize(
+        "extra, error, fragment",
+        [
+            (
+                {"holidays": [{"name": "h", "dates": [20200101]}]},
+                "ParseError",
+                "invalid ISO-8601 date 20200101",
+            ),
+            (
+                {"regressors": [{"name": "x", "prior_scale": 1.0, "values": [1.0, 2.0]}]},
+                "SchemaError",
+                "regressor values must be an object",
+            ),
+        ],
+    )
+    def test_malformed_config_entries_exit_1(self, tmp_path, rng, capsys, extra, error, fragment):
+        # both ended in an AttributeError traceback
+        data = tmp_path / "data.csv"
+        config = tmp_path / "config.json"
+        model = tmp_path / "model.json"
+        synthetic_csv(data, rng)
+        small_config(config)
+        config.write_text(json.dumps({**json.loads(config.read_text()), **extra}))
+        code = main(
+            ["fit", "--input", str(data), "--config", str(config), "--output", str(model)]
+        )
+        assert code == 1
+        assert not model.exists()
+        assert_one_error_line(capsys, error, fragment)
+
     def test_overflowing_in_sample_metric_writes_nothing(self, tmp_path, rng, capsys):
         # the fit is finite, but squared residuals of ~1e299 overflow the RMSE
         data = tmp_path / "data.csv"
@@ -693,6 +723,9 @@ class TestImports:
             ["compare", "--input", str(data), "--config", str(config), str(naive),
              "--cutoff", format_epoch_day(int(days[240])),
              "--output", str(tmp_path / "compare.json")],
+            ["cv", "--input", str(data), "--config", str(config), "--initial-days", "200",
+             "--period-days", "30", "--horizon-days", "30",
+             "--output", str(tmp_path / "folds.csv")],
         ):
             modules = self.imported_modules(["-m", "addcast", *args])
             assert "addcast.cli" in modules

@@ -15,7 +15,7 @@ from addcast.estimator import (
     GRADIENT_TOLERANCE,
     OBJECTIVE_TOLERANCE,
     SOFTABS_EPS,
-    _gradient_and_hessian,
+    _Derivatives,
     _initial_parameters,
     _objective,
     estimate_sigma,
@@ -208,7 +208,7 @@ class TestHessian:
         for _ in range(5):
             params = rng.normal(0, 0.5, n_params)
             _, parts, r = _objective(params, design, y, trend)
-            _, analytic = _gradient_and_hessian(parts, r, design)
+            _, analytic = _Derivatives(design, trend.growth)(parts, r)
             numeric = np.empty_like(analytic)
             for i in range(n_params):
                 hi = params.copy()
@@ -221,6 +221,101 @@ class TestHessian:
             rel = np.max(np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1.0))
             worst = max(worst, float(rel))
         assert worst <= 1e-4
+
+
+def rebuilt_gradient_and_hessian(parts, r, design):
+    """Gradient and Gauss-Newton Hessian with the whole Jacobian built anew
+    at the iterate, as the solver did before it kept a workspace."""
+    layout = design.layout
+    t = design.t_scaled
+    n_cp = layout.trend.width
+    J = np.empty((len(t), 2 + layout.width))
+    J[:, 2:] = design.X
+    A = J[:, 2 : 2 + n_cp]
+    if parts.logistic_weight is None:
+        J[:, 0] = t
+        J[:, 1] = 1.0
+        A *= t[:, np.newaxis] - design.changepoints_scaled
+    else:
+        d_rate = parts.logistic_weight * (t - parts.offset)
+        d_offset = parts.logistic_weight * parts.rate
+        J[:, 0] = d_rate
+        J[:, 1] = -d_offset
+        A *= d_rate[:, np.newaxis] + np.outer(d_offset, design.changepoints_scaled)
+    J[:, : 2 + n_cp] *= (1.0 + parts.s_mul)[:, np.newaxis]
+    mul_mask = layout.multiplicative_mask
+    if mul_mask.any():
+        J[:, 2 + n_cp :][:, mul_mask] *= parts.trend[:, np.newaxis]
+    tau = layout.trend.prior_scales
+    inv_var = 1.0 / np.square(layout.prior_scales)
+    sa = np.sqrt(np.square(parts.delta) + SOFTABS_EPS)
+    gradient = -(J.T @ r)
+    gradient[2:] += np.concatenate((parts.delta / (sa * tau), parts.beta * inv_var))
+    hessian = J.T @ J
+    curvature = np.concatenate(([0.0, 0.0], SOFTABS_EPS / (sa**3 * tau), inv_var))
+    hessian[np.diag_indices_from(hessian)] += curvature
+    return gradient, hessian
+
+
+class TestDerivativesWorkspace:
+    """The Jacobian workspace rewrites only the columns that depend on the
+    parameters; its gradient and Hessian equal those of a Jacobian built anew
+    at every iterate, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "growth, multiplicative",
+        [("linear", False), ("linear", True), ("logistic", False), ("logistic", True)],
+    )
+    def test_matches_rebuilt_jacobian(self, rng, growth, multiplicative):
+        design, y, trend = gradient_test_problem(rng, growth, multiplicative)
+        self.assert_matches_rebuilt(rng, design, y, trend)
+
+    def test_mixed_logistic_holiday_layout(self, rng):
+        ts, config = logistic_holiday_problem(rng)
+        design = build_design(ts, config)
+        y = ts.values / np.max(np.abs(ts.values))
+        trend = TrendSpec(growth="logistic", capacity=1.2)
+        self.assert_matches_rebuilt(rng, design, y, trend)
+
+    def assert_matches_rebuilt(self, rng, design, y, trend):
+        derivatives = _Derivatives(design, trend.growth)
+        for _ in range(4):
+            params = rng.normal(0, 0.5, 2 + design.X.shape[1])
+            _, parts, r = _objective(params, design, y, trend)
+            gradient, hessian = derivatives(parts, r)
+            expected_gradient, expected_hessian = rebuilt_gradient_and_hessian(parts, r, design)
+            assert gradient.tobytes() == expected_gradient.tobytes()
+            assert hessian.tobytes() == expected_hessian.tobytes()
+
+    @pytest.mark.parametrize("multiplicative, once", [(False, True), (True, False)])
+    def test_gram_formed_once_per_linear_additive_fit(self, rng, monkeypatch, multiplicative, once):
+        import addcast.estimator as est
+
+        grams = []
+        calls = []
+        real_gram = est._gram
+        real_call = est._Derivatives.__call__
+
+        def counted_gram(J):
+            grams.append(1)
+            return real_gram(J)
+
+        def counted_call(self, parts, r):
+            calls.append(1)
+            return real_call(self, parts, r)
+
+        monkeypatch.setattr(est, "_gram", counted_gram)
+        monkeypatch.setattr(est._Derivatives, "__call__", counted_call)
+        n = 300
+        days = daily_days("2020-01-01", n)
+        y = 3.0 + np.arange(n) / n + 0.3 * np.sin(2 * np.pi * days / 7.0) + rng.normal(0, 0.1, n)
+        mode = "multiplicative" if multiplicative else "additive"
+        config = ModelConfig(
+            seasonalities=(SeasonalitySpec(name="weekly", period=7.0, fourier_order=3, mode=mode),),
+        )
+        fit(TimeSeries(days, y), config)
+        assert len(calls) >= 2
+        assert len(grams) == (1 if once else len(calls))
 
 
 class TestNonFiniteGuards:

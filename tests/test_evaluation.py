@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from addcast.config import ModelConfig, SeasonalitySpec, TrendSpec
 from addcast.errors import (
+    AddcastError,
     DomainError,
     EmptyInput,
     InvertedBounds,
@@ -14,6 +16,7 @@ from addcast.errors import (
 )
 from addcast.estimator import fit
 from addcast.evaluation import (
+    CvFold,
     coverage,
     dm_test,
     enumerate_cutoffs,
@@ -26,7 +29,7 @@ from addcast.evaluation import (
     write_cv_folds_csv,
 )
 from addcast.forecast import forecast_with_intervals, make_future_grid
-from addcast.timeseries import TimeSeries, chronological_split, parse_iso_date
+from addcast.timeseries import TimeSeries, chronological_split, filter_weekdays, parse_iso_date
 
 from conftest import daily_days, make_series
 
@@ -264,12 +267,129 @@ class TestPerformanceByHorizon:
         for lead in range(1, 8):
             y = np.concatenate([[f.y_true[lead - 1]] for f in folds])
             p = np.concatenate([[f.yhat[lead - 1]] for f in folds])
-            assert table[lead].rmse == pytest.approx(rmse(y, p), rel=1e-12)
-            assert table[lead].mae == pytest.approx(mae(y, p), rel=1e-12)
+            assert table[lead].rmse == rmse(y, p)
+            assert table[lead].mae == mae(y, p)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             performance_by_horizon([])
+
+
+def by_horizon_oracle(folds):
+    """The per-lead definition: pool each lead's rows in fold order and call
+    evaluate_forecast on them, with the widest level's bounds when every row
+    has bounds."""
+    groups = {}
+    for fold in folds:
+        widest = fold.bounds[max(fold.bounds)] if fold.bounds else None
+        for j in range(len(fold)):
+            row = (
+                fold.y_true[j],
+                fold.yhat[j],
+                None if widest is None else widest[0][j],
+                None if widest is None else widest[1][j],
+            )
+            groups.setdefault(int(fold.ds[j]) - fold.cutoff, []).append(row)
+    out = {}
+    for lead in sorted(groups):
+        y, pred, lo, hi = zip(*groups[lead])
+        if any(v is None for v in lo):
+            lo = hi = None
+        out[lead] = evaluate_forecast(f"horizon_{lead}d", np.array(y), np.array(pred), lo, hi)
+    return out
+
+
+def outcome(fn, folds):
+    """fn(folds) as ("ok", [(lead, bit patterns of the report)]) or as the
+    type and message of what it raised."""
+    try:
+        table = fn(folds)
+    except AddcastError as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", [
+        (lead, r.model_name, *(None if v is None else float(v).hex() for v in r.to_dict().values()))
+        for lead, r in table.items()
+    ]
+
+
+class TestPerformanceByHorizonOracle:
+    """performance_by_horizon equals the per-lead evaluate_forecast
+    definition bit for bit, errors included."""
+
+    def folds(self, rng, n_folds, horizon=20, bounds=True):
+        """Folds over a Monday-Friday series, so a lead's row count depends
+        on the weekdays its cutoffs fall on."""
+        ts = filter_weekdays(make_series("2021-01-01", rng.normal(100, 30, 400)))
+        out = []
+        for offset in np.sort(rng.choice(300, n_folds, replace=False)).tolist():
+            cutoff = int(ts.timestamps[0]) + 30 + offset
+            keep = (ts.timestamps > cutoff) & (ts.timestamps <= cutoff + horizon)
+            y = ts.values[keep]
+            pred = y + rng.normal(0, 5, len(y))
+            half = np.abs(rng.normal(10, 3, len(y)))
+            out.append(
+                CvFold(
+                    cutoff=cutoff,
+                    ds=ts.timestamps[keep],
+                    y_true=y,
+                    yhat=pred,
+                    bounds={0.8: (pred - half / 2, pred + half / 2), 0.95: (pred - half, pred + half)}
+                    if bounds else {},
+                )
+            )
+        return out
+
+    def assert_same(self, folds):
+        expected = outcome(by_horizon_oracle, folds)
+        assert outcome(performance_by_horizon, folds) == expected
+        return expected
+
+    @pytest.mark.parametrize("n_folds", [1, 2, 7, 8, 13, 40])
+    def test_ragged_leads(self, rng, n_folds):
+        folds = self.folds(rng, n_folds)
+        kind, rows = self.assert_same(folds)
+        assert kind == "ok"
+        leads = np.concatenate([f.ds - f.cutoff for f in folds])
+        row_counts = np.unique(np.unique(leads, return_counts=True)[1])
+        assert len(row_counts) > 1 or n_folds == 1
+
+    def test_zero_truths(self, rng):
+        folds = self.folds(rng, 12)
+        for i, fold in enumerate(folds):
+            fold.y_true[::3] = 0.0
+            if i % 2:
+                fold.y_true[:] = 0.0
+        kind, rows = self.assert_same(folds)
+        assert kind == "ok"
+        assert any(r[4] is None for r in rows) and any(r[4] is not None for r in rows)
+
+    def test_folds_without_bounds(self, rng):
+        folds = self.folds(rng, 9)
+        folds[4] = replace(folds[4], bounds={})
+        kind, rows = self.assert_same(folds)
+        assert kind == "ok"
+        assert any(r[5] is None for r in rows) and any(r[5] is not None for r in rows)
+        assert outcome(performance_by_horizon, self.folds(rng, 9, bounds=False))[0] == "ok"
+
+    def test_inverted_bounds(self, rng):
+        folds = self.folds(rng, 10)
+        lo, hi = folds[6].bounds[0.95]
+        lo[3] = hi[3] + 1.0
+        assert self.assert_same(folds)[0] == "InvertedBounds"
+
+    @pytest.mark.parametrize("inverted_first", [False, True])
+    def test_overflowing_metric(self, rng, inverted_first):
+        folds = self.folds(rng, 10)
+        # The lower lead decides which error a table with both raises.
+        overflow, inverted = (folds[2], folds[7]) if not inverted_first else (folds[7], folds[2])
+        overflow.y_true[5] = 1e300
+        overflow.yhat[5] = -1e300
+        lo, hi = inverted.bounds[0.95]
+        lo[1] = hi[1] + 1.0
+        lead_overflow = int(overflow.ds[5]) - overflow.cutoff
+        lead_inverted = int(inverted.ds[1]) - inverted.cutoff
+        expected = "InvertedBounds" if lead_inverted <= lead_overflow else "DomainError"
+        assert self.assert_same(folds)[0] == expected
 
 
 class TestDmTest:
@@ -343,6 +463,23 @@ class TestDmTest:
 
 
 class TestEvaluateForecast:
+    def test_matches_one_dimensional_definitions(self, rng):
+        # The metrics reduce rows of (1, n) matrices; they equal the 1-D
+        # reductions bit for bit, at every length numpy's summation splits.
+        for n in (1, 2, 7, 8, 9, 16, 127, 128, 129, 300):
+            y = rng.normal(0, 10, n)
+            y[1::4] = 0.0
+            pred = y + rng.normal(0, 1, n)
+            lo, hi = pred - 1.0, pred + 1.0
+            report = evaluate_forecast("m", y, pred, lo, hi)
+            nz = y != 0
+            assert report.rmse == float(np.sqrt(np.mean(np.square(y - pred))))
+            assert report.mae == float(np.mean(np.abs(y - pred)))
+            assert report.mape_percent == float(
+                np.mean(np.abs((y[nz] - pred[nz]) / y[nz])) * 100.0
+            )
+            assert report.coverage_percent == float(np.mean((y >= lo) & (y <= hi)) * 100.0)
+
     def test_report_fields(self):
         report = evaluate_forecast(
             "m", [2.0, 4.0], [1.0, 5.0], [0.0, 0.0], [3.0, 3.0]

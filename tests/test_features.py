@@ -369,6 +369,17 @@ class TestHolidayCalendarCsv:
         with pytest.raises(ParseError, match="window"):
             load_holiday_calendar(p)
 
+    @pytest.mark.parametrize(
+        "row, fragment",
+        [("x,2020-01-01", "missing field 'lower_window'"), ("x", "missing field 'ds'")],
+    )
+    def test_short_row_names_file_and_row(self, tmp_path, row, fragment):
+        # a row shorter than the header was a TypeError from int(None)
+        p = tmp_path / "holidays.csv"
+        p.write_text("holiday,ds,lower_window,upper_window\na,2015-11-27,0,1\n" + row + "\n")
+        with pytest.raises(ParseError, match=f"holidays.csv: row 3: {fragment}"):
+            load_holiday_calendar(p)
+
     def test_missing_column_rejected(self, tmp_path):
         p = tmp_path / "holidays.csv"
         p.write_text("holiday,ds\na,2015-11-27\n")

@@ -97,6 +97,31 @@ class TestLoadCsv:
         assert np.array_equal(back.values, ts.values, equal_nan=True)
 
 
+    def test_row_semantics(self, tmp_path):
+        # blank lines are skipped, a short row has a missing y, extra fields
+        # are ignored, and a row that ends before its date has no date
+        p = tmp_path / "a.csv"
+        p.write_text("ds,y\n2020-01-01,1.0\n\n2020-01-02\n2020-01-03,3.0,x,7\n")
+        ts = load_csv(p)
+        assert ts.timestamps.tolist() == [parse_iso_date(f"2020-01-0{i}") for i in (1, 2, 3)]
+        assert ts.values[0] == 1.0 and math.isnan(ts.values[1]) and ts.values[2] == 3.0
+        p.write_text("y,ds\n1.0,2020-01-01\n2.0\n")
+        with pytest.raises(ParseError, match="row 3: missing date field"):
+            load_csv(p)
+
+    def test_repeated_column_reads_last(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("ds,y,y\n2020-01-01,1.0,2.0\n")
+        assert load_csv(p).values.tolist() == [2.0]
+
+    def test_unsplittable_row_is_parse_error(self, tmp_path):
+        # a field beyond the csv module's size limit was a csv.Error traceback
+        p = tmp_path / "a.csv"
+        p.write_text("ds,y\n2020-01-01," + "1" * 200_000 + "\n")
+        with pytest.raises(ParseError, match="a.csv: line 2: field larger than field limit"):
+            load_csv(p)
+
+
 class TestLogTransform:
     def test_ln_identities(self):
         ts = make_series("2020-01-01", [1.0, math.e])
