@@ -8,6 +8,7 @@ machine-readable JSON line on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -25,7 +26,13 @@ from .config import DEFAULT_SEED, ModelConfig, config_from_dict, load_config, re
 from .errors import AddcastError, DomainError, EmptyInput, LengthMismatch, ParseError, SchemaError
 from .estimator import fit
 from .evaluation import dm_test, evaluate_forecast, performance_by_horizon, rolling_cv, write_cv_folds_csv
-from .forecast import forecast_with_intervals, make_future_grid, predict, write_forecast_csv
+from .forecast import (
+    forecast_with_intervals,
+    make_future_grid,
+    predict,
+    shared_future_noise,
+    write_forecast_csv,
+)
 from .persistence import (  # noqa: F401 -- perfbench/spans.py wraps addcast.cli.dataset_digest
     dataset_digest,
     load_model,
@@ -281,6 +288,7 @@ def _run_candidate(spec, train: TimeSeries, test: TimeSeries, seed):
     return dict(zip(test_days, fc.yhat[idx])), bounds95, 0
 
 
+@shared_future_noise()
 def cmd_compare(args) -> int:
     ts = _preprocess(load_csv(args.input[0]), args)
     cutoff = parse_iso_date(args.cutoff)
@@ -419,9 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing does not
+    change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (AddcastError, OSError, json.JSONDecodeError) as exc:

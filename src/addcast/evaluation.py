@@ -20,7 +20,7 @@ from .errors import (
     TooShort,
 )
 from .estimator import fit
-from .forecast import forecast_with_intervals, make_future_grid
+from .forecast import forecast_with_intervals, make_future_grid, shared_future_noise
 from .timeseries import TimeSeries, format_epoch_day
 
 
@@ -180,6 +180,7 @@ class CvFold:
         return len(self.ds)
 
 
+@shared_future_noise()
 def rolling_cv(
     config: ModelConfig, ts: TimeSeries, initial: int, period: int, horizon: int
 ) -> list[CvFold]:
@@ -189,7 +190,8 @@ def rolling_cv(
 
     Each fold builds, evaluates and simulates only the days after its
     training data. Its point forecast and bounds equal a full-grid
-    ``forecast_with_intervals`` at the same days bit for bit."""
+    ``forecast_with_intervals`` at the same days bit for bit; the folds
+    share one future-noise draw (``forecast.shared_future_noise``)."""
     folds = []
     for cutoff in enumerate_cutoffs(ts, initial, period, horizon):
         train_mask = ts.timestamps <= cutoff

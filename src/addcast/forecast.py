@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import csv
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +24,7 @@ import numpy as np
 from .errors import DomainError
 from .estimator import FittedModel, ModelParts, _model_parts, row_dot
 from .features import design_for_grid, expit, regressor_column
-from .timeseries import format_epoch_day
+from .timeseries import MAX_EPOCH_DAY, format_epoch_day
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,11 @@ def make_future_grid(model: FittedModel, periods: int, extra_regressors=None) ->
     """
     if periods < 0:
         raise DomainError("periods must be >= 0")
+    if periods > MAX_EPOCH_DAY - model.last_day:
+        raise DomainError(
+            f"{periods} periods after {format_epoch_day(model.last_day)} run past "
+            f"{format_epoch_day(MAX_EPOCH_DAY)}, the last representable date"
+        )
     future = np.arange(model.last_day + 1, model.last_day + 1 + periods, dtype=np.int64)
     timestamps = np.concatenate([model.train_timestamps, future])
     merged: dict = {}
@@ -150,6 +157,12 @@ def simulate_intervals(model: FittedModel, grid: FutureGrid, seed: int) -> dict:
     independent Philox streams: history-row noise, future-row noise, and
     future trend changes. A future day's draws therefore do not depend on
     whether history rows are in the grid.
+
+    History rows are drawn, sorted and read in blocks of a fixed size, so
+    the simulation's memory does not grow with the history. Inside
+    ``shared_future_noise`` the simulations of a (seed, sample count) share
+    one future-noise draw, and a shorter horizon reads a prefix of a longer
+    one, which is exactly what its own draw would give.
     """
     return _simulate(model, grid, _evaluate(model, grid), seed)
 
@@ -157,6 +170,14 @@ def simulate_intervals(model: FittedModel, grid: FutureGrid, seed: int) -> dict:
 # Samples per block of trend-deviation temporaries; bounds the extra memory
 # of the simulation to a few (future rows x block) arrays.
 _SAMPLE_BLOCK = 128
+
+# Sample cells (rows x samples) per block of history rows; bounds the
+# simulation's history matrix to about 0.5 MB whatever the history's length.
+_HISTORY_CELLS = 65536
+
+# The current thread's open shared_future_noise scope: its ``entry`` is the
+# last future-noise matrix drawn in it, as ((seed, samples), array), or None.
+_noise_scope = threading.local()
 
 
 def _streams(seed) -> tuple[np.random.Generator, ...]:
@@ -215,15 +236,27 @@ def _trend_deviations(model: FittedModel, evaluation: _Evaluation, first: int, s
         def active_sum(weights):
             """Per (row, sample) sum of ``weights`` over changepoints <= t."""
             per_cell = np.bincount(cell, weights=weights, minlength=(n_rows + 1) * width)
-            return np.cumsum(per_cell.reshape(n_rows + 1, width)[:n_rows], axis=0)
+            # bincount counts in int64 when a block has no changepoint at all
+            active = per_cell.astype(np.float64, copy=False).reshape(n_rows + 1, width)[:n_rows]
+            return np.cumsum(active, axis=0, out=active)
 
-        new_rate = rate + active_sum(mags[cps])
-        new_offset = offset - active_sum(locs[cps] * mags[cps])
+        # In place, with the fitted trend's operations in its order, so a
+        # sample without changepoints up to a row still deviates by exactly 0.
+        new_rate = active_sum(mags[cps])
+        new_rate += rate
+        new_offset = active_sum(locs[cps] * mags[cps])
+        np.subtract(offset, new_offset, out=new_offset)
         if trend.growth == "linear":
-            g_new = new_rate * t_col + new_offset
+            new_rate *= t_col
+            new_rate += new_offset
+            deviation = new_rate
         else:
-            g_new = trend.capacity * expit(new_rate * (t_col - new_offset))
-        yield slice(lo, hi), g_new - g
+            np.subtract(t_col, new_offset, out=new_offset)
+            new_offset *= new_rate
+            deviation = expit(new_offset)
+            deviation *= trend.capacity
+        deviation -= g
+        yield slice(lo, hi), deviation
 
 
 def _first_future_row(model: FittedModel, grid: FutureGrid) -> int:
@@ -231,30 +264,79 @@ def _first_future_row(model: FittedModel, grid: FutureGrid) -> int:
     return int(np.searchsorted(grid.timestamps, model.last_day, side="right"))
 
 
-def _simulate(model: FittedModel, grid: FutureGrid, evaluation: _Evaluation, seed: int) -> dict:
-    """Bounds of the grid's rows, sampled as an (n_rows, S) matrix whose
-    history and future rows are contiguous blocks."""
-    history_stream, future_stream, trend_stream = _streams(seed)
-    first = _first_future_row(model, grid)
-    samples = np.empty((len(grid), model.config.interval_samples))
-    history, future = samples[:first], samples[first:]
-    for block, stream, yhat in (
-        (history, history_stream, evaluation.yhat[:first]),
-        (future, future_stream, evaluation.yhat[first:]),
-    ):
-        stream.standard_normal(out=block)
-        block *= model.sigma
-        block += yhat[:, np.newaxis]
+@contextmanager
+def shared_future_noise():
+    """Within the block, the current thread's simulations under one (seed,
+    sample count) share a future-noise draw; the draw is dropped when the
+    outermost block exits. ``rolling_cv`` and ``compare`` simulate inside
+    one, so their folds or candidates draw once."""
+    if hasattr(_noise_scope, "entry"):
+        yield
+        return
+    _noise_scope.entry = None
+    try:
+        yield
+    finally:
+        del _noise_scope.entry
 
+
+def _future_noise(seed: int, stream, n_rows: int, n_samples: int) -> np.ndarray:
+    """``(n_rows, n_samples)`` standard normals of a seed's fresh future
+    stream. Inside ``shared_future_noise`` they are read only and shared by
+    every simulation under ``(seed, n_samples)``.
+
+    ``standard_normal`` fills row-major, so the first r rows of a larger
+    draw from a fresh stream are exactly an r-row draw: a request for no
+    more rows than the scope holds gets a prefix of it. Otherwise ``stream``
+    is drawn from and its matrix replaces the scope's single entry.
+    """
+    if not hasattr(_noise_scope, "entry"):
+        return stream.standard_normal((n_rows, n_samples))
+    key = (seed, n_samples)
+    cached = _noise_scope.entry
+    if cached is not None and cached[0] == key and len(cached[1]) >= n_rows:
+        return cached[1][:n_rows]
+    # Drop the stale matrix before drawing its successor, so that a miss
+    # does not hold two at once.
+    cached = _noise_scope.entry = None
+    noise = stream.standard_normal((n_rows, n_samples))
+    noise.setflags(write=False)
+    _noise_scope.entry = (key, noise)
+    return noise
+
+
+def _simulate(model: FittedModel, grid: FutureGrid, evaluation: _Evaluation, seed: int) -> dict:
+    """Bounds of the grid's rows. History rows are sampled, sorted and read
+    in blocks of about ``_HISTORY_CELLS`` cells; the future rows form one
+    matrix of the future noise plus the trend deviations."""
+    history_stream, future_stream, trend_stream = _streams(seed)
+    levels = model.config.interval_levels
+    if not levels:
+        return {}
+    first = _first_future_row(model, grid)
+    n_samples = model.config.interval_samples
+    qs = [q for level in levels for q in ((1.0 - level) / 2.0, (1.0 + level) / 2.0)]
+    bounds = np.empty((len(qs), len(grid)))
+
+    step = max(1, _HISTORY_CELLS // n_samples)
+    for lo in range(0, first, step):
+        hi = min(lo + step, first)
+        block = history_stream.standard_normal((hi - lo, n_samples))
+        block *= model.sigma
+        block += evaluation.yhat[lo:hi, np.newaxis]
+        bounds[:, lo:hi] = _row_quantiles(block, qs)
+
+    noise = _future_noise(int(seed), future_stream, len(grid) - first, n_samples)
+    future = noise * model.sigma
+    future += evaluation.yhat[first:, np.newaxis]
     seasonal_factor = (1.0 + evaluation.parts.s_mul[first:])[:, np.newaxis]
     for columns, deviation in _trend_deviations(model, evaluation, first, trend_stream):
         deviation *= seasonal_factor
         future[:, columns] += deviation
+    bounds[:, first:] = _row_quantiles(future, qs)
 
-    levels = model.config.interval_levels
-    qs = [q for level in levels for q in ((1.0 - level) / 2.0, (1.0 + level) / 2.0)]
-    quantiles = [bound * model.y_scale for bound in _row_quantiles(samples, qs)]
-    return {level: (quantiles[2 * i], quantiles[2 * i + 1]) for i, level in enumerate(levels)}
+    bounds *= model.y_scale
+    return {level: (bounds[2 * i], bounds[2 * i + 1]) for i, level in enumerate(levels)}
 
 
 def _row_quantiles(samples: np.ndarray, qs) -> list[np.ndarray]:

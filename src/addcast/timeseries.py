@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 
@@ -29,6 +30,10 @@ from .errors import (
 
 _EPOCH = date(1970, 1, 1)
 _EPOCH_ORDINAL = _EPOCH.toordinal()
+# The last epoch-day a date can hold: 9999-12-31.
+MAX_EPOCH_DAY = date.max.toordinal() - _EPOCH_ORDINAL
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 # CSV fields treated as missing markers (besides the empty field).
 _MISSING_TOKENS = {"", "NA"}
@@ -80,7 +85,7 @@ def date_to_epoch_day(d: date) -> int:
 
 
 def epoch_day_to_date(day: int) -> date:
-    return _EPOCH + timedelta(days=int(day))
+    return date.fromordinal(int(day) + _EPOCH_ORDINAL)
 
 
 def parse_iso_date(text: str) -> int:
@@ -88,15 +93,18 @@ def parse_iso_date(text: str) -> int:
     else, also a value that is not a string, is a ParseError."""
     if not isinstance(text, str):
         raise ParseError(f"invalid ISO-8601 date {text!r}: not a string")
+    stripped = text.strip()
+    if not _ISO_DATE.fullmatch(stripped):
+        raise ParseError(f"invalid ISO-8601 date {text!r}: expected YYYY-MM-DD")
     try:
-        d = date.fromisoformat(text.strip())
+        d = date.fromisoformat(stripped)
     except ValueError as exc:
         raise ParseError(f"invalid ISO-8601 date {text!r}: {exc}") from None
     return date_to_epoch_day(d)
 
 
 def format_epoch_day(day: int) -> str:
-    return epoch_day_to_date(day).isoformat()
+    return date.fromordinal(day + _EPOCH_ORDINAL).isoformat()
 
 
 def weekday_of(days: np.ndarray) -> np.ndarray:

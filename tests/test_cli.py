@@ -246,6 +246,49 @@ class TestPredictCommand:
         assert not out.exists()
         assert_one_error_line(capsys, "DomainError", "seed")
 
+    def test_no_interval_levels_writes_point_forecasts(self, tmp_path, rng, capsys):
+        data = tmp_path / "data.csv"
+        config = tmp_path / "config.json"
+        model = tmp_path / "model.json"
+        synthetic_csv(data, rng)
+        small_config(config)
+        config.write_text(json.dumps({**json.loads(config.read_text()), "interval_levels": []}))
+        assert main(
+            ["fit", "--input", str(data), "--config", str(config), "--output", str(model)]
+        ) == 0
+        out = tmp_path / "forecast.csv"
+        assert main(
+            ["predict", "--input", str(model), "--periods", "30", "--output", str(out)]
+        ) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "ds,yhat,trend,weekly,holidays"
+        assert len(lines) == 1 + 300 + 30
+        # cv simulates its folds, then declines to export them without bounds
+        capsys.readouterr()
+        assert main(
+            ["cv", "--input", str(data), "--config", str(config), "--initial-days", "150",
+             "--period-days", "60", "--horizon-days", "30",
+             "--output", str(tmp_path / "folds.csv")]
+        ) == 1
+        assert_one_error_line(capsys, "DomainError", "95% interval bounds")
+
+    def test_grid_past_year_9999_rejected(self, tmp_path, rng, capsys):
+        data = tmp_path / "data.csv"
+        config = tmp_path / "config.json"
+        model = tmp_path / "model.json"
+        days = daily_days("9999-12-31", 1)[0] - np.arange(119, -1, -1)
+        write_series_csv(data, days, 3.0 + rng.normal(0, 0.1, len(days)))
+        small_config(config)
+        assert main(
+            ["fit", "--input", str(data), "--config", str(config), "--output", str(model)]
+        ) == 0
+        capsys.readouterr()
+        out = tmp_path / "forecast.csv"
+        code = main(["predict", "--input", str(model), "--periods", "3", "--output", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert_one_error_line(capsys, "DomainError", "9999-12-31")
+
     def test_model_document_with_negative_seed_rejected(self, tmp_path, rng, capsys):
         model = self.fit_once(tmp_path, rng)
         capsys.readouterr()
@@ -576,6 +619,21 @@ class TestCompareCommand:
         manifest = json.loads((tmp_path / "compare.json.manifest.json").read_text())
         assert manifest["seed"] == 42
         assert len(manifest["config_digest"]) == 64
+
+    @pytest.mark.parametrize("cutoff", ["20200101", "2020W013", "2020-W01-3"])
+    def test_cutoff_must_be_strict_yyyy_mm_dd(self, tmp_path, rng, capsys, cutoff):
+        data = tmp_path / "data.csv"
+        self.seasonal_data(data, rng, n=400)
+        cfg = tmp_path / "m.json"
+        small_config(cfg)
+        out = tmp_path / "out.json"
+        code = main(
+            ["compare", "--input", str(data), "--config", str(cfg),
+             "--cutoff", cutoff, "--output", str(out)]
+        )
+        assert code == 1
+        assert not out.exists()
+        assert_one_error_line(capsys, "ParseError", "YYYY-MM-DD")
 
     def test_single_model_no_dm_rows(self, tmp_path, rng, capsys):
         data = tmp_path / "data.csv"

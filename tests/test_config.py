@@ -10,7 +10,7 @@ from addcast.config import (
     config_from_dict,
     config_to_dict,
 )
-from addcast.errors import DomainError, SchemaError
+from addcast.errors import DomainError, ParseError, SchemaError
 
 
 class TestTrendSpec:
@@ -137,6 +137,11 @@ class TestConfigDictRoundtrip:
             config_from_dict({"seasonalities": [{"name": "weekly"}]})
         with pytest.raises(SchemaError):
             config_from_dict("not a dict")
+
+    @pytest.mark.parametrize("text", ["20200101", "2020W013", "2020-W01-3"])
+    def test_holiday_date_must_be_strict_yyyy_mm_dd(self, text):
+        with pytest.raises(ParseError, match="YYYY-MM-DD"):
+            config_from_dict({"holidays": [{"name": "h", "dates": ["2019-12-25", text]}]})
 
     def test_unset_seasonalities_default_explicit_empty_respected(self):
         assert len(config_from_dict({}).seasonalities) == 2

@@ -60,6 +60,14 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(p)
 
+    @pytest.mark.parametrize("text", ["20200101", "2020W013", "2020-W01-3"])
+    def test_only_strict_yyyy_mm_dd(self, tmp_path, text):
+        # date.fromisoformat reads all three as 2020-01-01 on Python >= 3.11
+        p = tmp_path / "a.csv"
+        p.write_text(f"ds,y\n 2019-12-31 ,1.0\n{text},2.0\n")
+        with pytest.raises(ParseError, match="row 3: invalid ISO-8601 date .*YYYY-MM-DD"):
+            load_csv(p)
+
     def test_bad_number_names_row(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("ds,y\n2020-01-01,abc\n")
