@@ -25,7 +25,14 @@ from .baselines import (
 from .config import DEFAULT_SEED, ModelConfig, config_from_dict, load_config, read_json
 from .errors import AddcastError, DomainError, EmptyInput, LengthMismatch, ParseError, SchemaError
 from .estimator import fit
-from .evaluation import dm_test, evaluate_forecast, performance_by_horizon, rolling_cv, write_cv_folds_csv
+from .evaluation import (
+    dm_test,
+    evaluate_forecast,
+    performance_by_horizon,
+    require_fold_export_level,
+    rolling_cv,
+    write_cv_folds_csv,
+)
 from .forecast import (
     forecast_with_intervals,
     make_future_grid,
@@ -173,6 +180,7 @@ def cmd_predict(args) -> int:
 def cmd_cv(args) -> int:
     config = _effective_config(args.config, args.seed)
     ts = _preprocess(load_csv(args.input[0]), args)
+    require_fold_export_level(config.interval_levels)  # before any fold is fit
     folds = rolling_cv(config, ts, args.initial_days, args.period_days, args.horizon_days)
     write_cv_folds_csv(folds, args.output)
     by_horizon = performance_by_horizon(folds)

@@ -8,6 +8,7 @@ canonical dict form used for JSON config files and content digests.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 from .errors import DomainError, ParseError, SchemaError
@@ -52,6 +53,19 @@ class TrendSpec:
             raise DomainError("capacity is only meaningful for logistic growth")
 
 
+def _check_prior_scale(owner: str, scale: float) -> None:
+    """A coefficient's Gaussian prior has precision 1 / scale**2, which
+    must be finite: a positive scale whose square underflows to 0, or is so
+    small that its inverse overflows, is rejected."""
+    if scale <= 0:
+        raise DomainError(f"{owner}: prior_scale must be positive")
+    square = scale * scale
+    if square == 0.0 or math.isinf(1.0 / square):
+        raise DomainError(
+            f"{owner}: prior_scale {scale!r} is too small: 1 / prior_scale**2 overflows"
+        )
+
+
 @dataclass(frozen=True)
 class SeasonalitySpec:
     """One periodic block: harmonic-pair count, prior scale, and mode."""
@@ -67,8 +81,7 @@ class SeasonalitySpec:
             raise DomainError(f"seasonality {self.name!r}: period must be positive")
         if self.fourier_order < 1:
             raise DomainError(f"seasonality {self.name!r}: fourier_order must be >= 1")
-        if self.prior_scale <= 0:
-            raise DomainError(f"seasonality {self.name!r}: prior_scale must be positive")
+        _check_prior_scale(f"seasonality {self.name!r}", self.prior_scale)
         if self.mode not in ("additive", "multiplicative"):
             raise DomainError(f"seasonality {self.name!r}: unknown mode {self.mode!r}")
 
@@ -95,8 +108,7 @@ class HolidaySpec:
             raise DomainError(
                 f"holiday {self.name!r}: windows are day counts and must be >= 0"
             )
-        if self.prior_scale <= 0:
-            raise DomainError(f"holiday {self.name!r}: prior_scale must be positive")
+        _check_prior_scale(f"holiday {self.name!r}", self.prior_scale)
 
     def expanded_dates(self) -> frozenset[int]:
         out = set()
@@ -115,8 +127,7 @@ class RegressorSpec:
     values: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.prior_scale <= 0:
-            raise DomainError(f"regressor {self.name!r}: prior_scale must be positive")
+        _check_prior_scale(f"regressor {self.name!r}", self.prior_scale)
         object.__setattr__(
             self, "values", {int(k): float(v) for k, v in self.values.items()}
         )

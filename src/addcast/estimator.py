@@ -119,10 +119,10 @@ def _model_parts(params, design: DesignMatrix, trend: TrendSpec) -> ModelParts:
         g = trend.capacity * expit(rate * (t - offset))
         weight = g * (1.0 - g / trend.capacity)
 
-    Xr = design.X[:, design.layout.trend.stop :]
+    multiplicative, additive = design.mode_columns
     mul_mask = design.layout.multiplicative_mask
-    s_mul = row_dot(Xr[:, mul_mask], beta[mul_mask])
-    s_add = row_dot(Xr[:, ~mul_mask], beta[~mul_mask])
+    s_mul = row_dot(multiplicative, beta[mul_mask])
+    s_add = row_dot(additive, beta[~mul_mask])
     yhat = g * (1.0 + s_mul) + s_add
     return ModelParts(yhat, g, s_mul, rate, offset, weight, delta, beta)
 
@@ -135,7 +135,7 @@ def _objective(params, design, y, trend):
     value = (
         0.5 * float(r @ r)
         + float(np.sum(softabs(parts.delta) / layout.trend.prior_scales))
-        + 0.5 * float(np.sum(np.square(parts.beta) / np.square(layout.prior_scales)))
+        + 0.5 * float(np.sum(np.square(parts.beta) / layout.prior_variances))
     )
     return value, parts, r
 
@@ -153,71 +153,103 @@ class _Derivatives:
     (1 + s_mul), multiplicative seasonal columns are g times the feature, and
     additive columns are the features. Columns that do not depend on the
     parameters are written once: the additive features, and for linear
-    growth the trend's t, 1 and A * (t - s). A call rewrites the rest in
-    place. With linear growth and no multiplicative block nothing depends on
-    the parameters (s_mul is an empty sum, so the factor is exactly 1.0), and
-    J^T J is formed once.
+    growth the trend's t, 1 and A * (t - s). With linear growth and no
+    multiplicative block nothing depends on the parameters (s_mul is an
+    empty sum, so the factor is exactly 1.0), and J^T J is formed once.
+
+    A call computes the columns that do depend on the parameters as rows of
+    a transposed workspace, so every elementwise operation runs along
+    contiguous rows of length n, and then copies those rows into J, one copy
+    per run of adjacent columns. J stays the C-contiguous matrix that J^T J
+    and J^T r read, and every entry gets the bits of the same operations
+    done column by column.
     """
 
     def __init__(self, design: DesignMatrix, growth: str):
         layout = design.layout
         t = design.t_scaled
         self.design = design
-        self.n_trend = 2 + layout.trend.width
-        self.multiplicative = [
-            slice(b.start, b.stop) for b in layout.coefficients if b.mode == "multiplicative"
-        ]
+        self.n_trend = n = 2 + layout.trend.width
+        multiplicative = [b for b in layout.coefficients if b.mode == "multiplicative"]
         self.linear = growth == "linear"
         J = np.empty((len(t), 2 + layout.width))
         J[:, 2:] = design.X
         if self.linear:
             J[:, 0] = t
             J[:, 1] = 1.0
-            J[:, 2 : self.n_trend] *= t[:, np.newaxis] - design.changepoints_scaled
-            self.trend_columns = J[:, : self.n_trend].copy()
+            J[:, 2:n] *= t[:, np.newaxis] - design.changepoints_scaled
         self.J = J
-        self.gram = _gram(J) if self.linear and not self.multiplicative else None
+        self.multiplicative = bool(multiplicative)
+        self.gram = _gram(J) if self.linear and not multiplicative else None
+        self.inv_var = 1.0 / layout.prior_variances
+        self.diagonal = slice(None, None, J.shape[1] + 1)
+        # The rewritten columns, as the workspace rows of each run of
+        # adjacent columns: the trend columns, unless linear growth fixes
+        # them, then the multiplicative columns. A call computes the trend
+        # rows from a transposed copy of A, or for linear growth of the
+        # fixed trend columns, and the multiplicative rows from the design's
+        # column-major multiplicative columns, whose transpose has
+        # contiguous rows.
+        self.runs = []
+        if self.gram is not None:
+            return
+        trend = J[:, :n] if self.linear else design.columns(layout.trend)
+        self.trend_features = np.ascontiguousarray(trend.T)
+        self.multiplicative_features = design.mode_columns[0].T
+        runs = [[0, n]]
+        for b in multiplicative:
+            if runs[-1][1] == 2 + b.start:
+                runs[-1][1] = 2 + b.stop
+            else:
+                runs.append([2 + b.start, 2 + b.stop])
+        row = 0
+        for lo, hi in runs:
+            self.runs.append((slice(row, row + hi - lo), slice(lo, hi)))
+            row += hi - lo
+        self.workspace = np.empty((row, len(t)))
+        self.cps = design.changepoints_scaled[:, np.newaxis]
 
     def jacobian(self, parts: ModelParts) -> np.ndarray:
         """The Jacobian at the iterate of ``parts``; the workspace itself, so
         the next call overwrites it."""
-        design, J, n = self.design, self.J, self.n_trend
+        J, n = self.J, self.n_trend
+        if not self.runs:
+            return J
+        W = self.workspace
         if not self.linear:
             # g = C * expit(rate * (t - offset)); d g / d(exponent) = logistic_weight.
-            d_rate = parts.logistic_weight * (design.t_scaled - parts.offset)
+            d_rate = parts.logistic_weight * (self.design.t_scaled - parts.offset)
             d_offset = parts.logistic_weight * parts.rate
-            J[:, 0] = d_rate
-            J[:, 1] = -d_offset
-            np.multiply(
-                design.columns(design.layout.trend),
-                d_rate[:, np.newaxis] + np.outer(d_offset, design.changepoints_scaled),
-                out=J[:, 2:n],
-            )
+            W[0] = d_rate
+            np.negative(d_offset, out=W[1])
+            trend = W[2:n]
+            trend[:] = d_offset
+            trend *= self.cps
+            trend += d_rate
+            trend *= self.trend_features
         if self.multiplicative:
-            factor = (1.0 + parts.s_mul)[:, np.newaxis]
+            factor = 1.0 + parts.s_mul
             if self.linear:
-                np.multiply(self.trend_columns, factor, out=J[:, :n])
+                np.multiply(self.trend_features, factor, out=W[:n])
             else:
-                J[:, :n] *= factor
-            g = parts.trend[:, np.newaxis]
-            for block in self.multiplicative:
-                np.multiply(design.X[:, block], g, out=J[:, 2 + block.start : 2 + block.stop])
+                W[:n] *= factor
+            np.multiply(self.multiplicative_features, parts.trend, out=W[n:])
+        for rows, columns in self.runs:
+            J[:, columns] = W[rows].T
         return J
 
     def __call__(self, parts: ModelParts, r: np.ndarray):
         """Exact gradient, and the Gauss-Newton Hessian J^T J plus the exact
         curvature of the penalties. J^T J is the exact Hessian of the data
         term for linear growth with additive seasonality."""
-        layout = self.design.layout
-        tau = layout.trend.prior_scales
-        inv_var = 1.0 / np.square(layout.prior_scales)
+        tau = self.design.layout.trend.prior_scales
         sa = softabs(parts.delta)
         J = self.jacobian(parts)
         gradient = -(J.T @ r)
-        gradient[2:] += np.concatenate((parts.delta / (sa * tau), parts.beta * inv_var))
+        gradient[2:] += np.concatenate((parts.delta / (sa * tau), parts.beta * self.inv_var))
         hessian = self.gram.copy() if self.gram is not None else _gram(J)
-        curvature = np.concatenate(([0.0, 0.0], SOFTABS_EPS / (sa**3 * tau), inv_var))
-        hessian[np.diag_indices_from(hessian)] += curvature
+        curvature = np.concatenate(([0.0, 0.0], SOFTABS_EPS / (sa**3 * tau), self.inv_var))
+        hessian.flat[self.diagonal] += curvature
         return gradient, hessian
 
 

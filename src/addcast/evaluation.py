@@ -20,6 +20,7 @@ from .errors import (
     TooShort,
 )
 from .estimator import fit
+from .features import shared_day_columns
 from .forecast import forecast_with_intervals, make_future_grid, shared_future_noise
 from .timeseries import TimeSeries, format_epoch_day
 
@@ -190,37 +191,41 @@ def rolling_cv(
 
     Each fold builds, evaluates and simulates only the days after its
     training data. Its point forecast and bounds equal a full-grid
-    ``forecast_with_intervals`` at the same days bit for bit; the folds
-    share one future-noise draw (``forecast.shared_future_noise``)."""
-    folds = []
-    for cutoff in enumerate_cutoffs(ts, initial, period, horizon):
-        train_mask = ts.timestamps <= cutoff
-        test_mask = (ts.timestamps > cutoff) & (ts.timestamps <= cutoff + horizon)
-        train = ts.slice_mask(train_mask)
-        try:
-            model = fit(train, config)
-            periods = cutoff + horizon - int(train.timestamps[-1])
-            grid = make_future_grid(model, periods)
-            fc = forecast_with_intervals(model, grid, history=False)
-        except AddcastError as exc:
-            raise type(exc)(
-                f"cutoff {format_epoch_day(cutoff)}: {exc}"
-            ) from exc
-        test_days = ts.timestamps[test_mask]
-        idx = np.searchsorted(fc.timestamps, test_days)
-        bounds = {
-            level: (lo[idx], hi[idx]) for level, (lo, hi) in fc.bounds.items()
-        }
-        folds.append(
-            CvFold(
-                cutoff=cutoff,
-                ds=test_days,
-                y_true=ts.values[test_mask],
-                yhat=fc.yhat[idx],
-                bounds=bounds,
-            )
-        )
-    return folds
+    ``forecast_with_intervals`` at the same days bit for bit. The folds
+    share one future-noise draw (``forecast.shared_future_noise``) and one
+    build of the seasonal and holiday columns of the series' days
+    (``features.shared_day_columns``), so a fold builds only its trend and
+    regressor columns. Both are dropped when the call returns."""
+    cutoffs = enumerate_cutoffs(ts, initial, period, horizon)
+    with shared_day_columns(config, ts.timestamps):
+        return [_cv_fold(config, ts, cutoff, horizon) for cutoff in cutoffs]
+
+
+def _cv_fold(config: ModelConfig, ts: TimeSeries, cutoff: int, horizon: int) -> CvFold:
+    train_mask = ts.timestamps <= cutoff
+    test_mask = (ts.timestamps > cutoff) & (ts.timestamps <= cutoff + horizon)
+    train = ts.slice_mask(train_mask)
+    try:
+        model = fit(train, config)
+        periods = cutoff + horizon - int(train.timestamps[-1])
+        grid = make_future_grid(model, periods)
+        fc = forecast_with_intervals(model, grid, history=False)
+    except AddcastError as exc:
+        raise type(exc)(
+            f"cutoff {format_epoch_day(cutoff)}: {exc}"
+        ) from exc
+    test_days = ts.timestamps[test_mask]
+    idx = np.searchsorted(fc.timestamps, test_days)
+    bounds = {
+        level: (lo[idx], hi[idx]) for level, (lo, hi) in fc.bounds.items()
+    }
+    return CvFold(
+        cutoff=cutoff,
+        ds=test_days,
+        y_true=ts.values[test_mask],
+        yhat=fc.yhat[idx],
+        bounds=bounds,
+    )
 
 
 def performance_by_horizon(folds: list[CvFold]) -> dict[int, MetricReport]:
@@ -289,14 +294,22 @@ def performance_by_horizon(folds: list[CvFold]) -> dict[int, MetricReport]:
     return out
 
 
+def require_fold_export_level(levels) -> None:
+    """The fold export writes 95% bounds: ``levels`` must hold 0.95."""
+    if 0.95 not in levels:
+        raise DomainError("fold export requires 95% interval bounds")
+
+
 def write_cv_folds_csv(folds: list[CvFold], path) -> None:
-    """Fold export: cutoff,ds,y,yhat,yhat_lower_95,yhat_upper_95."""
+    """Fold export: cutoff,ds,y,yhat,yhat_lower_95,yhat_upper_95. Every
+    fold must carry 95% bounds; that is checked before the file is opened,
+    so a fold without them leaves no file behind."""
+    for fold in folds:
+        require_fold_export_level(fold.bounds)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cutoff", "ds", "y", "yhat", "yhat_lower_95", "yhat_upper_95"])
         for fold in folds:
-            if 0.95 not in fold.bounds:
-                raise DomainError("fold export requires 95% interval bounds")
             lo, hi = fold.bounds[0.95]
             writer.writerows(
                 zip(

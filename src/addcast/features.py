@@ -8,11 +8,16 @@ and the model document all read block structure from it.
 
 Internal time is affinely rescaled so the training span maps to [0, 1]
 (changepoints and trend parameters live in that scale); seasonal features are
-computed directly on epoch-days so their phase is calendar-anchored.
+computed directly on epoch-days so their phase is calendar-anchored. The
+seasonal and holiday columns are therefore a function of the day alone, and
+inside ``shared_day_columns`` every design of a series takes them from one
+build.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -196,6 +201,13 @@ class Layout:
         return np.concatenate(parts) if parts else np.empty(0)
 
     @cached_property
+    def prior_variances(self) -> np.ndarray:
+        """Squared prior scales of beta. A scale whose square overflows gives
+        inf, a flat prior, without a floating-point warning."""
+        with np.errstate(over="ignore"):
+            return np.square(self.prior_scales)
+
+    @cached_property
     def multiplicative_mask(self) -> np.ndarray:
         """True where a beta coefficient belongs to a multiplicative block."""
         mask = np.zeros(self.width - self.trend.stop, dtype=bool)
@@ -247,6 +259,17 @@ class DesignMatrix:
                 f"but design has {self.X.shape[1]} columns"
             )
 
+    @cached_property
+    def mode_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """X's beta columns split by seasonal mode, (multiplicative,
+        additive), gathered once. The gather is column-major: that layout is
+        part of the contract, because ``estimator.row_dot`` reads these at
+        every objective evaluation and its bits depend on its operand's
+        layout."""
+        beta_columns = self.X[:, self.layout.trend.stop :]
+        mask = self.layout.multiplicative_mask
+        return beta_columns[:, mask], beta_columns[:, ~mask]
+
     def columns(self, block: Block) -> np.ndarray:
         return self.X[:, block.start : block.stop]
 
@@ -280,6 +303,73 @@ def regressor_column(spec, timestamps: np.ndarray, extra: dict | None) -> np.nda
     return col
 
 
+def _day_blocks(t: np.ndarray, config: ModelConfig, layout: Layout) -> list[np.ndarray]:
+    """The columns of ``layout``'s seasonal and holiday blocks at days
+    ``t``, one matrix per block in layout order."""
+    seasonalities = {spec.name: spec for spec in config.seasonalities}
+    columns = []
+    for block in layout.coefficients:
+        if block.kind == "seasonal":
+            spec = seasonalities[block.name]
+            columns.append(fourier_features(t, spec.period, spec.fourier_order))
+        elif block.kind == "holidays":
+            columns.append(holiday_features(t, config.holidays))
+    return columns
+
+
+# The current thread's open shared_day_columns scope, or no attribute.
+_day_scope = threading.local()
+
+
+class _SharedDayColumns:
+    """The seasonal and holiday columns of a series' days under one config,
+    in layout order, built at the first design that asks. The build has one
+    row per day of the series, however far apart the days are."""
+
+    def __init__(self, config: ModelConfig, days: np.ndarray):
+        self.config = config
+        self.days = days
+        self.columns = None
+
+    def take(self, t: np.ndarray, layout: Layout) -> np.ndarray | None:
+        """The day columns at the days ``t``: a slice when ``t`` is a run of
+        consecutive series days, a gather when every day of ``t`` is a
+        series day, otherwise None."""
+        if len(t) == 0:
+            return None
+        start = int(np.searchsorted(self.days, t[0]))
+        if np.array_equal(self.days[start : start + len(t)], t):
+            rows = slice(start, start + len(t))
+        else:
+            rows = np.minimum(np.searchsorted(self.days, t), len(self.days) - 1)
+            if not np.array_equal(self.days[rows], t):
+                return None
+        if self.columns is None:
+            blocks = _day_blocks(self.days, self.config, layout)
+            self.columns = np.hstack(blocks) if blocks else np.empty((len(self.days), 0))
+        return self.columns[rows]
+
+
+@contextmanager
+def shared_day_columns(config: ModelConfig, days: np.ndarray):
+    """Within the block, the current thread's designs under ``config`` (this
+    object) take the seasonal and holiday columns of the series days
+    ``days`` (strictly increasing) from one build, made by the first such
+    design; only the trend and regressor columns are built per design, and
+    a design with a day outside ``days`` is built alone. Every design equals
+    its own build bit for bit. The build is dropped when the block exits,
+    and an enclosing scope is restored."""
+    outer = getattr(_day_scope, "entry", None)
+    _day_scope.entry = _SharedDayColumns(config, np.asarray(days, dtype=np.int64))
+    try:
+        yield
+    finally:
+        if outer is None:
+            del _day_scope.entry
+        else:
+            _day_scope.entry = outer
+
+
 def design_for_grid(
     timestamps: np.ndarray,
     config: ModelConfig,
@@ -288,29 +378,27 @@ def design_for_grid(
     extra_regressors: dict[str, dict[int, float]] | None = None,
 ) -> DesignMatrix:
     """Assemble the design for arbitrary timestamps under a fixed scaling and
-    changepoint set (used both at fit time and when extending to a future grid)."""
+    changepoint set (used both at fit time and when extending to a future grid).
+
+    Inside ``shared_day_columns`` the seasonal and holiday columns come from
+    the scope's build: a slice for consecutive days, a gather otherwise."""
     t = np.asarray(timestamps, dtype=np.int64)
     t_scaled = scaling.scale(t)
     cps = np.asarray(changepoints_scaled, dtype=np.float64)
     layout = model_layout(config, len(cps))
-    seasonalities = {spec.name: spec for spec in config.seasonalities}
-    extra = extra_regressors or {}
 
-    columns = []
-    for block in layout.blocks:
-        if block.kind == "trend":
-            columns.append(changepoint_basis(t_scaled, cps))
-        elif block.kind == "seasonal":
-            spec = seasonalities[block.name]
-            columns.append(fourier_features(t, spec.period, spec.fourier_order))
-        elif block.kind == "holidays":
-            columns.append(holiday_features(t, config.holidays))
-        else:
-            columns.append(
-                np.column_stack(
-                    [regressor_column(r, t, extra.get(r.name)) for r in config.regressors]
-                )
-            )
+    columns = [changepoint_basis(t_scaled, cps)]
+    scope = getattr(_day_scope, "entry", None)
+    day = scope.take(t, layout) if scope is not None and scope.config is config else None
+    if day is None:
+        columns += _day_blocks(t, config, layout)
+    else:
+        columns.append(day)
+    if config.regressors:
+        extra = extra_regressors or {}
+        columns.append(
+            np.column_stack([regressor_column(r, t, extra.get(r.name)) for r in config.regressors])
+        )
     return DesignMatrix(
         t_scaled=t_scaled, changepoints_scaled=cps, X=np.hstack(columns), layout=layout
     )

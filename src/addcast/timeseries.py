@@ -32,8 +32,12 @@ _EPOCH = date(1970, 1, 1)
 _EPOCH_ORDINAL = _EPOCH.toordinal()
 # The last epoch-day a date can hold: 9999-12-31.
 MAX_EPOCH_DAY = date.max.toordinal() - _EPOCH_ORDINAL
+# The first epoch-day a date can hold: 0001-01-01.
+_MIN_EPOCH_DAY = date.min.toordinal() - _EPOCH_ORDINAL
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# Dates that each end in a NUL, for one match over a whole column.
+_ISO_DATES = re.compile(f"(?:{_ISO_DATE.pattern}\\0)*")
 
 # CSV fields treated as missing markers (besides the empty field).
 _MISSING_TOKENS = {"", "NA"}
@@ -70,7 +74,7 @@ def csv_reader(path, required):
             for col in required:
                 if col not in columns:
                     raise ParseError(f"{path}: missing column {col!r}")
-            yield columns, (row for row in reader if row)
+            yield columns, filter(None, reader)
         except csv.Error as exc:
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
 
@@ -186,47 +190,101 @@ def load_csv(path, date_column: str = "ds", value_column: str = "y") -> TimeSeri
     rejected); values must parse as finite reals, with the empty field and
     the literal ``NA`` treated as missing markers. Rows are sorted ascending
     by date; duplicated dates are an error.
+
+    The rows are checked all at once: every date against the pattern, then
+    converted as ``datetime64[D]``, every value by one ``float`` pass, and
+    the missing markers and finiteness over arrays. A file that fails any
+    check is read again row by row, and the first bad row raises with the
+    same message as that row's own check would. The rows read before one
+    that cannot be decoded or split are checked before that error is raised.
     """
-    days: list[int] = []
-    values: list[float] = []
-    with csv_reader(path, (date_column, value_column)) as (columns, rows):
+    with csv_reader(path, (date_column, value_column)) as (columns, reader):
         date_index = columns[date_column]
         value_index = columns[value_column]
-        for lineno, row in enumerate(rows, start=2):
-            raw_date = csv_field(row, date_index)
-            if raw_date is None:
-                raise ParseError(f"{path}: row {lineno}: missing date field")
-            try:
-                day = parse_iso_date(raw_date)
-            except ParseError as exc:
-                raise ParseError(f"{path}: row {lineno}: {exc}") from None
-            raw_val = (csv_field(row, value_index) or "").strip()
-            if raw_val in _MISSING_TOKENS:
-                value = math.nan
-            else:
-                try:
-                    value = float(raw_val)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {lineno}: invalid number {raw_val!r}"
-                    ) from None
-                if math.isinf(value) or math.isnan(value):
-                    raise ParseError(
-                        f"{path}: row {lineno}: non-finite value {raw_val!r}"
-                    )
-            days.append(day)
-            values.append(value)
-    if not days:
+        rows = []
+        try:
+            rows.extend(reader)
+        except (csv.Error, UnicodeDecodeError):
+            _parse_rows(path, rows, date_index, value_index)
+            raise
+    parsed = _parse_columns(rows, date_index, value_index)
+    if parsed is None:
+        parsed = _parse_rows(path, rows, date_index, value_index)
+    days, values = parsed
+    if len(days) == 0:
         raise EmptySeries(f"{path}: no data rows")
-    unsorted = np.array(days, dtype=np.int64)
-    order = np.argsort(unsorted, kind="stable")
-    sorted_days = unsorted[order]
+    order = np.argsort(days, kind="stable")
+    sorted_days = days[order]
     dup = np.flatnonzero(np.diff(sorted_days) == 0)
     if len(dup):
         raise DuplicateTimestamp(
             f"{path}: duplicate date {format_epoch_day(int(sorted_days[dup[0]]))}"
         )
-    return TimeSeries(sorted_days, np.array(values, dtype=np.float64)[order], name=value_column)
+    return TimeSeries(sorted_days, values[order], name=value_column)
+
+
+def _parse_columns(rows: list, date_index: int, value_index: int):
+    """``(days, values)`` of the rows, or None when some row fails a check."""
+    try:
+        raw_dates = [row[date_index].strip() for row in rows]
+    except IndexError:
+        return None
+    # One match over the dates, each followed by a NUL: with n dates of 10
+    # characters the text has 11 * n, so a date holding a NUL of its own
+    # cannot pass as two.
+    joined = "\0".join(raw_dates) + "\0"
+    if len(joined) != 11 * len(raw_dates) or not _ISO_DATES.fullmatch(joined):
+        return None
+    try:
+        days = np.array(raw_dates, dtype="datetime64[D]").astype(np.int64)
+    except ValueError:
+        return None
+    # datetime64 also takes year 0, which a date cannot hold.
+    if len(days) and days.min() < _MIN_EPOCH_DAY:
+        return None
+    raw_values = [row[value_index].strip() if value_index < len(row) else "" for row in rows]
+    try:
+        values = np.array(
+            [math.nan if v in _MISSING_TOKENS else float(v) for v in raw_values], dtype=np.float64
+        )
+    except ValueError:
+        return None
+    bad = np.flatnonzero(~np.isfinite(values))
+    if any(raw_values[i] not in _MISSING_TOKENS for i in bad.tolist()):
+        return None
+    return days, values
+
+
+def _parse_rows(path, rows: list, date_index: int, value_index: int):
+    """``(days, values)`` of the rows, checked one row at a time; the first
+    bad row raises ParseError naming it."""
+    days: list[int] = []
+    values: list[float] = []
+    for lineno, row in enumerate(rows, start=2):
+        raw_date = csv_field(row, date_index)
+        if raw_date is None:
+            raise ParseError(f"{path}: row {lineno}: missing date field")
+        try:
+            day = parse_iso_date(raw_date)
+        except ParseError as exc:
+            raise ParseError(f"{path}: row {lineno}: {exc}") from None
+        raw_val = (csv_field(row, value_index) or "").strip()
+        if raw_val in _MISSING_TOKENS:
+            value = math.nan
+        else:
+            try:
+                value = float(raw_val)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: row {lineno}: invalid number {raw_val!r}"
+                ) from None
+            if math.isinf(value) or math.isnan(value):
+                raise ParseError(
+                    f"{path}: row {lineno}: non-finite value {raw_val!r}"
+                )
+        days.append(day)
+        values.append(value)
+    return np.array(days, dtype=np.int64), np.array(values, dtype=np.float64)
 
 
 def write_csv(ts: TimeSeries, path, date_column: str = "ds", value_column: str = "y") -> None:

@@ -480,6 +480,102 @@ class TestCvCommand:
             assert set(report) == {"rmse", "mae", "mape_percent", "coverage_percent"}
 
 
+    def test_without_95_level_fails_before_fitting_and_writes_nothing(
+        self, tmp_path, rng, capsys, monkeypatch
+    ):
+        import addcast.evaluation
+
+        data = tmp_path / "data.csv"
+        synthetic_csv(data, rng, n=400)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"trend": {"n_changepoints": 3}, "interval_levels": [0.8]}))
+        fits = []
+        real_fit = addcast.evaluation.fit
+        monkeypatch.setattr(
+            addcast.evaluation, "fit", lambda *args: fits.append(args) or real_fit(*args)
+        )
+        folds_csv = tmp_path / "folds.csv"
+        code = main(
+            ["cv", "--input", str(data), "--config", str(config),
+             "--initial-days", "200", "--period-days", "60", "--horizon-days", "30",
+             "--output", str(folds_csv)]
+        )
+        assert code == 1
+        assert fits == []
+        assert sorted(tmp_path.iterdir()) == sorted([data, config])
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "DomainError",
+            "message": "fold export requires 95% interval bounds",
+        }
+
+    def test_fold_export_checks_every_fold_before_opening(self, tmp_path, rng):
+        from addcast.errors import DomainError
+        from addcast.evaluation import CvFold, write_cv_folds_csv
+
+        days = daily_days("2021-01-01", 4)
+        with_95 = CvFold(0, days[:2], np.ones(2), np.ones(2), {0.95: (np.zeros(2), np.ones(2))})
+        without = CvFold(0, days[2:], np.ones(2), np.ones(2), {0.8: (np.zeros(2), np.ones(2))})
+        out = tmp_path / "folds.csv"
+        with pytest.raises(DomainError, match="fold export requires 95% interval bounds"):
+            write_cv_folds_csv([with_95, without], out)
+        assert not out.exists()
+
+
+class TestPriorScaleExtremes:
+    """A prior scale whose square overflows fits without a numpy warning and
+    gives the model it gave before the squares were cached; one whose
+    precision 1 / scale**2 is not finite is a config error. Both run as
+    fresh processes, so any warning would reach stderr."""
+
+    # The model document for prior_scale 1e300 on the file below; pinned
+    # like tests/test_golden.py's digests, on the same platform.
+    HUGE_MODEL_SHA256 = "a0238163698a9d6afa62236fe7e4ae5068d8f13453032d1d93121ac552d4ded9"
+
+    @staticmethod
+    def fit(tmp_path, prior_scale):
+        # Exact decimal values, so the input bytes do not depend on numpy.
+        lines = ["ds,y"]
+        for i, d in enumerate(daily_days("2021-01-01", 200)):
+            y = 3 + i / 100 + [0.5, 0.25, 0, -0.25, -0.5, -0.25, 0][i % 7]
+            y += [0.125, -0.125, 0.0625][i % 3]
+            lines.append(f"{format_epoch_day(int(d))},{y!r}")
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(lines) + "\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "trend": {"n_changepoints": 3},
+            "seasonalities": [{"name": "weekly", "period": 7.0, "fourier_order": 2,
+                               "prior_scale": prior_scale}],
+            "interval_samples": 200,
+        }))
+        model = tmp_path / "model.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "addcast", "fit", "--input", str(data),
+             "--config", str(config), "--output", str(model)],
+            capture_output=True, text=True, timeout=120,
+        )
+        return proc, model
+
+    def test_huge_scale_fits_silently_with_unchanged_model(self, tmp_path):
+        import hashlib
+
+        proc, model = self.fit(tmp_path, 1e300)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == self.HUGE_MODEL_SHA256
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160])
+    def test_tiny_scale_is_a_config_error(self, tmp_path, scale):
+        proc, model = self.fit(tmp_path, scale)
+        assert proc.returncode == 1
+        assert not model.exists()
+        assert json.loads(proc.stderr) == {
+            "error": "DomainError",
+            "message": f"seasonality 'weekly': prior_scale {scale!r} is too small: "
+            "1 / prior_scale**2 overflows",
+        }
+
+
 class TestEvaluateCommand:
     def test_identical_files_zero_rmse(self, tmp_path, rng, capsys):
         days = daily_days("2022-01-01", 10)

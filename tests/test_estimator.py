@@ -257,6 +257,124 @@ def rebuilt_gradient_and_hessian(parts, r, design):
     return gradient, hessian
 
 
+def columnwise_jacobian(design, growth, parts):
+    """The Jacobian written column by column into an n x p matrix, as the
+    solver did before it kept a transposed workspace: trend columns are
+    dg/dtheta times (1 + s_mul), multiplicative columns g times the
+    feature."""
+    layout = design.layout
+    t = design.t_scaled
+    n = 2 + layout.trend.width
+    J = np.empty((len(t), 2 + layout.width))
+    J[:, 2:] = design.X
+    multiplicative = [
+        slice(b.start, b.stop) for b in layout.coefficients if b.mode == "multiplicative"
+    ]
+    if growth == "linear":
+        J[:, 0] = t
+        J[:, 1] = 1.0
+        J[:, 2:n] *= t[:, np.newaxis] - design.changepoints_scaled
+    else:
+        d_rate = parts.logistic_weight * (t - parts.offset)
+        d_offset = parts.logistic_weight * parts.rate
+        J[:, 0] = d_rate
+        J[:, 1] = -d_offset
+        np.multiply(
+            design.columns(layout.trend),
+            d_rate[:, np.newaxis] + np.outer(d_offset, design.changepoints_scaled),
+            out=J[:, 2:n],
+        )
+    if multiplicative:
+        J[:, :n] *= (1.0 + parts.s_mul)[:, np.newaxis]
+        g = parts.trend[:, np.newaxis]
+        for block in multiplicative:
+            np.multiply(design.X[:, block], g, out=J[:, 2 + block.start : 2 + block.stop])
+    return J
+
+
+def gathered_model_parts(params, design, trend):
+    """The prediction with the mode columns gathered from X at every call,
+    as ``_model_parts`` did before designs kept them."""
+    from addcast.estimator import _split_params, row_dot
+    from addcast.features import expit, gamma_from_delta
+
+    k, m, delta, beta = _split_params(params, design)
+    t = design.t_scaled
+    A = design.columns(design.layout.trend)
+    rate = k + row_dot(A, delta)
+    offset = m + row_dot(A, gamma_from_delta(design.changepoints_scaled, delta))
+    if trend.growth == "linear":
+        g = rate * t + offset
+    else:
+        g = trend.capacity * expit(rate * (t - offset))
+    Xr = design.X[:, design.layout.trend.stop :]
+    mask = design.layout.multiplicative_mask
+    return g * (1.0 + row_dot(Xr[:, mask], beta[mask])) + row_dot(Xr[:, ~mask], beta[~mask])
+
+
+def interleaved_problem(rng, growth):
+    """A weekly multiplicative, a monthly additive and a quarterly
+    multiplicative block, so the rewritten Jacobian columns form two runs."""
+    n = 300
+    days = daily_days("2021-01-01", n)
+    config = ModelConfig(
+        trend=TrendSpec(n_changepoints=4, growth=growth,
+                        capacity=3.0 if growth == "logistic" else None),
+        seasonalities=(
+            SeasonalitySpec(name="weekly", period=7.0, fourier_order=2, mode="multiplicative"),
+            SeasonalitySpec(name="monthly", period=30.5, fourier_order=2),
+            SeasonalitySpec(name="quarterly", period=91.3, fourier_order=1,
+                            mode="multiplicative"),
+        ),
+    )
+    y = 0.5 + 0.3 * np.arange(n) / n + rng.normal(0, 0.1, n)
+    return build_design(TimeSeries(days, y), config), y, config.trend
+
+
+class TestJacobianOracle:
+    """The transposed-workspace Jacobian equals the column-by-column one bit
+    for bit, at several iterates, also on designs whose day columns come
+    from a shared day-column build."""
+
+    @pytest.mark.parametrize(
+        "growth, multiplicative",
+        [("logistic", False), ("logistic", True), ("linear", True), ("linear", False)],
+    )
+    def test_single_block(self, rng, growth, multiplicative):
+        design, y, trend = gradient_test_problem(rng, growth, multiplicative)
+        self.assert_matches(rng, design, y, trend)
+
+    @pytest.mark.parametrize("growth", ["logistic", "linear"])
+    def test_interleaved_modes(self, rng, growth):
+        design, y, trend = interleaved_problem(rng, growth)
+        self.assert_matches(rng, design, y, trend)
+
+    @pytest.mark.parametrize("weekdays", [False, True])
+    def test_logistic_holidays_in_shared_scope(self, rng, weekdays):
+        from addcast.features import shared_day_columns
+        from addcast.timeseries import filter_weekdays
+
+        ts, config = logistic_holiday_problem(rng)
+        if weekdays:
+            ts = filter_weekdays(ts)
+        train = ts.slice_mask(ts.timestamps <= ts.timestamps[0] + 500)
+        with shared_day_columns(config, ts.timestamps):
+            design = build_design(train, config)
+        y = train.values / np.max(np.abs(train.values))
+        self.assert_matches(rng, design, y, TrendSpec(growth="logistic", capacity=1.2))
+
+    def assert_matches(self, rng, design, y, trend):
+        derivatives = _Derivatives(design, trend.growth)
+        for _ in range(4):
+            params = rng.normal(0, 0.5, 2 + design.X.shape[1])
+            _, parts, r = _objective(params, design, y, trend)
+            expected = columnwise_jacobian(design, trend.growth, parts)
+            J = derivatives.jacobian(parts)
+            assert J.flags.c_contiguous
+            assert J.tobytes() == expected.tobytes()
+            assert parts.yhat.tobytes() == gathered_model_parts(params, design, trend).tobytes()
+
+
 class TestDerivativesWorkspace:
     """The Jacobian workspace rewrites only the columns that depend on the
     parameters; its gradient and Hessian equal those of a Jacobian built anew

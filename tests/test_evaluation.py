@@ -227,6 +227,76 @@ class TestRollingCv:
         assert len(lines) == 1 + sum(len(f) for f in folds)
 
 
+class TestSharedDayColumnsInCv:
+    """rolling_cv builds the seasonal and holiday columns of the series once
+    (``features.shared_day_columns``); its folds equal folds whose designs
+    are all built alone, bit for bit, and the build is dropped when it
+    returns, also when a fold fails."""
+
+    @staticmethod
+    def without_scope(monkeypatch):
+        import contextlib
+
+        import addcast.evaluation
+
+        monkeypatch.setattr(
+            addcast.evaluation, "shared_day_columns", lambda *args: contextlib.nullcontext()
+        )
+
+    @pytest.mark.parametrize("weekdays", [False, True])
+    @pytest.mark.parametrize(
+        "name", ["linear_holidays_regressor", "logistic_multiplicative_holidays",
+                 "interleaved_modes"]
+    )
+    def test_folds_equal_folds_built_alone(self, monkeypatch, name, weekdays):
+        from addcast.features import _day_scope
+
+        from test_features import scope_configs
+
+        rng = np.random.default_rng(7)
+        days = daily_days("2021-03-01", 330)
+        config = replace(scope_configs(days)[name], interval_samples=100)
+        t = np.arange(len(days)) / len(days)
+        y = 5.0 + 2.0 * t + 0.3 * np.sin(2 * np.pi * days / 7.0) + rng.normal(0, 0.1, len(days))
+        ts = TimeSeries(days, y)
+        if weekdays:
+            ts = filter_weekdays(ts)
+        shared = rolling_cv(config, ts, 200, 37, 30)
+        assert not hasattr(_day_scope, "entry")
+        self.without_scope(monkeypatch)
+        alone = rolling_cv(config, ts, 200, 37, 30)
+        assert len(shared) == len(alone) >= 3
+        for a, b in zip(shared, alone):
+            assert a.cutoff == b.cutoff
+            assert a.ds.tobytes() == b.ds.tobytes()
+            assert a.yhat.tobytes() == b.yhat.tobytes()
+            assert sorted(a.bounds) == sorted(b.bounds)
+            for level in a.bounds:
+                for x, z in zip(a.bounds[level], b.bounds[level]):
+                    assert x.tobytes() == z.tobytes()
+
+    def test_scope_open_during_folds_and_dropped_after(self, rng, monkeypatch):
+        import addcast.evaluation
+        from addcast.errors import UnderdeterminedModel
+        from addcast.features import _day_scope
+
+        ts, config = small_cv_setup(rng)
+        seen = []
+        real_fit = addcast.evaluation.fit
+
+        def spy(train, fit_config):
+            seen.append(_day_scope.entry.config is fit_config)
+            return real_fit(train, fit_config)
+
+        monkeypatch.setattr(addcast.evaluation, "fit", spy)
+        folds = rolling_cv(config, ts, 150, 60, 25)
+        assert seen == [True] * len(folds)
+        assert not hasattr(_day_scope, "entry")
+        with pytest.raises(UnderdeterminedModel):
+            rolling_cv(ModelConfig(), ts, initial=40, period=209, horizon=30)
+        assert not hasattr(_day_scope, "entry")
+
+
 class TestPerformanceByHorizon:
     def test_row_per_lead_day(self, rng):
         ts, config = small_cv_setup(rng)

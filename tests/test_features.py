@@ -10,17 +10,22 @@ from addcast.config import (
     load_holiday_calendar,
 )
 from addcast.errors import DuplicateTimestamp, MissingRegressorValue, ParseError
+from addcast.estimator import row_dot
 from addcast.features import (
+    TimeScaling,
+    _day_scope,
     build_design,
     changepoint_basis,
+    design_for_grid,
     fourier_features,
     gamma_from_delta,
     holiday_features,
     linear_trend,
     logistic_trend,
     place_changepoints,
+    shared_day_columns,
 )
-from addcast.timeseries import TimeSeries, parse_iso_date
+from addcast.timeseries import TimeSeries, filter_weekdays, parse_iso_date
 
 from conftest import daily_days, make_series
 
@@ -385,3 +390,161 @@ class TestHolidayCalendarCsv:
         p.write_text("holiday,ds\na,2015-11-27\n")
         with pytest.raises(ParseError):
             load_holiday_calendar(p)
+
+
+def scope_configs(days):
+    """Configs that cover both growths, both seasonal modes (adjacent and
+    interleaved), holidays and a regressor."""
+    holidays = (
+        HolidaySpec(name="h1", dates=frozenset(int(d) for d in days[::45]), upper_window=1),
+        HolidaySpec(name="h2", dates=frozenset(int(d) for d in days[7::60])),
+    )
+    values = {int(d): float(np.sin(0.1 * d)) for d in range(int(days[0]), int(days[-1]) + 40)}
+    weekly = SeasonalitySpec(name="weekly", period=7.0, fourier_order=3)
+    monthly = SeasonalitySpec(name="monthly", period=30.5, fourier_order=2)
+    return {
+        "linear_holidays_regressor": ModelConfig(
+            trend=TrendSpec(n_changepoints=6),
+            seasonalities=(weekly, monthly),
+            holidays=holidays,
+            regressors=(RegressorSpec(name="x", prior_scale=2.0, values=values),),
+        ),
+        "logistic_multiplicative_holidays": ModelConfig(
+            trend=TrendSpec(growth="logistic", capacity=10.0, n_changepoints=6),
+            seasonalities=(
+                SeasonalitySpec(name="weekly", period=7.0, fourier_order=3, mode="multiplicative"),
+                monthly,
+            ),
+            holidays=holidays,
+        ),
+        "interleaved_modes": ModelConfig(
+            trend=TrendSpec(growth="logistic", capacity=10.0, n_changepoints=4),
+            seasonalities=(
+                SeasonalitySpec(name="weekly", period=7.0, fourier_order=2, mode="multiplicative"),
+                monthly,
+                SeasonalitySpec(name="quarterly", period=91.3, fourier_order=2,
+                                mode="multiplicative"),
+            ),
+        ),
+        "no_day_columns": ModelConfig(trend=TrendSpec(n_changepoints=3), seasonalities=()),
+    }
+
+
+class TestSharedDayColumns:
+    """Inside ``shared_day_columns`` a design takes its seasonal and holiday
+    columns from one build over the series' days, and equals its own build
+    bit for bit: X, and the mode columns as ``row_dot`` reads them."""
+
+    @staticmethod
+    def assert_same_design(shared, alone, rng):
+        assert shared.X.flags.c_contiguous
+        assert shared.X.tobytes() == alone.X.tobytes()
+        assert shared.t_scaled.tobytes() == alone.t_scaled.tobytes()
+        for a, b in zip(shared.mode_columns, alone.mode_columns):
+            assert a.shape == b.shape
+            if a.size:  # column-major, the layout of the gather
+                assert a.strides[0] == b.strides[0] == 8
+            assert np.array_equal(a, b)
+            v = rng.normal(0, 1, a.shape[1])
+            assert row_dot(a, v).tobytes() == row_dot(b, v).tobytes()
+
+    @pytest.mark.parametrize("weekdays", [False, True])
+    @pytest.mark.parametrize(
+        "name",
+        ["linear_holidays_regressor", "logistic_multiplicative_holidays",
+         "interleaved_modes", "no_day_columns"],
+    )
+    def test_fold_designs_equal_their_own_build(self, rng, name, weekdays):
+        days = daily_days("2021-03-01", 400)
+        config = scope_configs(days)[name]
+        ts = TimeSeries(days, rng.normal(5.0, 1.0, len(days)))
+        if weekdays:
+            ts = filter_weekdays(ts)
+        first, last = int(ts.timestamps[0]), int(ts.timestamps[-1])
+        for cutoff in (first + 200, first + 290, last - 30):
+            train = ts.slice_mask(ts.timestamps <= cutoff)
+            alone = build_design(train, config)
+            scaling = TimeScaling(float(train.timestamps[0]),
+                                  float(train.timestamps[-1] - train.timestamps[0]))
+            # Every calendar day after the cutoff (weekends are not series
+            # days of a filter_weekdays series), and the series days.
+            grids = (
+                np.arange(int(train.timestamps[-1]) + 1, cutoff + 31, dtype=np.int64),
+                ts.timestamps[(ts.timestamps > cutoff) & (ts.timestamps <= cutoff + 30)],
+            )
+            grids_alone = [
+                design_for_grid(g, config, scaling, alone.changepoints_scaled) for g in grids
+            ]
+            with shared_day_columns(config, ts.timestamps):
+                shared = build_design(train, config)
+                grids_shared = [
+                    design_for_grid(g, config, scaling, alone.changepoints_scaled) for g in grids
+                ]
+                built = _day_scope.entry.columns
+            assert built.shape == (
+                len(ts), alone.X.shape[1] - alone.layout.trend.width - len(config.regressors)
+            )
+            self.assert_same_design(shared, alone, rng)
+            for a, b in zip(grids_shared, grids_alone):
+                self.assert_same_design(a, b, rng)
+
+    @pytest.mark.parametrize("step", [1, 7, 30])
+    def test_build_has_one_row_per_series_day(self, rng, step):
+        """The build follows the number of series days, not their span: a
+        mistyped early date, or weekly or monthly data, adds no rows."""
+        days = daily_days("2020-01-01", 1095)[::step]
+        config = scope_configs(days)["logistic_multiplicative_holidays"]
+        days = np.concatenate(([parse_iso_date("1020-01-01")], days))
+        ts = TimeSeries(days, rng.normal(5.0, 1.0, len(days)))
+        alone = build_design(ts, config)
+        with shared_day_columns(config, ts.timestamps):
+            shared = build_design(ts, config)
+            built = _day_scope.entry.columns
+        assert built.shape == (len(ts), alone.X.shape[1] - alone.layout.trend.width)
+        self.assert_same_design(shared, alone, rng)
+
+    def test_days_outside_the_series_or_another_config_are_built_alone(self, rng):
+        days = daily_days("2021-03-01", 120)
+        config = scope_configs(days)["logistic_multiplicative_holidays"]
+        ts = TimeSeries(days, rng.normal(5.0, 1.0, len(days)))
+        alone = build_design(ts, config)
+        with shared_day_columns(config, days[10:]):
+            # The first ten days are not in the scope's series.
+            self.assert_same_design(build_design(ts, config), alone, rng)
+            assert _day_scope.entry.columns is None
+            other = scope_configs(days)["logistic_multiplicative_holidays"]
+            self.assert_same_design(build_design(ts, other), alone, rng)
+            assert _day_scope.entry.columns is None
+            grid = design_for_grid(days[20:40], config, TimeScaling(0.0, 1.0), np.empty(0))
+            assert _day_scope.entry.columns is not None
+        assert grid.X.shape == (20, alone.X.shape[1] - alone.layout.trend.width)
+
+    def test_regressor_error_keeps_its_message(self):
+        days = daily_days("2020-01-01", 30)
+        values = {int(d): 1.0 for d in days[:-1]}
+        config = ModelConfig(
+            trend=TrendSpec(n_changepoints=0),
+            regressors=(RegressorSpec(name="x", prior_scale=1.0, values=values),),
+        )
+        ts = TimeSeries(days, np.arange(30.0))
+        with pytest.raises(MissingRegressorValue) as alone:
+            build_design(ts, config)
+        with shared_day_columns(config, days):
+            with pytest.raises(MissingRegressorValue) as shared:
+                build_design(ts, config)
+        assert str(shared.value) == str(alone.value)
+
+    def test_scope_is_dropped_and_an_enclosing_one_restored(self):
+        config = ModelConfig()
+        assert not hasattr(_day_scope, "entry")
+        with shared_day_columns(config, np.arange(0, 10)):
+            outer = _day_scope.entry
+            with shared_day_columns(config, np.arange(5, 20)):
+                assert _day_scope.entry is not outer
+                assert _day_scope.entry.days[0] == 5
+            assert _day_scope.entry is outer
+        assert not hasattr(_day_scope, "entry")
+        with pytest.raises(RuntimeError):
+            with shared_day_columns(config, np.arange(0, 10)):
+                raise RuntimeError
+        assert not hasattr(_day_scope, "entry")

@@ -133,3 +133,86 @@ def test_write_then_load_round_trips(path, rows):
     back = load_csv(path)
     assert back.timestamps.tobytes() == ts.timestamps.tobytes()
     assert back.values.tobytes() == ts.values.tobytes()
+
+
+# Dates and values that one check of load_csv's array path or another must
+# reject, and a small pool of good dates so that duplicates are common.
+EDGE_DATES = ["0000-01-01", "0000-12-31", "2021-02-29", "2020-02-29", "9999-12-31",
+              "0001-01-01", "2021-1-01", "2021-01-01\x002021-01-02"]
+series_dates = st.one_of(
+    st.sampled_from(["2021-01-01", "2021-01-02", "2021-01-03"]),
+    st.sampled_from(EDGE_DATES),
+    dates.map(date.isoformat),
+    odd,
+)
+series_values = st.one_of(FIELDS["y"], odd)
+
+
+@st.composite
+def series_files(draw):
+    """A ds,y file whose rows mix good and edge dates and values, short
+    rows and blank rows."""
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = [draw(series_dates), draw(series_values)]
+        rows.append(row[: draw(st.sampled_from([2, 2, 2, 1, 0]))])
+    buf = io.StringIO()
+    csv.writer(buf).writerows([["ds", "y"], *rows])
+    return buf.getvalue().encode("utf-8")
+
+
+def load_outcome(path):
+    """What load_csv returns, as bytes, or the type and message it raises."""
+    try:
+        ts = load_csv(path)
+    except AddcastError as exc:
+        return type(exc), str(exc)
+    return ts.timestamps.tobytes(), ts.values.tobytes()
+
+
+def row_by_row_outcome(path):
+    """load_csv's outcome with every file read row by row."""
+    from unittest import mock
+
+    import addcast.timeseries
+
+    with mock.patch.object(addcast.timeseries, "_parse_columns", lambda *args: None):
+        return load_outcome(path)
+
+
+@SETTINGS
+@given(data=st.one_of(series_files(), csv_files(("ds", "y"))))
+def test_load_csv_array_path_equals_row_by_row(path, data):
+    path.write_bytes(data)
+    assert load_outcome(path) == row_by_row_outcome(path)
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        ("2021-01-01,1\n0000-01-01,2\n", "row 3: invalid ISO-8601 date '0000-01-01'"),
+        ("2021-02-29,1\n", "row 2: invalid ISO-8601 date '2021-02-29'"),
+        ("2021-01-01,1\n2021-01-02\n2021-01-03,NA\n2021-01-04,\n2021-01-05,2\n", None),
+        ("2021-01-01,1\n2021-01-02,x\n0000-01-01,2\n", "row 3: invalid number 'x'"),
+        ("2021-01-01,1\n2021-01-01,2\n", "duplicate date 2021-01-01"),
+        ("2021-01-01,nan\n", "row 2: non-finite value 'nan'"),
+        ("2021-01-01,1\n\"2021-01-02\x002021-01-03\",2\n", "expected YYYY-MM-DD"),
+        ("2021-01-01,1\n,2\n", "expected YYYY-MM-DD"),
+    ],
+)
+def test_load_csv_edge_rows(path, body, error):
+    path.write_bytes(("ds,y\n" + body).encode("utf-8"))
+    outcome = load_outcome(path)
+    assert outcome == row_by_row_outcome(path)
+    if error is None:
+        days, values = np.frombuffer(outcome[0], np.int64), np.frombuffer(outcome[1])
+        assert len(days) == 5 and np.isnan(values[1:4]).all()
+    else:
+        assert error in outcome[1]
+
+
+def test_rows_before_undecodable_bytes_are_checked_first(path):
+    path.write_bytes(b"ds,y\n2021-01-01,1\n2021-13-01,2\n" + b"2021-01-03,3\n" * 5000 + b"\xff\n")
+    outcome = load_outcome(path)
+    assert outcome == row_by_row_outcome(path)
+    assert "row 3: invalid ISO-8601 date '2021-13-01'" in outcome[1]
