@@ -23,7 +23,7 @@ from .baselines import (
     walk_forward_forecast,
 )
 from .config import DEFAULT_SEED, ModelConfig, config_from_dict, load_config, read_json
-from .errors import AddcastError, DomainError, EmptyInput, LengthMismatch, ParseError, SchemaError
+from .errors import AddcastError, DomainError, EmptyInput, LengthMismatch, SchemaError
 from .estimator import fit
 from .evaluation import (
     dm_test,
@@ -50,14 +50,14 @@ from .persistence import (  # noqa: F401 -- perfbench/spans.py wraps addcast.cli
 from .timeseries import (
     TimeSeries,
     chronological_split,
-    csv_field,
-    csv_reader,
     filter_weekdays,
     format_epoch_day,
     forward_fill,
     load_csv,
     log_transform,
     parse_iso_date,
+    read_columns,
+    write_output,
 )
 
 
@@ -98,49 +98,8 @@ def _effective_config(path, seed) -> ModelConfig:
 def _dump_json(data, path=None) -> str:
     text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
     if path is not None:
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        write_output(path, (text + "\n").encode("utf-8"))
     return text
-
-
-def _read_column(path, column: str) -> np.ndarray:
-    with csv_reader(path, (column,)) as (columns, rows):
-        index = columns[column]
-        out = []
-        for lineno, row in enumerate(rows, start=2):
-            raw = csv_field(row, index)
-            try:
-                out.append(float(raw))
-            except (TypeError, ValueError):
-                raise ParseError(
-                    f"{path}: row {lineno}: invalid number {raw!r}"
-                ) from None
-    if not out:
-        raise EmptyInput(f"{path}: no data rows")
-    return np.array(out)
-
-
-def _read_forecast_table(path) -> dict[str, dict[int, float]]:
-    """Forecast CSV as {column: {epoch_day: value}} for ds-aligned joins."""
-    with csv_reader(path, ("ds",)) as (columns, rows):
-        date_index = columns["ds"]
-        stores = {c: (i, {}) for c, i in columns.items() if c != "ds"}
-        for lineno, row in enumerate(rows, start=2):
-            raw_date = csv_field(row, date_index)
-            if raw_date is None:
-                raise ParseError(f"{path}: row {lineno}: missing date field")
-            try:
-                day = parse_iso_date(raw_date)
-            except ParseError as exc:
-                raise ParseError(f"{path}: row {lineno}: {exc}") from None
-            for index, store in stores.values():
-                raw = csv_field(row, index)
-                try:
-                    store[day] = float(raw)
-                except (TypeError, ValueError):
-                    raise ParseError(
-                        f"{path}: row {lineno}: invalid number {raw!r}"
-                    ) from None
-    return {c: store for c, (_, store) in stores.items()}
 
 
 def cmd_fit(args) -> int:
@@ -170,7 +129,9 @@ def cmd_predict(args) -> int:
     seed = args.seed if args.seed is not None else model.config.seed
     extra = None
     if len(args.input) > 1:
-        extra = _read_forecast_table(args.input[1])
+        names = [(spec.name,) for spec in model.config.regressors]
+        days, columns = read_columns(args.input[1], (), optional=names)
+        extra = {name: dict(zip(days.tolist(), col.tolist())) for name, col in columns.items()}
     grid = make_future_grid(model, args.periods, extra_regressors=extra)
     fc = forecast_with_intervals(model, grid, seed=seed)
     write_forecast_csv(fc, model, args.output)
@@ -182,9 +143,9 @@ def cmd_cv(args) -> int:
     ts = _preprocess(load_csv(args.input[0]), args)
     require_fold_export_level(config.interval_levels)  # before any fold is fit
     folds = rolling_cv(config, ts, args.initial_days, args.period_days, args.horizon_days)
-    write_cv_folds_csv(folds, args.output)
     by_horizon = performance_by_horizon(folds)
     metrics = {str(day): report.to_dict() for day, report in by_horizon.items()}
+    write_cv_folds_csv(folds, args.output)
     metrics_path = str(args.output) + ".metrics.json"
     print(_dump_json({"n_folds": len(folds), "metrics": metrics}, metrics_path))
     return 0
@@ -192,35 +153,34 @@ def cmd_cv(args) -> int:
 
 def cmd_evaluate(args) -> int:
     truth = load_csv(args.input[0])
-    table = _read_forecast_table(args.input[1])
-    if "yhat" not in table:
-        raise ParseError(f"{args.input[1]}: missing 'yhat' column")
-    pred_days = set(table["yhat"])
-    truth_days = set(int(d) for d in truth.timestamps)
-    if truth_days != pred_days:
-        only_truth = sorted(truth_days - pred_days)[:5]
-        only_pred = sorted(pred_days - truth_days)[:5]
+    if truth.has_missing:
+        day = truth.timestamps[np.isnan(truth.values)][0]
+        raise DomainError(f"{args.input[0]}: missing truth value on {format_epoch_day(int(day))}")
+    bounds = ("yhat_lower_95", "yhat_upper_95")
+    days, table = read_columns(args.input[1], ("yhat",), optional=[bounds])
+    if not np.array_equal(days, truth.timestamps):
+        only_truth = np.setdiff1d(truth.timestamps, days)[:5].tolist()
+        only_pred = np.setdiff1d(days, truth.timestamps)[:5].tolist()
         raise LengthMismatch(
             "date sets differ; only in truth: "
             f"{[format_epoch_day(d) for d in only_truth]}, only in prediction: "
             f"{[format_epoch_day(d) for d in only_pred]}"
         )
-    days = [int(d) for d in truth.timestamps]
-    yhat = np.array([table["yhat"][d] for d in days])
-    lower = upper = None
-    if "yhat_lower_95" in table and "yhat_upper_95" in table:
-        lower = np.array([table["yhat_lower_95"][d] for d in days])
-        upper = np.array([table["yhat_upper_95"][d] for d in days])
+    lower, upper = (table.get(column) for column in bounds)
     name = Path(args.input[1]).stem
-    report = evaluate_forecast(name, truth.values, yhat, lower, upper)
+    report = evaluate_forecast(name, truth.values, table["yhat"], lower, upper)
     print(_dump_json({name: report.to_dict()}, args.output))
     return 0
 
 
 def cmd_dm(args) -> int:
-    e1 = _read_column(args.input[0], "e")
-    e2 = _read_column(args.input[1], "e")
-    result = dm_test(e1, e2, loss=args.loss, h=args.h)
+    errors = []
+    for path in args.input:
+        _, columns = read_columns(path, ("e",), date_column=None)
+        if not len(columns["e"]):
+            raise EmptyInput(f"{path}: no data rows")
+        errors.append(columns["e"])
+    result = dm_test(*errors, loss=args.loss, h=args.h)
     print(
         _dump_json(
             {
@@ -359,10 +319,10 @@ def cmd_compare(args) -> int:
         "models": models,
         "dm_tests": dm_rows,
     }
-    print(_dump_json(payload, args.output))
-
     manifest = make_manifest(seed, configs, ts, models)
+    text = _dump_json(payload, args.output)
     write_manifest(manifest, str(args.output) + ".manifest.json")
+    print(text)
     return 0
 
 

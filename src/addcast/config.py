@@ -42,13 +42,13 @@ class TrendSpec:
             raise DomainError("n_changepoints must be >= 0")
         if not (0 < self.changepoint_range <= 1):
             raise DomainError("changepoint_range must be in (0, 1]")
-        if self.changepoint_prior_scale <= 0:
+        if not self.changepoint_prior_scale > 0:
             raise DomainError("changepoint_prior_scale must be positive")
         if self.growth == "logistic":
             if self.capacity is None:
                 raise DomainError("logistic growth requires a capacity")
-            if self.capacity <= 0:
-                raise DomainError("capacity must be positive")
+            if not 0 < self.capacity < math.inf:
+                raise DomainError("capacity must be positive and finite")
         elif self.capacity is not None:
             raise DomainError("capacity is only meaningful for logistic growth")
 
@@ -57,7 +57,7 @@ def _check_prior_scale(owner: str, scale: float) -> None:
     """A coefficient's Gaussian prior has precision 1 / scale**2, which
     must be finite: a positive scale whose square underflows to 0, or is so
     small that its inverse overflows, is rejected."""
-    if scale <= 0:
+    if not scale > 0:
         raise DomainError(f"{owner}: prior_scale must be positive")
     square = scale * scale
     if square == 0.0 or math.isinf(1.0 / square):
@@ -77,8 +77,8 @@ class SeasonalitySpec:
     mode: str = "additive"
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise DomainError(f"seasonality {self.name!r}: period must be positive")
+        if not 0 < self.period < math.inf:
+            raise DomainError(f"seasonality {self.name!r}: period must be positive and finite")
         if self.fourier_order < 1:
             raise DomainError(f"seasonality {self.name!r}: fourier_order must be >= 1")
         _check_prior_scale(f"seasonality {self.name!r}", self.prior_scale)
@@ -128,9 +128,10 @@ class RegressorSpec:
 
     def __post_init__(self):
         _check_prior_scale(f"regressor {self.name!r}", self.prior_scale)
-        object.__setattr__(
-            self, "values", {int(k): float(v) for k, v in self.values.items()}
-        )
+        values = {int(k): float(v) for k, v in self.values.items()}
+        if not all(map(math.isfinite, values.values())):
+            raise DomainError(f"regressor {self.name!r}: values must be finite")
+        object.__setattr__(self, "values", values)
 
 
 def default_seasonalities() -> tuple[SeasonalitySpec, ...]:

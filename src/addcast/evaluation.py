@@ -3,7 +3,6 @@ summaries, and the Diebold-Mariano comparison test."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .errors import (
 from .estimator import fit
 from .features import shared_day_columns
 from .forecast import forecast_with_intervals, make_future_grid, shared_future_noise
-from .timeseries import TimeSeries, format_epoch_day
+from .timeseries import TimeSeries, format_epoch_day, write_table
 
 
 def _paired(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
@@ -302,23 +301,19 @@ def require_fold_export_level(levels) -> None:
 
 def write_cv_folds_csv(folds: list[CvFold], path) -> None:
     """Fold export: cutoff,ds,y,yhat,yhat_lower_95,yhat_upper_95. Every
-    fold must carry 95% bounds; that is checked before the file is opened,
+    fold must carry 95% bounds; the table is formed before it is written,
     so a fold without them leaves no file behind."""
+    rows = []
     for fold in folds:
         require_fold_export_level(fold.bounds)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cutoff", "ds", "y", "yhat", "yhat_lower_95", "yhat_upper_95"])
-        for fold in folds:
-            lo, hi = fold.bounds[0.95]
-            writer.writerows(
-                zip(
-                    [format_epoch_day(fold.cutoff)] * len(fold),
-                    map(format_epoch_day, fold.ds.tolist()),
-                    *(np.asarray(col, dtype=np.float64).tolist()
-                      for col in (fold.y_true, fold.yhat, lo, hi)),
-                )
-            )
+        lo, hi = fold.bounds[0.95]
+        rows += zip(
+            [format_epoch_day(fold.cutoff)] * len(fold),
+            map(format_epoch_day, fold.ds.tolist()),
+            *(np.asarray(col, dtype=np.float64).tolist()
+              for col in (fold.y_true, fold.yhat, lo, hi)),
+        )
+    write_table(path, ["cutoff", "ds", "y", "yhat", "yhat_lower_95", "yhat_upper_95"], rows)
 
 
 # --- Diebold-Mariano test -----------------------------------------------------
@@ -351,7 +346,9 @@ def dm_test(e1, e2, loss: str = "squared", h: int = 1) -> DmResult:
 
     The long-run variance uses lags 0..h-1 with Bartlett weights (1 - l/n);
     a nonpositive estimate falls back to the lag-0 variance, and identical
-    losses (zero variance) return statistic 0 with p-value 1.
+    losses (zero variance) return statistic 0 with p-value 1. A loss
+    differential whose mean or variance is not finite (it overflowed) is a
+    DomainError.
     """
     a = np.asarray(e1, dtype=np.float64)
     b = np.asarray(e2, dtype=np.float64)
@@ -362,26 +359,26 @@ def dm_test(e1, e2, loss: str = "squared", h: int = 1) -> DmResult:
     if h < 1:
         raise DomainError("horizon h must be >= 1")
 
-    if loss == "squared":
-        d = np.square(a) - np.square(b)
-    elif loss == "absolute":
-        d = np.abs(a) - np.abs(b)
-    else:
+    if loss not in ("squared", "absolute"):
         raise DomainError("loss must be 'squared' or 'absolute'")
+    loss_of = np.square if loss == "squared" else np.abs
 
-    n = len(d)
-    d_bar = float(np.mean(d))
-    centered = d - d_bar
-    gamma0 = float(np.mean(np.square(centered)))
+    n = len(a)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+        d = loss_of(a) - loss_of(b)
+        d_bar = float(np.mean(d))
+        centered = d - d_bar
+        gamma0 = float(np.mean(np.square(centered)))
+        var_d = gamma0
+        for lag in range(1, min(h, n)):
+            gamma_l = float(np.mean(centered[lag:] * centered[:-lag]))
+            var_d += 2.0 * gamma_l * (1.0 - lag / n)
+    if not (math.isfinite(d_bar) and math.isfinite(var_d)):
+        raise DomainError(
+            f"the loss differential overflowed: mean {d_bar!r}, variance {var_d!r}"
+        )
     if gamma0 == 0.0:
         return DmResult(0.0, 1.0, d_bar, _interpret(1.0))
-
-    var_d = gamma0
-    for lag in range(1, h):
-        if lag >= n:
-            break
-        gamma_l = float(np.mean(centered[lag:] * centered[:-lag]))
-        var_d += 2.0 * gamma_l * (1.0 - lag / n)
     if var_d <= 0.0:
         var_d = gamma0
 

@@ -13,7 +13,6 @@ per-timestamp observation noise, and is a pure function of (model, grid, seed).
 
 from __future__ import annotations
 
-import csv
 import math
 import threading
 from contextlib import contextmanager
@@ -24,7 +23,7 @@ import numpy as np
 from .errors import DomainError
 from .estimator import FittedModel, ModelParts, _model_parts, row_dot
 from .features import design_for_grid, expit, regressor_column
-from .timeseries import MAX_EPOCH_DAY, format_epoch_day
+from .timeseries import MAX_EPOCH_DAY, format_epoch_day, write_table
 
 
 @dataclass(frozen=True)
@@ -401,12 +400,11 @@ def write_forecast_csv(forecast: Forecast, model: FittedModel, path) -> None:
     for level in levels:
         columns += forecast.bounds[level]
     columns += [forecast.components[name] for name in names]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(
-            zip(
-                map(format_epoch_day, forecast.timestamps.tolist()),
-                *(np.asarray(col, dtype=np.float64).tolist() for col in columns),
-            )
-        )
+    write_table(
+        path,
+        header,
+        zip(
+            map(format_epoch_day, forecast.timestamps.tolist()),
+            *(np.asarray(col, dtype=np.float64).tolist() for col in columns),
+        ),
+    )

@@ -11,8 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -23,7 +21,7 @@ from .config import ModelConfig, config_from_dict, config_to_dict, read_json
 from .errors import SchemaError, UnsupportedVersion
 from .estimator import FittedModel
 from .features import model_layout
-from .timeseries import TimeSeries, format_epoch_day
+from .timeseries import TimeSeries, format_epoch_day, write_output
 
 FORMAT_VERSION = 1
 
@@ -60,19 +58,6 @@ def dataset_digest(ts: TimeSeries) -> str:
         "values": values,
     }
     return sha256_hex(canonical_json_bytes(payload))
-
-
-def _atomic_write(path, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 @dataclass(frozen=True)
@@ -181,7 +166,7 @@ def model_from_document(doc: ModelDocument) -> FittedModel:
 
 
 def save_model(model: FittedModel, path) -> None:
-    _atomic_write(path, model_to_document(model).to_bytes())
+    write_output(path, model_to_document(model).to_bytes())
 
 
 def load_model(path) -> FittedModel:
@@ -228,7 +213,7 @@ def make_manifest(seed: int, config, ts: TimeSeries, metrics: dict) -> RunManife
 
 
 def write_manifest(manifest: RunManifest, path) -> None:
-    _atomic_write(path, canonical_json_bytes(manifest.to_dict()))
+    write_output(path, canonical_json_bytes(manifest.to_dict()))
 
 
 def read_manifest(path) -> RunManifest:

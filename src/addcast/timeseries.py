@@ -1,5 +1,5 @@
-"""Time-series container, CSV ingestion, preprocessing transforms, and
-chronological splitting.
+"""Time-series container, CSV ingestion, preprocessing transforms,
+chronological splitting, and the one writer every output file goes through.
 
 Timestamps are calendar dates encoded as integer UTC epoch-days (days since
 1970-01-01); there is deliberately no time-of-day or timezone support.
@@ -10,7 +10,9 @@ Missing values are represented as NaN and are only legal between loading and
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -186,118 +188,169 @@ class SplitResult:
 def load_csv(path, date_column: str = "ds", value_column: str = "y") -> TimeSeries:
     """Load a daily series from a headered CSV file.
 
-    Dates must be strict ISO-8601 ``YYYY-MM-DD`` (sub-daily resolution is
-    rejected); values must parse as finite reals, with the empty field and
-    the literal ``NA`` treated as missing markers. Rows are sorted ascending
-    by date; duplicated dates are an error.
-
-    The rows are checked all at once: every date against the pattern, then
-    converted as ``datetime64[D]``, every value by one ``float`` pass, and
-    the missing markers and finiteness over arrays. A file that fails any
-    check is read again row by row, and the first bad row raises with the
-    same message as that row's own check would. The rows read before one
-    that cannot be decoded or split are checked before that error is raised.
+    The rows are read by ``read_columns``, sorted ascending by date, with
+    the empty field and the literal ``NA`` read as missing markers (NaN).
     """
-    with csv_reader(path, (date_column, value_column)) as (columns, reader):
-        date_index = columns[date_column]
-        value_index = columns[value_column]
+    days, columns = read_columns(path, (value_column,), date_column=date_column, missing=True)
+    if len(days) == 0:
+        raise EmptySeries(f"{path}: no data rows")
+    return TimeSeries(days, columns[value_column], name=value_column)
+
+
+def read_columns(path, required, optional=(), date_column="ds", missing=False):
+    """``(days, {column: values})`` of a headered CSV file, rows sorted by date.
+
+    The header must hold ``date_column`` and the ``required`` columns; each
+    group of names in ``optional`` is read when the header holds all of it,
+    and other columns are ignored. With ``date_column=None`` ``days`` is
+    None and rows keep file order. Dates are strict ``YYYY-MM-DD``, and a
+    repeated one is a DuplicateTimestamp. Values are finite reals; with
+    ``missing``, the empty field and ``NA`` read as NaN.
+
+    All rows are checked at once, over arrays (``_parse_columns``). A file
+    that fails a check is read again row by row (``_parse_rows``), and its
+    first bad row raises ParseError naming it; so do the rows read before
+    one that cannot be decoded or split, before that error is raised.
+    """
+    header_columns = required if date_column is None else (date_column, *required)
+    with csv_reader(path, header_columns) as (columns, reader):
+        names = [*required, *(n for g in optional if all(c in columns for c in g) for n in g)]
+        date_index = None if date_column is None else columns[date_column]
+        value_indexes = [columns[name] for name in names]
         rows = []
         try:
             rows.extend(reader)
         except (csv.Error, UnicodeDecodeError):
-            _parse_rows(path, rows, date_index, value_index)
+            _parse_rows(path, rows, date_index, value_indexes, missing)
             raise
-    parsed = _parse_columns(rows, date_index, value_index)
+    parsed = _parse_columns(rows, date_index, value_indexes, missing)
     if parsed is None:
-        parsed = _parse_rows(path, rows, date_index, value_index)
+        parsed = _parse_rows(path, rows, date_index, value_indexes, missing)
     days, values = parsed
-    if len(days) == 0:
-        raise EmptySeries(f"{path}: no data rows")
-    order = np.argsort(days, kind="stable")
-    sorted_days = days[order]
-    dup = np.flatnonzero(np.diff(sorted_days) == 0)
-    if len(dup):
-        raise DuplicateTimestamp(
-            f"{path}: duplicate date {format_epoch_day(int(sorted_days[dup[0]]))}"
-        )
-    return TimeSeries(sorted_days, values[order], name=value_column)
+    if days is not None:
+        order = np.argsort(days, kind="stable")
+        days, values = days[order], values[:, order]
+        dup = np.flatnonzero(np.diff(days) == 0)
+        if len(dup):
+            raise DuplicateTimestamp(
+                f"{path}: duplicate date {format_epoch_day(int(days[dup[0]]))}"
+            )
+    return days, dict(zip(names, values))
 
 
-def _parse_columns(rows: list, date_index: int, value_index: int):
-    """``(days, values)`` of the rows, or None when some row fails a check."""
-    try:
-        raw_dates = [row[date_index].strip() for row in rows]
-    except IndexError:
-        return None
-    # One match over the dates, each followed by a NUL: with n dates of 10
-    # characters the text has 11 * n, so a date holding a NUL of its own
-    # cannot pass as two.
-    joined = "\0".join(raw_dates) + "\0"
-    if len(joined) != 11 * len(raw_dates) or not _ISO_DATES.fullmatch(joined):
-        return None
-    try:
-        days = np.array(raw_dates, dtype="datetime64[D]").astype(np.int64)
-    except ValueError:
-        return None
-    # datetime64 also takes year 0, which a date cannot hold.
-    if len(days) and days.min() < _MIN_EPOCH_DAY:
-        return None
-    raw_values = [row[value_index].strip() if value_index < len(row) else "" for row in rows]
-    try:
-        values = np.array(
-            [math.nan if v in _MISSING_TOKENS else float(v) for v in raw_values], dtype=np.float64
-        )
-    except ValueError:
-        return None
-    bad = np.flatnonzero(~np.isfinite(values))
-    if any(raw_values[i] not in _MISSING_TOKENS for i in bad.tolist()):
-        return None
+def _parse_columns(rows: list, date_index, value_indexes: list, missing: bool):
+    """``(days, values)`` of the rows, ``values`` holding one row per value
+    column, or None when some row fails a check."""
+    days = None
+    if date_index is not None:
+        try:
+            raw_dates = [row[date_index].strip() for row in rows]
+        except IndexError:
+            return None
+        # One match over the dates, each followed by a NUL: with n dates of 10
+        # characters the text has 11 * n, so a date holding a NUL of its own
+        # cannot pass as two.
+        joined = "\0".join(raw_dates) + "\0"
+        if len(joined) != 11 * len(raw_dates) or not _ISO_DATES.fullmatch(joined):
+            return None
+        try:
+            days = np.array(raw_dates, dtype="datetime64[D]").astype(np.int64)
+        except ValueError:
+            return None
+        # datetime64 also takes year 0, which a date cannot hold.
+        if len(days) and days.min() < _MIN_EPOCH_DAY:
+            return None
+    markers = _MISSING_TOKENS if missing else ()
+    values = np.empty((len(value_indexes), len(rows)))
+    for out, index in zip(values, value_indexes):
+        raw_values = [row[index].strip() if index < len(row) else "" for row in rows]
+        try:
+            out[:] = [math.nan if v in markers else float(v) for v in raw_values]
+        except ValueError:
+            return None
+        bad = np.flatnonzero(~np.isfinite(out))
+        if any(raw_values[i] not in markers for i in bad.tolist()):
+            return None
     return days, values
 
 
-def _parse_rows(path, rows: list, date_index: int, value_index: int):
-    """``(days, values)`` of the rows, checked one row at a time; the first
-    bad row raises ParseError naming it."""
+def _parse_rows(path, rows: list, date_index, value_indexes: list, missing: bool):
+    """``(days, values)`` as ``_parse_columns`` gives them, checked one row
+    at a time; the first bad row raises ParseError naming it."""
+    markers = _MISSING_TOKENS if missing else ()
     days: list[int] = []
     values: list[float] = []
     for lineno, row in enumerate(rows, start=2):
-        raw_date = csv_field(row, date_index)
-        if raw_date is None:
-            raise ParseError(f"{path}: row {lineno}: missing date field")
-        try:
-            day = parse_iso_date(raw_date)
-        except ParseError as exc:
-            raise ParseError(f"{path}: row {lineno}: {exc}") from None
-        raw_val = (csv_field(row, value_index) or "").strip()
-        if raw_val in _MISSING_TOKENS:
-            value = math.nan
-        else:
+        if date_index is not None:
+            raw_date = csv_field(row, date_index)
+            if raw_date is None:
+                raise ParseError(f"{path}: row {lineno}: missing date field")
             try:
-                value = float(raw_val)
+                days.append(parse_iso_date(raw_date))
+            except ParseError as exc:
+                raise ParseError(f"{path}: row {lineno}: {exc}") from None
+        for index in value_indexes:
+            raw_val = (csv_field(row, index) or "").strip()
+            try:
+                value = math.nan if raw_val in markers else float(raw_val)
             except ValueError:
-                raise ParseError(
-                    f"{path}: row {lineno}: invalid number {raw_val!r}"
-                ) from None
-            if math.isinf(value) or math.isnan(value):
-                raise ParseError(
-                    f"{path}: row {lineno}: non-finite value {raw_val!r}"
-                )
-        days.append(day)
-        values.append(value)
-    return np.array(days, dtype=np.int64), np.array(values, dtype=np.float64)
+                raise ParseError(f"{path}: row {lineno}: invalid number {raw_val!r}") from None
+            if not (math.isfinite(value) or raw_val in markers):
+                raise ParseError(f"{path}: row {lineno}: non-finite value {raw_val!r}")
+            values.append(value)
+    shape = (len(rows), len(value_indexes))
+    return (
+        None if date_index is None else np.array(days, dtype=np.int64),
+        np.array(values, dtype=np.float64).reshape(shape).T,
+    )
+
+
+def write_output(path, data: bytes) -> None:
+    """Publish ``data`` as the whole content of the file at ``path``.
+
+    The bytes go to a temporary file beside the target, which then replaces
+    it, so a failure leaves the target as it was and no temporary file
+    behind. A symbolic link is followed, and a target that exists but is
+    not a regular file (a FIFO, a device) is written in place. A new file
+    gets mode ``0o666 & ~umask``.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "wb") as fh:
+            fh.write(data)
+        return
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_table(path, header: list, rows) -> None:
+    """Write a CSV table through ``write_output``: the csv module's default
+    dialect, CRLF line ends, floats as shortest round-trip decimals."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_output(path, text.getvalue().encode("utf-8"))
 
 
 def write_csv(ts: TimeSeries, path, date_column: str = "ds", value_column: str = "y") -> None:
     """Write a series as CSV; floats use shortest round-trip formatting."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([date_column, value_column])
-        writer.writerows(
-            zip(
-                map(format_epoch_day, ts.timestamps.tolist()),
-                ["NA" if math.isnan(v) else v for v in ts.values.tolist()],
-            )
-        )
+    write_table(
+        path,
+        [date_column, value_column],
+        zip(
+            map(format_epoch_day, ts.timestamps.tolist()),
+            ["NA" if math.isnan(v) else v for v in ts.values.tolist()],
+        ),
+    )
 
 
 def log_transform(ts: TimeSeries, offset: float = 0.0) -> TimeSeries:

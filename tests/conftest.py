@@ -25,3 +25,17 @@ def make_series(start_iso: str, values) -> TimeSeries:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(autouse=True)
+def no_temporary_output_files(request):
+    """Fail a test that leaves one of ``write_output``'s temporary files
+    (``.<name>.<pid>.tmp``) in its ``tmp_path``."""
+    if "tmp_path" not in request.fixturenames:
+        yield
+        return
+    tmp_path = request.getfixturevalue("tmp_path")
+    yield
+    left = sorted(p.name for p in tmp_path.rglob(".*.tmp"))
+    if left:
+        pytest.fail(f"temporary output files left behind: {left}")

@@ -1,17 +1,23 @@
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from addcast.cli import _load_candidate, _read_column, _read_forecast_table, main
+from addcast.cli import _load_candidate, main
 from addcast.config import load_config, load_holiday_calendar
 from addcast.errors import ParseError
 from addcast.persistence import load_model, read_manifest
-from addcast.timeseries import format_epoch_day, load_csv
+from addcast.timeseries import format_epoch_day, load_csv, read_columns
 
 from conftest import daily_days
+
+NAN = float("nan")
+INF = float("inf")
 
 
 def write_series_csv(path, days, values):
@@ -52,6 +58,25 @@ def assert_one_error_line(capsys, error, fragment):
     err = json.loads(lines[0])
     assert err["error"] == error
     assert fragment in err["message"]
+
+
+def read_fifo_during(fifo, run):
+    """``(run(), the bytes written to the FIFO meanwhile)``, read by a
+    thread. A read-write descriptor held open while ``run`` runs keeps both
+    ends from blocking; once it closes, the reader sees the end of file."""
+    keep = os.open(fifo, os.O_RDWR)
+    reader = open(fifo, "rb")
+    received = []
+    thread = threading.Thread(target=lambda: received.append(reader.read()))
+    thread.start()
+    try:
+        result = run()
+    finally:
+        os.close(keep)
+        thread.join(timeout=60)
+        reader.close()
+    assert not thread.is_alive()
+    return result, b"".join(received)
 
 
 class TestFitCommand:
@@ -138,10 +163,46 @@ class TestFitCommand:
                 "SchemaError",
                 "regressor values must be an object",
             ),
+            *(
+                ({"seasonalities": [{"name": "w", "fourier_order": 2, **entry}]},
+                 "DomainError", fragment)
+                for entry, fragment in [
+                    ({"period": NAN}, "period must be positive"),
+                    ({"period": INF}, "period must be positive and finite"),
+                    ({"period": 7.0, "prior_scale": NAN}, "prior_scale must be positive"),
+                ]
+            ),
+            (
+                {"holidays": [{"name": "h", "dates": ["2021-01-01"], "prior_scale": NAN}]},
+                "DomainError",
+                "prior_scale must be positive",
+            ),
+            (
+                {"regressors": [{"name": "x", "prior_scale": NAN}]},
+                "DomainError",
+                "prior_scale must be positive",
+            ),
+            (
+                {"regressors": [{"name": "x", "prior_scale": 1.0,
+                                 "values": {"2021-01-01": NAN}}]},
+                "DomainError",
+                "values must be finite",
+            ),
+            (
+                {"trend": {"changepoint_prior_scale": NAN}},
+                "DomainError",
+                "changepoint_prior_scale must be positive",
+            ),
+            *(
+                ({"trend": {"growth": "logistic", "capacity": capacity}},
+                 "DomainError", "capacity must be positive and finite")
+                for capacity in (NAN, INF)
+            ),
         ],
     )
     def test_malformed_config_entries_exit_1(self, tmp_path, rng, capsys, extra, error, fragment):
-        # both ended in an AttributeError traceback
+        # the first two ended in an AttributeError traceback; a NaN passed
+        # every check and failed inside the fit, or not at all
         data = tmp_path / "data.csv"
         config = tmp_path / "config.json"
         model = tmp_path / "model.json"
@@ -363,7 +424,12 @@ class TestNonUtf8Input:
 
     @pytest.mark.parametrize(
         "read",
-        [load_csv, load_holiday_calendar, _read_forecast_table, lambda p: _read_column(p, "e")],
+        [
+            load_csv,
+            load_holiday_calendar,
+            pytest.param(lambda p: read_columns(p, ("e",)), id="read_columns"),
+            lambda p: read_columns(p, ("e",), date_column=None),
+        ],
     )
     def test_csv_readers(self, tmp_path, read):
         path = tmp_path / "latin1.csv"
@@ -395,11 +461,14 @@ class TestNonUtf8Input:
 
 
 class TestRegressorFlow:
-    def test_fit_and_predict_with_regressor(self, tmp_path, rng, capsys):
-        n = 200
-        days = daily_days("2021-01-01", n)
-        x = rng.normal(0, 1, n)
-        y = 2.0 + 0.5 * x + rng.normal(0, 0.05, n)
+    N = 200
+
+    def fit_model(self, tmp_path, rng, capsys):
+        """A model with one regressor ``x`` fit on N days; returns
+        (model path, last training day)."""
+        days = daily_days("2021-01-01", self.N)
+        x = rng.normal(0, 1, self.N)
+        y = 2.0 + 0.5 * x + rng.normal(0, 0.05, self.N)
         data = tmp_path / "data.csv"
         write_series_csv(data, days, y)
         config = tmp_path / "config.json"
@@ -427,6 +496,10 @@ class TestRegressorFlow:
             ["fit", "--input", str(data), "--config", str(config), "--output", str(model)]
         ) == 0
         capsys.readouterr()
+        return model, int(days[-1])
+
+    def test_fit_and_predict_with_regressor(self, tmp_path, rng, capsys):
+        model, last = self.fit_model(tmp_path, rng, capsys)
         # predicting past the training span needs future values
         out = tmp_path / "f.csv"
         assert main(
@@ -435,11 +508,10 @@ class TestRegressorFlow:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "MissingRegressorValue"
         future = tmp_path / "future.csv"
+        # a column the model does not declare is not read
         future.write_text(
-            "ds,x\n"
-            + "\n".join(
-                f"{format_epoch_day(int(days[-1]) + i)},0.0" for i in (1, 2)
-            )
+            "ds,x,note\n"
+            + "\n".join(f"{format_epoch_day(last + i)},0.0,text" for i in (1, 2))
             + "\n"
         )
         assert main(
@@ -447,8 +519,37 @@ class TestRegressorFlow:
              "--periods", "2", "--output", str(out)]
         ) == 0
         lines = out.read_text().splitlines()
-        assert len(lines) == 1 + n + 2
+        assert len(lines) == 1 + self.N + 2
         assert lines[0].endswith(",holidays,regressors")
+
+    @pytest.mark.parametrize(
+        "values, error, fragment",
+        [
+            (["nan", "0.0"], "ParseError", "row 2: non-finite value 'nan'"),
+            (["0.0", "inf"], "ParseError", "row 3: non-finite value 'inf'"),
+            (["0.0", "NA"], "ParseError", "row 3: invalid number 'NA'"),
+            (["0.0", "0.0"], "DuplicateTimestamp", "duplicate date"),
+        ],
+    )
+    def test_bad_future_values_exit_1_and_write_nothing(
+        self, tmp_path, rng, capsys, values, error, fragment
+    ):
+        # the nan and inf rows, and a duplicated date, were read: predict
+        # exited 0 writing nan/inf forecast rows, or the last row won
+        model, last = self.fit_model(tmp_path, rng, capsys)
+        days = [last + 1, last + 2] if error == "ParseError" else [last + 1, last + 1]
+        future = tmp_path / "future.csv"
+        future.write_text(
+            "ds,x\n" + "".join(f"{format_epoch_day(d)},{v}\n" for d, v in zip(days, values))
+        )
+        out = tmp_path / "f.csv"
+        code = main(
+            ["predict", "--input", str(model), str(future), "--periods", "2",
+             "--output", str(out)]
+        )
+        assert code == 1
+        assert not out.exists()
+        assert_one_error_line(capsys, error, f"{future}: {fragment}")
 
 
 class TestCvCommand:
@@ -507,6 +608,23 @@ class TestCvCommand:
             "error": "DomainError",
             "message": "fold export requires 95% interval bounds",
         }
+
+    def test_overflowing_horizon_metric_writes_nothing(self, tmp_path, capsys):
+        # the folds CSV used to be written before the metrics overflowed
+        data = tmp_path / "data.csv"
+        days = daily_days("2021-01-01", 500)
+        write_series_csv(data, days, 1e300 * (1 + 0.1 * np.sin(np.arange(500) / 7)))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"interval_samples": 100}))
+        folds_csv = tmp_path / "folds.csv"
+        code = main(
+            ["cv", "--input", str(data), "--config", str(config),
+             "--initial-days", "300", "--period-days", "60", "--horizon-days", "30",
+             "--output", str(folds_csv)]
+        )
+        assert code == 1
+        assert sorted(tmp_path.iterdir()) == sorted([data, config])
+        assert_one_error_line(capsys, "DomainError", "horizon_1d: a metric overflowed")
 
     def test_fold_export_checks_every_fold_before_opening(self, tmp_path, rng):
         from addcast.errors import DomainError
@@ -621,6 +739,59 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--input", str(truth), str(pred)]) == 1
         assert_one_error_line(capsys, "ParseError", f"{pred}: row 3: invalid ISO-8601 date")
 
+    def test_unused_columns_are_ignored(self, tmp_path, capsys):
+        # a text column used to fail the run: "row 2: invalid number 'ok'"
+        truth = tmp_path / "truth.csv"
+        truth.write_text("ds,y\n2022-01-02,4.0\n2022-01-01,2.0\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text(
+            "note,yhat,ds,yhat_lower_95\nok,1.0,2022-01-01,x\nlate,5.0,2022-01-02,y\n"
+        )
+        assert main(["evaluate", "--input", str(truth), str(pred)]) == 0
+        report = json.loads(capsys.readouterr().out)["pred"]
+        assert report["rmse"] == 1.0 and report["coverage_percent"] is None
+
+    def test_bounds_give_coverage(self, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("ds,y\n2022-01-01,2.0\n2022-01-02,4.0\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text(
+            "ds,yhat,yhat_lower_95,yhat_upper_95\n"
+            "2022-01-02,5.0,4.5,6.0\n2022-01-01,1.0,0.0,3.0\n"
+        )
+        out = tmp_path / "report.json"
+        assert main(["evaluate", "--input", str(truth), str(pred), "--output", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)["pred"]
+        assert report["coverage_percent"] == 50.0
+        assert json.loads(out.read_text())["pred"] == report
+
+    @pytest.mark.parametrize(
+        "body, error, fragment",
+        [
+            ("2021-01-01,NA\n2021-01-02,5.0\n", "ParseError", "row 2: invalid number 'NA'"),
+            ("2021-01-01,1.0\n2021-01-02,inf\n", "ParseError", "row 3: non-finite value"),
+            ("2021-01-01,1.0\n2021-01-01,5.0\n", "DuplicateTimestamp", "duplicate date"),
+        ],
+    )
+    def test_bad_prediction_values_name_the_file(self, tmp_path, capsys, body, error, fragment):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("ds,y\n2021-01-01,2.0\n2021-01-02,4.0\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("ds,yhat\n" + body)
+        assert main(["evaluate", "--input", str(truth), str(pred)]) == 1
+        assert_one_error_line(capsys, error, f"{pred}: {fragment}")
+
+    def test_missing_truth_value_names_the_file(self, tmp_path, capsys):
+        # used to read as "a metric overflowed: {'rmse': nan, ...}"
+        truth = tmp_path / "truth.csv"
+        truth.write_text("ds,y\n2021-01-01,2.0\n2021-01-02,NA\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("ds,yhat\n2021-01-01,1.0\n2021-01-02,5.0\n")
+        assert main(["evaluate", "--input", str(truth), str(pred)]) == 1
+        assert_one_error_line(
+            capsys, "DomainError", f"{truth}: missing truth value on 2021-01-02"
+        )
+
     def test_missing_prediction_date_names_file_and_row(self, tmp_path, capsys):
         truth = tmp_path / "truth.csv"
         truth.write_text("ds,y\n2021-01-01,2.0\n")
@@ -652,6 +823,26 @@ class TestDmCommand:
         result = json.loads(capsys.readouterr().out)
         assert result["statistic"] == 0.0
         assert result["p_value"] == 1.0
+
+    @pytest.mark.parametrize(
+        "value, error, fragment",
+        [
+            (1e200, "DomainError", "the loss differential overflowed"),
+            ("nan", "ParseError", "row 3: non-finite value 'nan'"),
+            ("inf", "ParseError", "row 3: non-finite value 'inf'"),
+            ("NA", "ParseError", "row 3: invalid number 'NA'"),
+        ],
+    )
+    def test_unusable_errors_exit_1(self, tmp_path, capsys, value, error, fragment):
+        # each used to end in a ValueError traceback from the JSON output
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text(f"e\n1.0\n{value}\n2.0\n")
+        self.write_errors(b, [1.0, 1.0, 1.0])
+        out = tmp_path / "dm.json"
+        assert main(["dm", "--input", str(a), str(b), "--output", str(out)]) == 1
+        assert not out.exists()
+        assert_one_error_line(capsys, error, fragment)
 
     def test_swap_negates(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -831,6 +1022,91 @@ class TestCompareCommand:
              "--output", str(tmp_path / "o.json")]
         ) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+
+    def test_failing_manifest_writes_nothing(self, tmp_path, rng, capsys, monkeypatch):
+        # the report used to be written before the manifest was built
+        import addcast.cli
+        from addcast.errors import DomainError
+
+        def fail(*args):
+            raise DomainError("manifest failed")
+
+        monkeypatch.setattr(addcast.cli, "make_manifest", fail)
+        data = tmp_path / "data.csv"
+        days = self.seasonal_data(data, rng, n=400)
+        cfg = tmp_path / "naive.json"
+        cfg.write_text(json.dumps({"baseline": "naive"}))
+        code = main(
+            ["compare", "--input", str(data), "--config", str(cfg),
+             "--cutoff", format_epoch_day(int(days[320])), "--output", str(tmp_path / "o.json")]
+        )
+        assert code == 1
+        assert sorted(tmp_path.iterdir()) == sorted([data, cfg])
+        assert_one_error_line(capsys, "DomainError", "manifest failed")
+
+
+class TestOutputFiles:
+    """Every output is published whole through one writer: a new file gets
+    mode 0o666 & ~umask, and a target that is not a regular file is
+    written in place."""
+
+    def test_fit_and_predict_write_into_a_fifo(self, tmp_path, rng, capsys):
+        # a FIFO used to be replaced by a regular file of mode 0600
+        data = tmp_path / "data.csv"
+        config = tmp_path / "config.json"
+        synthetic_csv(data, rng, n=120)
+        small_config(config)
+        model, fifo = tmp_path / "model.json", tmp_path / "fifo"
+        os.mkfifo(fifo)
+        fit = ["fit", "--input", str(data), "--config", str(config), "--output"]
+        assert main([*fit, str(model)]) == 0
+        code, received = read_fifo_during(fifo, lambda: main([*fit, str(fifo)]))
+        assert code == 0
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert received == model.read_bytes()
+
+        forecast = tmp_path / "forecast.csv"
+        predict = ["predict", "--input", str(model), "--periods", "3", "--output"]
+        assert main([*predict, str(forecast)]) == 0
+        code, received = read_fifo_during(fifo, lambda: main([*predict, str(fifo)]))
+        assert code == 0
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert received == forecast.read_bytes()
+
+    def test_outputs_get_the_umask_mode(self, tmp_path, rng, capsys):
+        # models and manifests used to be 0600, whatever the umask
+        data = tmp_path / "data.csv"
+        config = tmp_path / "config.json"
+        days, _ = synthetic_csv(data, rng, n=320)
+        small_config(config)
+        errors = tmp_path / "e.csv"
+        errors.write_text("e\n1.0\n2.0\n0.5\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text(data.read_text().replace("ds,y", "ds,yhat", 1))
+        out = tmp_path / "out"
+        out.mkdir()
+        commands = [
+            ["fit", "--input", data, "--config", config, "--output", out / "model.json"],
+            ["predict", "--input", out / "model.json", "--periods", "3",
+             "--output", out / "forecast.csv"],
+            ["cv", "--input", data, "--config", config, "--initial-days", "200",
+             "--period-days", "60", "--horizon-days", "30", "--output", out / "folds.csv"],
+            ["compare", "--input", data, "--config", config, "--cutoff",
+             format_epoch_day(int(days[280])), "--output", out / "compare.json"],
+            ["evaluate", "--input", data, pred, "--output", out / "evaluate.json"],
+            ["dm", "--input", errors, errors, "--output", out / "dm.json"],
+        ]
+        old = os.umask(0o027)
+        try:
+            assert [main([str(arg) for arg in argv]) for argv in commands] == [0] * 6
+        finally:
+            os.umask(old)
+        written = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+        assert sorted(written) == sorted(
+            ["model.json", "forecast.csv", "folds.csv", "folds.csv.metrics.json",
+             "compare.json", "compare.json.manifest.json", "evaluate.json", "dm.json"]
+        )
+        assert set(written.values()) == {0o640}
 
 
 class TestUsageErrors:

@@ -1,6 +1,7 @@
-"""Generated CSV files for the series and holiday readers: every call returns
-or raises an AddcastError, never another exception, and a well-formed series
-survives write_csv followed by load_csv bit for bit."""
+"""Generated CSV files for the series, column and holiday readers: every call
+returns or raises an AddcastError, never another exception, the array path
+gives what the row-by-row path gives, and a well-formed series survives
+write_csv followed by load_csv bit for bit."""
 
 import csv
 import io
@@ -14,7 +15,13 @@ from hypothesis import strategies as st
 
 from addcast.config import load_holiday_calendar
 from addcast.errors import AddcastError
-from addcast.timeseries import TimeSeries, date_to_epoch_day, load_csv, write_csv
+from addcast.timeseries import (
+    TimeSeries,
+    date_to_epoch_day,
+    load_csv,
+    read_columns,
+    write_csv,
+)
 
 SETTINGS = settings(
     derandomize=True,
@@ -161,23 +168,27 @@ def series_files(draw):
     return buf.getvalue().encode("utf-8")
 
 
-def load_outcome(path):
-    """What load_csv returns, as bytes, or the type and message it raises."""
+def load_outcome(path, read=load_csv):
+    """What ``read`` (load_csv or read_columns) returns, as bytes, or the
+    type and message it raises."""
     try:
-        ts = load_csv(path)
+        result = read(path)
     except AddcastError as exc:
         return type(exc), str(exc)
-    return ts.timestamps.tobytes(), ts.values.tobytes()
+    if isinstance(result, TimeSeries):
+        return result.timestamps.tobytes(), result.values.tobytes()
+    days, columns = result
+    return days if days is None else days.tobytes(), {k: v.tobytes() for k, v in columns.items()}
 
 
-def row_by_row_outcome(path):
-    """load_csv's outcome with every file read row by row."""
+def row_by_row_outcome(path, read=load_csv):
+    """The outcome of ``read`` with every file read row by row."""
     from unittest import mock
 
     import addcast.timeseries
 
     with mock.patch.object(addcast.timeseries, "_parse_columns", lambda *args: None):
-        return load_outcome(path)
+        return load_outcome(path, read)
 
 
 @SETTINGS
@@ -185,6 +196,21 @@ def row_by_row_outcome(path):
 def test_load_csv_array_path_equals_row_by_row(path, data):
     path.write_bytes(data)
     assert load_outcome(path) == row_by_row_outcome(path)
+
+
+@SETTINGS
+@given(
+    data=st.one_of(series_files(), csv_files(("ds", "y"))),
+    date_column=st.sampled_from(["ds", None]),
+)
+def test_read_columns_array_path_equals_row_by_row(path, data, date_column):
+    # without missing markers, as every reader but load_csv reads
+    path.write_bytes(data)
+
+    def read(p):
+        return read_columns(p, ("y",), date_column=date_column)
+
+    assert load_outcome(path, read) == row_by_row_outcome(path, read)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -20,8 +22,10 @@ from addcast.timeseries import (
     load_csv,
     log_transform,
     parse_iso_date,
+    read_columns,
     weekday_of,
     write_csv,
+    write_output,
 )
 
 from conftest import daily_days, make_series
@@ -128,6 +132,74 @@ class TestLoadCsv:
         p.write_text("ds,y\n2020-01-01," + "1" * 200_000 + "\n")
         with pytest.raises(ParseError, match="a.csv: line 2: field larger than field limit"):
             load_csv(p)
+
+
+class TestReadColumns:
+    def test_optional_groups_and_unused_columns(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("note,b,ds,a,c\nx,2,2020-01-02,1,\ny,4,2020-01-01,3,\n")
+        days, columns = read_columns(p, ("a",), optional=[("b",), ("c", "missing")])
+        assert days.tolist() == [parse_iso_date("2020-01-01"), parse_iso_date("2020-01-02")]
+        assert {k: v.tolist() for k, v in columns.items()} == {"a": [3.0, 1.0], "b": [4.0, 2.0]}
+
+    def test_without_a_date_column_rows_keep_file_order(self, tmp_path):
+        p = tmp_path / "e.csv"
+        p.write_text("e\n2.5\n-1\n")
+        days, columns = read_columns(p, ("e",), date_column=None)
+        assert days is None and columns["e"].tolist() == [2.5, -1.0]
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [("NA", "row 3: invalid number 'NA'"), ("", "row 3: invalid number ''"),
+         ("nan", "row 3: non-finite value 'nan'"), ("-inf", "row 3: non-finite value '-inf'")],
+    )
+    def test_missing_markers_only_when_asked(self, tmp_path, field, message):
+        p = tmp_path / "a.csv"
+        p.write_text(f"ds,a\n2020-01-01,1\n2020-01-02,{field}\n")
+        with pytest.raises(ParseError, match=f"a.csv: {message}"):
+            read_columns(p, ("a",))
+
+    def test_duplicate_date_names_the_file(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("ds,a\n2020-01-01,1\n2020-01-01,2\n")
+        with pytest.raises(DuplicateTimestamp, match="a.csv: duplicate date 2020-01-01"):
+            read_columns(p, ("a",))
+
+
+class TestWriteOutput:
+    def test_replaces_the_whole_file_with_the_umask_mode(self, tmp_path):
+        p = tmp_path / "out.csv"
+        p.write_bytes(b"old content that is longer")
+        os.chmod(p, 0o600)
+        mask = os.umask(0o022)
+        try:
+            write_output(p, b"new")
+        finally:
+            os.umask(mask)
+        assert p.read_bytes() == b"new"
+        assert stat.S_IMODE(p.stat().st_mode) == 0o644
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_failure_keeps_the_old_file_and_no_temporary(self, tmp_path, monkeypatch):
+        p = tmp_path / "out.csv"
+        p.write_bytes(b"old")
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            write_output(p, b"new")
+        assert p.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_follows_a_symbolic_link(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"old")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        write_output(link, b"new")
+        assert link.is_symlink() and target.read_bytes() == b"new"
 
 
 class TestLogTransform:
