@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -22,12 +23,13 @@ from .baselines import (
     seasonal_naive,
     walk_forward_forecast,
 )
-from .config import DEFAULT_SEED, ModelConfig, config_from_dict, load_config, read_json
+from .config import DEFAULT_SEED, ModelConfig, _integer, config_from_dict, load_config, read_json
 from .errors import AddcastError, DomainError, EmptyInput, LengthMismatch, SchemaError
 from .estimator import fit
 from .evaluation import (
     dm_test,
     evaluate_forecast,
+    holdout_forecast,
     performance_by_horizon,
     require_fold_export_level,
     rolling_cv,
@@ -41,6 +43,7 @@ from .forecast import (
     write_forecast_csv,
 )
 from .persistence import (  # noqa: F401 -- perfbench/spans.py wraps addcast.cli.dataset_digest
+    canonical_json_bytes,
     dataset_digest,
     load_model,
     make_manifest,
@@ -181,22 +184,14 @@ def cmd_dm(args) -> int:
             raise EmptyInput(f"{path}: no data rows")
         errors.append(columns["e"])
     result = dm_test(*errors, loss=args.loss, h=args.h)
-    print(
-        _dump_json(
-            {
-                "statistic": result.statistic,
-                "p_value": result.p_value,
-                "mean_loss_diff": result.mean_loss_diff,
-                "interpretation": result.interpretation,
-            },
-            args.output,
-        )
-    )
+    print(_dump_json(result.to_dict(), args.output))
     return 0
 
 
 def _load_candidate(path):
-    """One compare entry as (name, ModelConfig or baseline dict)."""
+    """One compare entry as (name, ModelConfig or baseline dict). A
+    baseline dict names a known baseline, its ``period`` (default 7) is a
+    JSON integer, and it holds only values the manifest can serialize."""
     data = read_json(path)
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: config must be a JSON object")
@@ -205,6 +200,11 @@ def _load_candidate(path):
         return name, config_from_dict(data)
     if data["baseline"] not in ("naive", "seasonal_naive", "lag_linear"):
         raise SchemaError(f"{path}: unknown baseline {data['baseline']!r}")
+    _integer(data.get("period", 7), f"{path}: period")
+    try:
+        canonical_json_bytes(data)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     return name, data
 
 
@@ -224,36 +224,21 @@ def _compare_seed(seed, configs) -> int:
 
 
 def _run_candidate(spec, train: TimeSeries, test: TimeSeries, seed):
-    """Forecast ``test`` from ``train``: ({day: prediction}, bounds95, n_skipped)."""
-    test_days = [int(d) for d in test.timestamps]
-
+    """Forecast every row of ``test`` from ``train``: (yhat, 95% bounds or
+    None). lag_linear fits on at least MIN_HISTORY + 1 rows, so its walk
+    forward predicts every test day."""
     if isinstance(spec, dict):
         kind = spec["baseline"]
         if kind == "lag_linear":
             regressor = fit_linear_lag_regressor(train)
-            result = walk_forward_forecast(regressor, train, test.timestamps)
-            return (
-                dict(zip([int(d) for d in result.dates], result.predictions)),
-                None,
-                result.n_skipped,
-            )
+            return walk_forward_forecast(regressor, train, test.timestamps).predictions, None
         if kind == "naive":
-            preds = naive_forecast(train.values, len(test))
-        else:
-            preds = seasonal_naive(train.values, len(test), int(spec.get("period", 7)))
-        return dict(zip(test_days, preds)), None, 0
+            return naive_forecast(train.values, len(test)), None
+        return seasonal_naive(train.values, len(test), spec.get("period", 7)), None
 
     config = spec if seed is None else spec.with_seed(seed)
-    model = fit(train, config)
-    periods = int(test.timestamps[-1]) - model.last_day
-    grid = make_future_grid(model, periods)
-    fc = forecast_with_intervals(model, grid, history=False)
-    idx = np.searchsorted(fc.timestamps, test.timestamps)
-    bounds95 = None
-    if 0.95 in fc.bounds:
-        lo, hi = fc.bounds[0.95]
-        bounds95 = (lo[idx], hi[idx])
-    return dict(zip(test_days, fc.yhat[idx])), bounds95, 0
+    yhat, bounds = holdout_forecast(config, train, test.timestamps, int(test.timestamps[-1]))
+    return yhat, bounds.get(0.95)
 
 
 @shared_future_noise()
@@ -263,6 +248,9 @@ def cmd_compare(args) -> int:
     split = chronological_split(ts, cutoff)
 
     specs = [_load_candidate(path) for path in args.config]
+    names = [name for name, _ in specs]
+    if len(set(names)) != len(names):
+        raise SchemaError(f"candidate names must be unique, got {names}")
     configs = [spec for _, spec in specs]
     seed = _compare_seed(args.seed, configs)
     candidates = [
@@ -270,52 +258,21 @@ def cmd_compare(args) -> int:
         for name, spec in specs
     ]
 
-    common = set(int(d) for d in split.test.timestamps)
-    for _, preds, _, _ in candidates:
-        common &= set(preds)
-    if not common:
-        raise EmptyInput("no common predicted dates across models")
-    days = sorted(common)
-    day_index = {int(d): i for i, d in enumerate(split.test.timestamps)}
-    sel = [day_index[d] for d in days]
-    y_true = split.test.values[sel]
-
+    y_true = split.test.values
     models = {}
-    errors = {}
-    order = []
-    for name, preds, bounds95, n_skipped in candidates:
-        yhat = np.array([preds[d] for d in days])
-        lower = upper = None
-        if bounds95 is not None:
-            lower = bounds95[0][sel]
-            upper = bounds95[1][sel]
-        report = evaluate_forecast(name, y_true, yhat, lower, upper)
-        entry = report.to_dict()
-        entry["n_predicted"] = len(preds)
-        if n_skipped:
-            entry["walk_forward_skipped"] = n_skipped
-        models[name] = entry
-        errors[name] = y_true - yhat
-        order.append(name)
-
-    dm_rows = []
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            result = dm_test(errors[order[i]], errors[order[j]], loss=args.loss, h=args.h)
-            dm_rows.append(
-                {
-                    "model_a": order[i],
-                    "model_b": order[j],
-                    "statistic": result.statistic,
-                    "p_value": result.p_value,
-                    "mean_loss_diff": result.mean_loss_diff,
-                    "interpretation": result.interpretation,
-                }
-            )
+    errors = []
+    for name, yhat, bounds95 in candidates:
+        report = evaluate_forecast(name, y_true, yhat, *(bounds95 or (None, None)))
+        models[name] = {**report.to_dict(), "n_predicted": len(yhat)}
+        errors.append((name, y_true - yhat))
+    dm_rows = [
+        {"model_a": a, "model_b": b, **dm_test(ea, eb, loss=args.loss, h=args.h).to_dict()}
+        for (a, ea), (b, eb) in itertools.combinations(errors, 2)
+    ]
 
     payload = {
         "cutoff": args.cutoff,
-        "n_test_points": len(days),
+        "n_test_points": len(y_true),
         "models": models,
         "dm_tests": dm_rows,
     }

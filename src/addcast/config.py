@@ -313,7 +313,7 @@ def config_from_dict(data: dict) -> ModelConfig:
             interval_samples=_integer(data.get("interval_samples", 1000), "interval_samples"),
             seed=_integer(data.get("seed", DEFAULT_SEED), "seed"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed model config: {exc}") from None
 
 

@@ -61,6 +61,7 @@ def softabs(x):
 
 
 def _split_params(params: np.ndarray, design: DesignMatrix):
+    """(k, m, delta, beta) of a packed vector; ``FittedModel.params`` packs."""
     n_cp = design.layout.trend.width
     expected = 2 + design.layout.width
     if len(params) != expected:
@@ -323,6 +324,11 @@ class FittedModel:
             raise DomainError("sigma must be nonnegative")
         if self.t_span <= 0 or self.y_scale <= 0:
             raise DomainError("scaling spans must be positive")
+
+    @property
+    def params(self) -> np.ndarray:
+        """The packed parameter vector, as ``_split_params`` unpacks it."""
+        return np.concatenate(([self.k, self.m], self.delta, self.beta))
 
     @property
     def n_obs(self) -> int:

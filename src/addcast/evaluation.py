@@ -4,7 +4,7 @@ summaries, and the Diebold-Mariano comparison test."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -200,29 +200,39 @@ def rolling_cv(
         return [_cv_fold(config, ts, cutoff, horizon) for cutoff in cutoffs]
 
 
+def holdout_forecast(
+    config: ModelConfig, train: TimeSeries, days: np.ndarray, last_day: int
+) -> tuple[np.ndarray, dict]:
+    """Fit ``config`` on ``train`` and forecast the held-out ``days``, all
+    after the training data and at most ``last_day``: ``(yhat, bounds)`` at
+    ``days``, bounds mapping each interval level to (lower, upper).
+
+    The grid runs through ``last_day``, which a future day's bounds depend
+    on, and only its days after the training data are built, evaluated and
+    simulated (``history=False``)."""
+    model = fit(train, config)
+    grid = make_future_grid(model, last_day - model.last_day)
+    fc = forecast_with_intervals(model, grid, history=False)
+    idx = np.searchsorted(fc.timestamps, days)
+    return fc.yhat[idx], {level: (lo[idx], hi[idx]) for level, (lo, hi) in fc.bounds.items()}
+
+
 def _cv_fold(config: ModelConfig, ts: TimeSeries, cutoff: int, horizon: int) -> CvFold:
-    train_mask = ts.timestamps <= cutoff
     test_mask = (ts.timestamps > cutoff) & (ts.timestamps <= cutoff + horizon)
-    train = ts.slice_mask(train_mask)
+    test_days = ts.timestamps[test_mask]
     try:
-        model = fit(train, config)
-        periods = cutoff + horizon - int(train.timestamps[-1])
-        grid = make_future_grid(model, periods)
-        fc = forecast_with_intervals(model, grid, history=False)
+        yhat, bounds = holdout_forecast(
+            config, ts.slice_mask(ts.timestamps <= cutoff), test_days, cutoff + horizon
+        )
     except AddcastError as exc:
         raise type(exc)(
             f"cutoff {format_epoch_day(cutoff)}: {exc}"
         ) from exc
-    test_days = ts.timestamps[test_mask]
-    idx = np.searchsorted(fc.timestamps, test_days)
-    bounds = {
-        level: (lo[idx], hi[idx]) for level, (lo, hi) in fc.bounds.items()
-    }
     return CvFold(
         cutoff=cutoff,
         ds=test_days,
         y_true=ts.values[test_mask],
-        yhat=fc.yhat[idx],
+        yhat=yhat,
         bounds=bounds,
     )
 
@@ -329,6 +339,9 @@ class DmResult:
     p_value: float
     mean_loss_diff: float
     interpretation: str
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def _interpret(p_value: float) -> str:

@@ -332,22 +332,19 @@ class _SharedDayColumns:
         self.columns = None
 
     def take(self, t: np.ndarray, layout: Layout) -> np.ndarray | None:
-        """The day columns at the days ``t``: a slice when ``t`` is a run of
-        consecutive series days, a gather when every day of ``t`` is a
-        series day, otherwise None."""
+        """The day columns at the days ``t``, a slice of the build, when
+        ``t`` is a run of consecutive series days; otherwise None. A CV fit
+        design is a prefix of the series, and a CV forecast grid is
+        calendar-consecutive days."""
         if len(t) == 0:
             return None
         start = int(np.searchsorted(self.days, t[0]))
-        if np.array_equal(self.days[start : start + len(t)], t):
-            rows = slice(start, start + len(t))
-        else:
-            rows = np.minimum(np.searchsorted(self.days, t), len(self.days) - 1)
-            if not np.array_equal(self.days[rows], t):
-                return None
+        if not np.array_equal(self.days[start : start + len(t)], t):
+            return None
         if self.columns is None:
             blocks = _day_blocks(self.days, self.config, layout)
             self.columns = np.hstack(blocks) if blocks else np.empty((len(self.days), 0))
-        return self.columns[rows]
+        return self.columns[start : start + len(t)]
 
 
 @contextmanager
@@ -355,10 +352,10 @@ def shared_day_columns(config: ModelConfig, days: np.ndarray):
     """Within the block, the current thread's designs under ``config`` (this
     object) take the seasonal and holiday columns of the series days
     ``days`` (strictly increasing) from one build, made by the first such
-    design; only the trend and regressor columns are built per design, and
-    a design with a day outside ``days`` is built alone. Every design equals
-    its own build bit for bit. The build is dropped when the block exits,
-    and an enclosing scope is restored."""
+    design; only the trend and regressor columns are built per design. A
+    design whose days are not a run of consecutive series days is built
+    alone. Every design equals its own build bit for bit. The build is
+    dropped when the block exits, and an enclosing scope is restored."""
     outer = getattr(_day_scope, "entry", None)
     _day_scope.entry = _SharedDayColumns(config, np.asarray(days, dtype=np.int64))
     try:
@@ -380,8 +377,8 @@ def design_for_grid(
     """Assemble the design for arbitrary timestamps under a fixed scaling and
     changepoint set (used both at fit time and when extending to a future grid).
 
-    Inside ``shared_day_columns`` the seasonal and holiday columns come from
-    the scope's build: a slice for consecutive days, a gather otherwise."""
+    Inside ``shared_day_columns`` the seasonal and holiday columns of a run
+    of consecutive series days are a slice of the scope's build."""
     t = np.asarray(timestamps, dtype=np.int64)
     t_scaled = scaling.scale(t)
     cps = np.asarray(changepoints_scaled, dtype=np.float64)

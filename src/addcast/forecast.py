@@ -111,8 +111,7 @@ def _evaluate(model: FittedModel, grid: FutureGrid) -> _Evaluation:
         model.changepoints_scaled,
         extra_regressors=grid.regressor_values,
     )
-    params = np.concatenate(([model.k, model.m], model.delta, model.beta))
-    parts = _model_parts(params, design, model.scaled_trend)
+    parts = _model_parts(model.params, design, model.scaled_trend)
     layout = design.layout
     components = dict.fromkeys(layout.component_names, np.zeros_like(parts.trend))
     components["trend"] = parts.trend

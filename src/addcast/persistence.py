@@ -158,7 +158,7 @@ def model_from_document(doc: ModelDocument) -> FittedModel:
             changepoints_scaled=np.array(params["changepoints"], dtype=np.float64),
             train_timestamps=np.array(doc.train_summary["timestamps"], dtype=np.int64),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed model document: {exc}") from None
     if len(model.delta) != len(model.changepoints_scaled):
         raise SchemaError("delta and changepoints length mismatch")
@@ -177,8 +177,12 @@ def load_model(path) -> FittedModel:
 class RunManifest:
     """Record of one run: seed, content digests, and metric reports.
 
-    Re-running with equal digests and seed reproduces equal metrics; only
-    created_at (wall clock, UTC ISO-8601) differs between such runs.
+    Output bytes are a function of the inputs, flags, seed, numpy build,
+    OpenBLAS core kernel and numpy SIMD level, and not of the BLAS thread
+    count. Re-running with equal digests, flags and seed on the same numpy
+    build, kernel and SIMD level reproduces equal metrics, and only
+    created_at (wall clock, UTC ISO-8601) differs; another kernel or SIMD
+    level may change their last digits.
     """
 
     seed: int

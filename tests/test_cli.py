@@ -1023,6 +1023,46 @@ class TestCompareCommand:
         ) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
 
+    @pytest.mark.parametrize(
+        "entries,fragment",
+        [
+            # the manifest could not serialize it: a ValueError traceback
+            ({"b": {"baseline": "naive", "note": NAN}}, "not JSON compliant"),
+            # int(NaN): a ValueError traceback
+            ({"b": {"baseline": "seasonal_naive", "period": NAN}}, "period must be an integer"),
+            # ran as period 2
+            ({"b": {"baseline": "seasonal_naive", "period": 2.7}}, "period must be an integer"),
+            # kept the last entry's metrics and compared naive with naive
+            ({"naive": {"baseline": "naive"}, "b": {"baseline": "seasonal_naive", "name": "naive"}},
+             "unique, got ['m', 'naive', 'naive']"),
+        ],
+        ids=["nan_note", "nan_period", "fractional_period", "duplicate_name"],
+    )
+    def test_bad_candidates_exit_1_before_any_candidate_runs(
+        self, tmp_path, rng, capsys, monkeypatch, entries, fragment
+    ):
+        import addcast.cli
+
+        monkeypatch.setattr(
+            addcast.cli, "_run_candidate", lambda *args: pytest.fail("a candidate ran")
+        )
+        data = tmp_path / "data.csv"
+        days = self.seasonal_data(data, rng, n=400)
+        model = tmp_path / "m.json"
+        small_config(model)
+        paths = [model]
+        for stem, entry in entries.items():
+            paths.append(tmp_path / f"{stem}.json")
+            paths[-1].write_text(json.dumps(entry))
+        before = sorted(tmp_path.iterdir())
+        code = main(
+            ["compare", "--input", str(data), "--config", *map(str, paths),
+             "--cutoff", format_epoch_day(int(days[320])), "--output", str(tmp_path / "o.json")]
+        )
+        assert code == 1
+        assert sorted(tmp_path.iterdir()) == before
+        assert_one_error_line(capsys, "SchemaError", fragment)
+
     def test_failing_manifest_writes_nothing(self, tmp_path, rng, capsys, monkeypatch):
         # the report used to be written before the manifest was built
         import addcast.cli

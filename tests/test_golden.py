@@ -1,15 +1,23 @@
 """Pinned SHA-256 digests of every file the CLI writes for two small seeded
-models, so a change that alters any output byte shows here.
+models, and of compare reports over every candidate kind, so a change that
+alters any output byte shows here.
 
 The linear model has additive seasonality, a holiday and a regressor; the
 logistic one mixes a multiplicative and an additive seasonal block. Together
 they cover every coefficient block kind.
 
-The digests were produced on x86_64 with Python 3.11.7, numpy 2.4.6 and
-the OpenBLAS 0.3.31 that numpy's wheel bundles (scipy-openblas64); the
-package imports nothing else. Another numpy or BLAS build may round
-differently in the last digit. A deliberate change to numeric output updates
-these digests and says why in CHANGES.md.
+Output bytes are a function of the inputs, flags, seed, numpy build,
+OpenBLAS core kernel and numpy SIMD level, and not of the BLAS thread
+count. The digests were produced on x86_64 with Python 3.11.7, numpy 2.4.6
+and the OpenBLAS 0.3.31 that numpy's wheel bundles (scipy-openblas64), with
+the SkylakeX kernel and AVX512 dispatch; the package imports nothing else.
+They hold with one BLAS thread as with the default. Another kernel
+(OPENBLAS_CORETYPE=Haswell) changes the last digits of every output, so
+both tests fail there. GOLDEN's inputs are built with numpy ufuncs, whose
+bits change at AVX2-level dispatch, so GOLDEN fails there too although
+addcast's outputs for equal inputs do not change; GOLDEN_COMPARE's inputs
+are exact in float64 and it passes there. A deliberate change to numeric
+output updates these digests and says why in CHANGES.md.
 """
 
 import hashlib
@@ -143,3 +151,69 @@ def test_cli_outputs_match_pinned_digests(tmp_path, capsys):
     digests["compare"] = _sha256(report)
     capsys.readouterr()
     assert digests == GOLDEN
+
+
+# Compare over a model and every baseline kind, plain and --weekdays-only.
+# The series is exact in float64: each term is a small integer over a power
+# of two and every sum a multiple of 1/64 below 128, with no numpy call, so
+# its CSV text does not depend on the numpy build or SIMD level. The training part holds more than the 366
+# rows lag_linear needs, weekdays only as well.
+COMPARE_DAYS = 560
+COMPARE_CUTOFF_INDEX = 529
+WEEKLY = (0, 3, 5, 4, 2, -1, -3)
+
+GOLDEN_COMPARE = {
+    "plain": "c1575c6afecb27373ab668cce662b190de2271057c303592591d3fd93966e81a",
+    "weekdays": "252a7d562fc681066fb6a0d90feff53c6c87a9618e587c9effca26f6202bfaaa",
+}
+
+
+def _write_compare_inputs(tmp_path):
+    days = daily_days("2021-01-01", COMPARE_DAYS)
+    lines = ["ds,y"]
+    for i, d in enumerate(days.tolist()):
+        y = (
+            50.0
+            + i / 16
+            + WEEKLY[d % 7] / 2
+            + abs(i % 365 - 182) / 32
+            + ((i * 7919 + 13) % 97 - 48) / 64
+        )
+        lines.append(f"{format_epoch_day(d)},{y!r}")
+    data = tmp_path / "series.csv"
+    data.write_text("\n".join(lines) + "\n")
+    candidates = {
+        "additive": {
+            "trend": {"n_changepoints": 5},
+            "seasonalities": [
+                {"name": "yearly", "period": 365.25, "fourier_order": 2},
+                {"name": "weekly", "period": 7.0, "fourier_order": 3},
+            ],
+            "interval_samples": 100,
+            "seed": 7,
+        },
+        "naive": {"baseline": "naive"},
+        "snaive": {"baseline": "seasonal_naive", "period": 7},
+        "lag": {"baseline": "lag_linear"},
+    }
+    paths = []
+    for name, config in candidates.items():
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(config))
+    return data, paths, format_epoch_day(int(days[COMPARE_CUTOFF_INDEX]))
+
+
+def test_compare_of_every_candidate_kind_matches_pinned_digests(tmp_path, capsys):
+    data, configs, cutoff = _write_compare_inputs(tmp_path)
+    digests = {}
+    for variant, flags in (("plain", []), ("weekdays", ["--weekdays-only"])):
+        report = tmp_path / f"{variant}.json"
+        assert main(["compare", "--input", str(data), "--config", *map(str, configs),
+                     "--cutoff", cutoff, "--output", str(report), *flags]) == 0
+        payload = json.loads(report.read_text())
+        assert sorted(payload["models"]) == ["additive", "lag", "naive", "snaive"]
+        for entry in payload["models"].values():
+            assert entry["n_predicted"] == payload["n_test_points"]
+        digests[variant] = _sha256(report)
+    capsys.readouterr()
+    assert digests == GOLDEN_COMPARE

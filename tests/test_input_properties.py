@@ -1,0 +1,205 @@
+"""Generated model configs, model documents and compare candidates: every
+call returns or raises an AddcastError, never another exception, and every
+``addcast compare`` exits 0, 1 or 2 without a traceback.
+
+Configs and documents start from a valid one and get up to three
+mutations: a value anywhere in the tree replaced by an arbitrary JSON value
+(huge integers, NaN and infinities included), a key deleted or a key added.
+"""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from addcast import errors
+from addcast.cli import main
+from addcast.config import ModelConfig, config_from_dict, config_to_dict
+from addcast.errors import AddcastError
+from addcast.estimator import FittedModel, fit
+from addcast.persistence import ModelDocument, model_from_document, model_to_document
+from addcast.timeseries import TimeSeries, format_epoch_day
+
+from conftest import daily_days
+
+SETTINGS = settings(
+    derandomize=True,
+    database=None,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+ERROR_NAMES = {
+    name for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, AddcastError)
+}
+
+scalars = st.one_of(
+    st.sampled_from(
+        [10**400, -(10**400), math.nan, math.inf, -math.inf, 0, -1, 7, 1.5, True, None,
+         "", "2021-01-01", "logistic", "multiplicative"]
+    ),
+    st.integers(),
+    st.floats(),
+    st.text("ab -:019é", max_size=6),
+)
+json_values = st.one_of(
+    scalars,
+    st.lists(scalars, max_size=3),
+    st.dictionaries(st.text("ab -:019é", max_size=6), scalars, max_size=3),
+)
+
+VALID_CONFIG = {
+    "trend": {"growth": "logistic", "n_changepoints": 2, "changepoint_range": 0.8,
+              "changepoint_prior_scale": 0.05, "capacity": 10.0},
+    "seasonalities": [
+        {"name": "weekly", "period": 7.0, "fourier_order": 2, "prior_scale": 10.0,
+         "mode": "multiplicative"},
+    ],
+    "holidays": [{"name": "h", "dates": ["2021-01-05"], "lower_window": 0,
+                  "upper_window": 1, "prior_scale": 10.0}],
+    "regressors": [{"name": "x", "prior_scale": 0.5, "values": {"2021-01-01": 1.0}}],
+    "interval_levels": [0.8, 0.95],
+    "interval_samples": 100,
+    "seed": 3,
+}
+
+
+def _paths(tree, prefix=()):
+    """Every location in a JSON tree, the root included."""
+    yield prefix
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from _paths(value, (*prefix, key))
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            yield from _paths(value, (*prefix, i))
+
+
+@st.composite
+def mutated(draw, valid):
+    """A deep copy of the JSON tree ``valid`` with up to three mutations."""
+    tree = json.loads(json.dumps(valid))
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(tree))))
+        if not path:
+            tree = draw(json_values)
+            continue
+        *parents, key = path
+        node = tree
+        for step in parents:
+            node = node[step]
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            node[key] = draw(json_values)
+        elif action == "delete":
+            del node[key]
+        elif isinstance(node, dict):
+            node[draw(st.text("ab -:019é", max_size=6))] = draw(json_values)
+        else:
+            node.append(draw(json_values))
+    return tree
+
+
+@SETTINGS
+@given(data=mutated(VALID_CONFIG))
+def test_config_from_dict_returns_a_config_or_raises_an_addcast_error(data):
+    try:
+        config = config_from_dict(data)
+    except AddcastError:
+        return
+    assert isinstance(config, ModelConfig)
+    assert config_from_dict(config_to_dict(config)) == config
+
+
+def _valid_document():
+    days = daily_days("2021-01-01", 30)
+    y = 3.0 + (np.arange(30) % 7) / 4
+    config = config_from_dict({**VALID_CONFIG, "regressors": []})
+    return model_to_document(fit(TimeSeries(days, y), config)).to_dict()
+
+
+VALID_DOCUMENT = _valid_document()
+
+
+@SETTINGS
+@given(data=mutated(VALID_DOCUMENT))
+def test_model_documents_load_or_raise_an_addcast_error(data):
+    try:
+        model = model_from_document(ModelDocument.from_dict(data))
+    except AddcastError:
+        return
+    assert isinstance(model, FittedModel)
+
+
+N_DAYS = 400
+CUTOFF = format_epoch_day(int(daily_days("2021-01-01", N_DAYS)[369]))
+
+baseline_entries = st.fixed_dictionaries(
+    {"baseline": st.one_of(
+        st.sampled_from(["naive", "seasonal_naive", "lag_linear"]), json_values
+    )},
+    optional={
+        "period": st.one_of(st.integers(-2, 40), json_values),
+        "name": st.one_of(st.sampled_from(["a", "b", ""]), json_values),
+        "note": json_values,
+    },
+)
+arguments = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["x", "1.5", ""]))
+
+
+@pytest.fixture(scope="module")
+def series(tmp_path_factory):
+    """A 400-day series, exact in float64; the training part before CUTOFF
+    holds the 366 rows lag_linear needs."""
+    path = tmp_path_factory.mktemp("compare") / "series.csv"
+    days = daily_days("2021-01-01", N_DAYS).tolist()
+    path.write_text(
+        "ds,y\n" + "".join(
+            f"{format_epoch_day(d)},{3.0 + (i % 7) / 4 + i / 64!r}\n" for i, d in enumerate(days)
+        )
+    )
+    return path
+
+
+@SETTINGS
+@given(
+    entries=st.lists(baseline_entries, min_size=1, max_size=3),
+    h=arguments,
+    seed=st.one_of(st.none(), arguments),
+)
+def test_compare_on_generated_baselines_exits_cleanly(series, entries, h, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        configs = []
+        for i, entry in enumerate(entries):
+            configs.append(Path(tmp) / f"c{i}.json")
+            configs[-1].write_text(json.dumps(entry))
+        out = Path(tmp) / "out.json"
+        argv = ["compare", "--input", str(series), "--config", *map(str, configs),
+                "--cutoff", CUTOFF, "--output", str(out), "--h", h]
+        if seed is not None:
+            argv += ["--seed", seed]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+        written = sorted(Path(tmp).iterdir())
+    assert "Traceback" not in stderr.getvalue()
+    if code == 0:
+        assert written == sorted([*configs, out, Path(f"{out}.manifest.json")])
+    elif code == 1:
+        (line,) = stderr.getvalue().splitlines()
+        assert json.loads(line)["error"] in ERROR_NAMES
+        assert written == sorted(configs)
+    else:
+        assert code == 2
