@@ -12,9 +12,7 @@ Diebold-Mariano comparison test.
 __version__ = "0.1.0"
 
 from .baselines import (
-    LagFeatureRow,
     LinearLagRegressor,
-    WalkForwardResult,
     build_lag_features,
     fit_linear_lag_regressor,
     naive_forecast,

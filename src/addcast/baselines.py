@@ -1,6 +1,12 @@
 """Reference forecasters: naive, seasonal-naive, and a lag-feature
 walk-forward pipeline with a ridge-regularized linear point predictor.
 
+The lag features of a day are 8 columns: the values 1, 7, 30 and 365 days
+back (LAGS), the means of the last 7 and 30 values (ROLLING_WINDOWS), the
+weekday (Monday = 0) and the month (1-12). One array function,
+``build_lag_features``, builds them for the fit and for every walk-forward
+step, so a day needs MIN_HISTORY (365) prior values.
+
 The walk-forward protocol never reads held-out targets: each prediction is
 appended to the working history before the next step's features are built,
 so rolling statistics mix realized and predicted values by design.
@@ -18,22 +24,12 @@ from .errors import (
     SeriesShorterThanPeriod,
     SingularSystem,
 )
-from .timeseries import TimeSeries, epoch_day_to_date
+from .timeseries import TimeSeries, weekday_of
 
 LAGS = (1, 7, 30, 365)
-MIN_HISTORY = 365
+ROLLING_WINDOWS = (7, 30)
+MIN_HISTORY = max(LAGS)
 RIDGE_LAMBDA = 1e-6
-
-FEATURE_NAMES = (
-    "lag_1",
-    "lag_7",
-    "lag_30",
-    "lag_365",
-    "rolling_mean_7",
-    "rolling_mean_30",
-    "day_of_week",
-    "month",
-)
 
 
 def naive_forecast(train_values, horizon: int) -> np.ndarray:
@@ -58,53 +54,21 @@ def seasonal_naive(train_values, horizon: int, period: int) -> np.ndarray:
     return v[idx]
 
 
-@dataclass(frozen=True)
-class LagFeatureRow:
-    """Feature vector for one prediction date, built from prior history only."""
-
-    lag_1: float
-    lag_7: float
-    lag_30: float
-    lag_365: float
-    rolling_mean_7: float
-    rolling_mean_30: float
-    day_of_week: int
-    month: int
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.lag_1,
-                self.lag_7,
-                self.lag_30,
-                self.lag_365,
-                self.rolling_mean_7,
-                self.rolling_mean_30,
-                float(self.day_of_week),
-                float(self.month),
-            ]
-        )
-
-
-def build_lag_features(history, date: int) -> LagFeatureRow:
-    """Lags and rolling means from the history tail, calendar fields from the
-    target date; requires at least 365 prior observations."""
-    h = np.asarray(history, dtype=np.float64)
-    if len(h) < MIN_HISTORY:
+def build_lag_features(values, ends, dates) -> np.ndarray:
+    """Lag-feature matrix, columns as the module docstring lists them: row r
+    holds the features that predict the value after ``values[:ends[r]]`` on
+    epoch-day ``dates[r]``. An end below MIN_HISTORY is InsufficientHistory."""
+    v = np.asarray(values, dtype=np.float64)
+    ends = np.asarray(ends, dtype=np.int64)
+    days = np.asarray(dates, dtype=np.int64)
+    if len(ends) and ends.min() < MIN_HISTORY:
         raise InsufficientHistory(
-            f"need >= {MIN_HISTORY} prior observations, have {len(h)}"
+            f"need >= {MIN_HISTORY} prior observations, have {ends.min()}"
         )
-    d = epoch_day_to_date(int(date))
-    return LagFeatureRow(
-        lag_1=float(h[-1]),
-        lag_7=float(h[-7]),
-        lag_30=float(h[-30]),
-        lag_365=float(h[-365]),
-        rolling_mean_7=float(np.mean(h[-7:])),
-        rolling_mean_30=float(np.mean(h[-30:])),
-        day_of_week=d.weekday(),
-        month=d.month,
-    )
+    lags = v[ends[:, None] - np.array(LAGS)]
+    means = [np.mean(v[ends[:, None] + np.arange(-w, 0)], axis=1) for w in ROLLING_WINDOWS]
+    months = days.astype("datetime64[D]").astype("datetime64[M]").astype(np.int64) % 12 + 1
+    return np.column_stack([lags, *means, weekday_of(days), months])
 
 
 @dataclass(frozen=True)
@@ -118,61 +82,35 @@ class LinearLagRegressor:
 
 
 def fit_linear_lag_regressor(train: TimeSeries) -> LinearLagRegressor:
-    """Least squares on batch-built lag features of the training series, with
-    ridge penalty RIDGE_LAMBDA on all coefficients for conditioning."""
+    """Least squares on the lag features of every training day after the
+    first MIN_HISTORY, with ridge penalty RIDGE_LAMBDA on all coefficients
+    for conditioning."""
     values = train.values
     if len(values) < MIN_HISTORY + 1:
         raise InsufficientHistory(
             f"need >= {MIN_HISTORY + 1} training rows, have {len(values)}"
         )
-    rows = []
-    targets = []
-    for i in range(MIN_HISTORY, len(values)):
-        row = build_lag_features(values[:i], int(train.timestamps[i]))
-        rows.append(row.as_array())
-        targets.append(values[i])
-    X = np.column_stack([np.array(rows), np.ones(len(rows))])
-    y = np.array(targets)
+    ends = np.arange(MIN_HISTORY, len(values))
+    features = build_lag_features(values, ends, train.timestamps[ends])
+    X = np.column_stack([features, np.ones(len(ends))])
     gram = X.T @ X + RIDGE_LAMBDA * np.eye(X.shape[1])
     try:
-        weights = np.linalg.solve(gram, X.T @ y)
+        weights = np.linalg.solve(gram, X.T @ values[MIN_HISTORY:])
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"normal equations are singular: {exc}") from None
     return LinearLagRegressor(weights=weights)
 
 
-@dataclass(frozen=True)
-class WalkForwardResult:
-    """Predictions for the test dates that had enough history, plus the count
-    of dates skipped by the minimum-history guard."""
-
-    dates: np.ndarray
-    predictions: np.ndarray
-    n_skipped: int
-
-
-def walk_forward_forecast(regressor, train: TimeSeries, test_dates) -> WalkForwardResult:
+def walk_forward_forecast(regressor, train: TimeSeries, test_dates) -> np.ndarray:
     """Recursive multi-step forecasting: predict each test date from the
-    current history, then append the prediction before the next step.
-
-    Test dates with fewer than 365 accumulated observations are skipped (and
-    counted), mirroring the minimum-history guard of the batch features.
-    """
-    history = list(train.values)
-    dates = []
-    predictions = []
-    n_skipped = 0
-    for date in np.asarray(test_dates, dtype=np.int64):
-        if len(history) < MIN_HISTORY:
-            n_skipped += 1
-            continue
-        row = build_lag_features(history, int(date))
-        y_pred = float(regressor.predict_row(row.as_array()))
-        dates.append(int(date))
-        predictions.append(y_pred)
-        history.append(y_pred)
-    return WalkForwardResult(
-        dates=np.array(dates, dtype=np.int64),
-        predictions=np.array(predictions, dtype=np.float64),
-        n_skipped=n_skipped,
-    )
+    training values and the predictions so far, then append the prediction
+    before the next step. Returns one prediction per test date; predicting a
+    day from fewer than MIN_HISTORY training values is InsufficientHistory."""
+    dates = np.asarray(test_dates, dtype=np.int64)
+    n = len(train)
+    values = np.concatenate([train.values, np.empty(len(dates))])
+    ends = np.arange(n, len(values))
+    for step in range(len(dates)):
+        row = build_lag_features(values, ends[step : step + 1], dates[step : step + 1])[0]
+        values[n + step] = regressor.predict_row(row)
+    return values[n:]

@@ -231,7 +231,7 @@ def _run_candidate(spec, train: TimeSeries, test: TimeSeries, seed):
         kind = spec["baseline"]
         if kind == "lag_linear":
             regressor = fit_linear_lag_regressor(train)
-            return walk_forward_forecast(regressor, train, test.timestamps).predictions, None
+            return walk_forward_forecast(regressor, train, test.timestamps), None
         if kind == "naive":
             return naive_forecast(train.values, len(test)), None
         return seasonal_naive(train.values, len(test), spec.get("period", 7)), None

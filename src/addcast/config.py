@@ -10,14 +10,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from datetime import date
 
 from .errors import DomainError, ParseError, SchemaError
 from .timeseries import csv_field, csv_reader, format_epoch_day, open_text, parse_iso_date
 
-DEFAULT_CHANGEPOINT_PRIOR_SCALE = 0.05
-DEFAULT_SEASONALITY_PRIOR_SCALE = 10.0
-DEFAULT_HOLIDAY_PRIOR_SCALE = 10.0
 DEFAULT_SEED = 42
+# Days from 0001-01-01 to 9999-12-31. A wider holiday window covers no more
+# representable dates, and the bound keeps t +- window inside int64.
+MAX_HOLIDAY_WINDOW = date.max.toordinal() - date.min.toordinal()
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ class TrendSpec:
     growth: str = "linear"
     n_changepoints: int = 25
     changepoint_range: float = 0.8
-    changepoint_prior_scale: float = DEFAULT_CHANGEPOINT_PRIOR_SCALE
+    changepoint_prior_scale: float = 0.05
     capacity: float | None = None
 
     def __post_init__(self):
@@ -73,7 +74,7 @@ class SeasonalitySpec:
     name: str
     period: float
     fourier_order: int
-    prior_scale: float = DEFAULT_SEASONALITY_PRIOR_SCALE
+    prior_scale: float = 10.0
     mode: str = "additive"
 
     def __post_init__(self):
@@ -91,14 +92,15 @@ class HolidaySpec:
     """Named recurring event: base dates plus a symmetric-count window.
 
     ``lower_window``/``upper_window`` are nonnegative counts of days before /
-    after each base date over which the effect also applies.
+    after each base date over which the effect also applies, at most
+    MAX_HOLIDAY_WINDOW.
     """
 
     name: str
     dates: frozenset[int]
     lower_window: int = 0
     upper_window: int = 0
-    prior_scale: float = DEFAULT_HOLIDAY_PRIOR_SCALE
+    prior_scale: float = 10.0
 
     def __post_init__(self):
         object.__setattr__(self, "dates", frozenset(int(d) for d in self.dates))
@@ -108,13 +110,12 @@ class HolidaySpec:
             raise DomainError(
                 f"holiday {self.name!r}: windows are day counts and must be >= 0"
             )
+        if max(self.lower_window, self.upper_window) > MAX_HOLIDAY_WINDOW:
+            raise DomainError(
+                f"holiday {self.name!r}: windows must be <= {MAX_HOLIDAY_WINDOW} days,"
+                " the span of representable dates"
+            )
         _check_prior_scale(f"holiday {self.name!r}", self.prior_scale)
-
-    def expanded_dates(self) -> frozenset[int]:
-        out = set()
-        for d in self.dates:
-            out.update(range(d - self.lower_window, d + self.upper_window + 1))
-        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -252,78 +253,92 @@ def _object(value, name: str) -> dict:
     return value
 
 
+def _given(data: dict, **converters) -> dict:
+    """The optional keys that ``data`` holds, each passed through its
+    converter; ``int`` stands for a strict JSON integer (``_integer``). A key
+    that ``data`` lacks takes the dataclass field's default."""
+    return {
+        key: _integer(data[key], key) if convert is int else convert(data[key])
+        for key, convert in converters.items()
+        if key in data
+    }
+
+
+def _trend(t) -> TrendSpec:
+    return TrendSpec(
+        **_given(
+            dict(t),
+            growth=str,
+            n_changepoints=int,
+            changepoint_range=float,
+            changepoint_prior_scale=float,
+            capacity=float,
+        )
+    )
+
+
+def _seasonality(s) -> SeasonalitySpec:
+    return SeasonalitySpec(
+        name=str(s["name"]),
+        period=float(s["period"]),
+        fourier_order=_integer(s["fourier_order"], "fourier_order"),
+        **_given(s, prior_scale=float, mode=str),
+    )
+
+
+def _holiday(h) -> HolidaySpec:
+    return HolidaySpec(
+        name=str(h["name"]),
+        dates=frozenset(parse_iso_date(d) for d in h["dates"]),
+        **_given(h, lower_window=int, upper_window=int, prior_scale=float),
+    )
+
+
+def _regressor_values(values) -> dict[int, float]:
+    return {
+        parse_iso_date(k): float(v)
+        for k, v in _object(values, "regressor values").items()
+    }
+
+
+def _regressor(r) -> RegressorSpec:
+    return RegressorSpec(
+        name=str(r["name"]),
+        prior_scale=float(r["prior_scale"]),
+        **_given(r, values=_regressor_values),
+    )
+
+
 def config_from_dict(data: dict) -> ModelConfig:
     if not isinstance(data, dict):
         raise SchemaError("model config must be a JSON object")
     try:
-        trend_data = dict(data.get("trend", {}))
-        trend = TrendSpec(
-            growth=trend_data.get("growth", "linear"),
-            n_changepoints=_integer(trend_data.get("n_changepoints", 25), "n_changepoints"),
-            changepoint_range=float(trend_data.get("changepoint_range", 0.8)),
-            changepoint_prior_scale=float(
-                trend_data.get("changepoint_prior_scale", DEFAULT_CHANGEPOINT_PRIOR_SCALE)
-            ),
-            capacity=(
-                float(trend_data["capacity"]) if "capacity" in trend_data else None
-            ),
-        )
-        if "seasonalities" in data:
-            seasonalities = tuple(
-                SeasonalitySpec(
-                    name=str(s["name"]),
-                    period=float(s["period"]),
-                    fourier_order=_integer(s["fourier_order"], "fourier_order"),
-                    prior_scale=float(
-                        s.get("prior_scale", DEFAULT_SEASONALITY_PRIOR_SCALE)
-                    ),
-                    mode=str(s.get("mode", "additive")),
-                )
-                for s in data["seasonalities"]
-            )
-        else:
-            seasonalities = default_seasonalities()
-        holidays = tuple(
-            HolidaySpec(
-                name=str(h["name"]),
-                dates=frozenset(parse_iso_date(d) for d in h["dates"]),
-                lower_window=_integer(h.get("lower_window", 0), "lower_window"),
-                upper_window=_integer(h.get("upper_window", 0), "upper_window"),
-                prior_scale=float(h.get("prior_scale", DEFAULT_HOLIDAY_PRIOR_SCALE)),
-            )
-            for h in data.get("holidays", ())
-        )
-        regressors = tuple(
-            RegressorSpec(
-                name=str(r["name"]),
-                prior_scale=float(r["prior_scale"]),
-                values={
-                    parse_iso_date(k): float(v)
-                    for k, v in _object(r.get("values", {}), "regressor values").items()
-                },
-            )
-            for r in data.get("regressors", ())
-        )
         return ModelConfig(
-            trend=trend,
-            seasonalities=seasonalities,
-            holidays=holidays,
-            regressors=regressors,
-            interval_levels=tuple(data.get("interval_levels", (0.80, 0.95))),
-            interval_samples=_integer(data.get("interval_samples", 1000), "interval_samples"),
-            seed=_integer(data.get("seed", DEFAULT_SEED), "seed"),
+            **_given(
+                data,
+                trend=_trend,
+                seasonalities=lambda ss: tuple(map(_seasonality, ss)),
+                holidays=lambda hs: tuple(map(_holiday, hs)),
+                regressors=lambda rs: tuple(map(_regressor, rs)),
+                interval_levels=tuple,
+                interval_samples=int,
+                seed=int,
+            )
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed model config: {exc}") from None
 
 
 def read_json(path):
-    """The JSON value in a UTF-8 file; invalid JSON is a SchemaError."""
+    """The JSON value in a UTF-8 file; invalid JSON, or JSON nested deeper
+    than the parser's recursion limit, is a SchemaError."""
     with open_text(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise SchemaError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 def load_config(path) -> ModelConfig:

@@ -117,23 +117,23 @@ def fourier_features(t, period: float, order: int) -> np.ndarray:
 
 def holiday_features(timestamps, specs) -> np.ndarray:
     """0/1 indicator matrix, one column per holiday spec in order; entry is 1
-    iff the timestamp falls in the spec's window-expanded date set.
+    iff the timestamp t falls in the spec's window around some base date d,
+    d - lower_window <= t <= d + upper_window.
 
-    The timestamps must be distinct. Every spec's expanded dates are looked
-    up in the sorted timestamps at once, and only exact hits are kept."""
+    The timestamps must be distinct. The window test is
+    t - upper_window <= d <= t + lower_window, so the first base date at or
+    after t - upper_window, found by one search of the sorted base dates,
+    decides it."""
     t = np.asarray(timestamps, dtype=np.int64)
-    order = np.argsort(t, kind="stable")
-    sorted_t = t[order]
+    sorted_t = np.sort(t)
     if np.any(sorted_t[1:] == sorted_t[:-1]):
         raise DuplicateTimestamp("holiday features need distinct timestamps")
-    expanded = [np.fromiter(spec.expanded_dates(), dtype=np.int64) for spec in specs]
-    days = np.concatenate([np.empty(0, dtype=np.int64), *expanded])
-    columns = np.repeat(np.arange(len(specs)), [len(d) for d in expanded])
-    rows = np.searchsorted(sorted_t, days)
-    hit = rows < len(t)
-    hit[hit] = sorted_t[rows[hit]] == days[hit]
     out = np.zeros((len(t), len(specs)), dtype=np.float64)
-    out[order[rows[hit]], columns[hit]] = 1.0
+    for j, spec in enumerate(specs):
+        base = np.array(sorted(spec.dates), dtype=np.int64)
+        start = t - spec.upper_window
+        d = base[np.minimum(np.searchsorted(base, start), len(base) - 1)]
+        out[:, j] = (start <= d) & (d <= t + spec.lower_window)
     return out
 
 

@@ -405,5 +405,5 @@ def test_criterion_12_walk_forward_leakage_freedom():
         train_p = TimeSeries(days[:cut], poisoned[:cut])
         regressor_p = fit_linear_lag_regressor(train_p)
         again = walk_forward_forecast(regressor_p, train_p, days[cut:])
-        assert np.array_equal(clean.predictions, again.predictions)
-        assert clean.n_skipped == again.n_skipped == 0
+        assert np.array_equal(clean, again)
+        assert len(clean) == len(again) == len(days[cut:])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from addcast.baselines import (
-    LinearLagRegressor,
+    MIN_HISTORY,
     build_lag_features,
     fit_linear_lag_regressor,
     naive_forecast,
@@ -10,7 +10,7 @@ from addcast.baselines import (
     walk_forward_forecast,
 )
 from addcast.errors import EmptySeries, InsufficientHistory, SeriesShorterThanPeriod
-from addcast.timeseries import TimeSeries, parse_iso_date
+from addcast.timeseries import TimeSeries, epoch_day_to_date, parse_iso_date
 
 from conftest import daily_days
 
@@ -50,28 +50,60 @@ class TestSeasonalNaive:
             seasonal_naive([1.0, 2.0], 3, 7)
 
 
+def one_row(values, end, day):
+    """The one-row form of the lag features: the row predicting the value
+    after values[:end] on epoch-day ``day``."""
+    return build_lag_features(values, np.array([end]), np.array([day]))[0]
+
+
 class TestLagFeatures:
     def test_index_arithmetic_oracle(self):
         history = np.arange(1.0, 366.0)  # 1..365
         monday_jan = parse_iso_date("2024-01-01")  # a Monday
-        row = build_lag_features(history, monday_jan)
-        assert row.lag_1 == 365.0
-        assert row.lag_7 == 359.0
-        assert row.lag_30 == 336.0
-        assert row.lag_365 == 1.0
-        assert row.rolling_mean_7 == 362.0
-        assert row.rolling_mean_30 == pytest.approx(350.5)
-        assert row.day_of_week == 0
-        assert row.month == 1
+        row = one_row(history, 365, monday_jan)
+        assert row.shape == (8,)
+        assert row[0] == 365.0  # lag 1
+        assert row[1] == 359.0  # lag 7
+        assert row[2] == 336.0  # lag 30
+        assert row[3] == 1.0  # lag 365
+        assert row[4] == 362.0  # 7-day mean
+        assert row[5] == pytest.approx(350.5)  # 30-day mean
+        assert row[6] == 0  # weekday
+        assert row[7] == 1  # month
 
     def test_constant_history(self):
-        row = build_lag_features(np.full(400, 3.25), parse_iso_date("2024-06-15"))
-        arr = row.as_array()
-        assert np.all(arr[:6] == 3.25)
+        row = one_row(np.full(400, 3.25), 400, parse_iso_date("2024-06-15"))
+        assert np.all(row[:6] == 3.25)
+
+    def test_calendar_columns_match_date_objects(self):
+        days = np.arange(parse_iso_date("1969-11-20"), parse_iso_date("1971-02-10"))
+        values = np.zeros(MIN_HISTORY)
+        X = build_lag_features(values, np.full(len(days), MIN_HISTORY), days)
+        dates = [epoch_day_to_date(int(d)) for d in days]
+        assert np.array_equal(X[:, 6], [d.weekday() for d in dates])
+        assert np.array_equal(X[:, 7], [d.month for d in dates])
+
+    def test_batch_rows_equal_one_row_builds(self, rng):
+        n = 800
+        days = daily_days("2020-03-01", n)
+        y = np.cumsum(rng.normal(0, 3.0, n)) + 1e3 * rng.random(n)
+        ends = np.arange(MIN_HISTORY, n)
+        batch = build_lag_features(y, ends, days[ends])
+        assert batch.shape == (len(ends), 8)
+        for r, end in enumerate(ends):
+            assert batch[r].tobytes() == one_row(y, end, days[end]).tobytes()
+
+    def test_rows_read_only_values_before_their_end(self, rng):
+        y = rng.normal(0, 1, 500)
+        poisoned = y.copy()
+        poisoned[400:] = 1e12
+        assert np.array_equal(one_row(y, 400, 0), one_row(poisoned, 400, 0))
 
     def test_insufficient_history(self):
         with pytest.raises(InsufficientHistory):
-            build_lag_features(np.ones(364), 0)
+            one_row(np.ones(364), 364, 0)
+        with pytest.raises(InsufficientHistory):
+            build_lag_features(np.ones(500), np.array([400, 364]), np.array([0, 0]))
 
 
 class _Lag1Regressor:
@@ -94,19 +126,17 @@ class TestWalkForward:
     def test_lag1_regressor_collapses_to_naive(self):
         train = self.make_train()
         test_dates = daily_days("2023-02-05", 10)
-        result = walk_forward_forecast(_Lag1Regressor(), train, test_dates)
-        assert np.array_equal(result.predictions, np.full(10, 400.0))
-        assert result.n_skipped == 0
+        predictions = walk_forward_forecast(_Lag1Regressor(), train, test_dates)
+        assert np.array_equal(predictions, np.full(10, 400.0))
 
     def test_empty_test(self):
         train = self.make_train()
-        result = walk_forward_forecast(_Lag1Regressor(), train, [])
-        assert len(result.predictions) == 0
+        assert len(walk_forward_forecast(_Lag1Regressor(), train, [])) == 0
 
     def test_three_step_manual_unroll(self):
         train = self.make_train()
         test_dates = daily_days("2023-02-05", 3)
-        result = walk_forward_forecast(_FixedLinear(), train, test_dates)
+        predictions = walk_forward_forecast(_FixedLinear(), train, test_dates)
         # manual unroll oracle
         history = list(train.values)
         expected = []
@@ -114,14 +144,13 @@ class TestWalkForward:
             pred = 0.5 * history[-1] + 0.1 * float(np.mean(history[-7:])) + 1.0
             expected.append(pred)
             history.append(pred)
-        assert np.allclose(result.predictions, expected, rtol=0, atol=0)
+        assert np.allclose(predictions, expected, rtol=0, atol=0)
 
-    def test_short_history_skips_everything(self):
-        days = daily_days("2022-01-01", 100)
-        train = TimeSeries(days, np.arange(100.0))
-        result = walk_forward_forecast(_Lag1Regressor(), train, daily_days("2022-04-11", 5))
-        assert len(result.predictions) == 0
-        assert result.n_skipped == 5
+    def test_short_train_is_insufficient_history(self):
+        days = daily_days("2022-01-01", MIN_HISTORY - 1)
+        train = TimeSeries(days, np.arange(float(len(days))))
+        with pytest.raises(InsufficientHistory):
+            walk_forward_forecast(_Lag1Regressor(), train, daily_days("2022-12-31", 5))
 
     def test_poisoned_targets_change_nothing(self, rng):
         # leakage freedom: the recursion sees only test DATES, so corrupting
@@ -129,7 +158,6 @@ class TestWalkForward:
         n = 500
         days = daily_days("2022-01-01", n)
         y = 10.0 + np.sin(2 * np.pi * days / 7.0) + rng.normal(0, 0.1, n)
-        ts = TimeSeries(days, y)
         cut = 420
         train = TimeSeries(days[:cut], y[:cut])
         test_dates = days[cut:]
@@ -141,36 +169,29 @@ class TestWalkForward:
         poisoned_train = TimeSeries(days[:cut], poisoned_values[:cut])
         poisoned_regressor = fit_linear_lag_regressor(poisoned_train)
         poisoned = walk_forward_forecast(poisoned_regressor, poisoned_train, test_dates)
-        assert np.array_equal(clean.predictions, poisoned.predictions)
+        assert np.array_equal(clean, poisoned)
 
     def test_incremental_features_match_batch(self):
         train = self.make_train()
         test_dates = daily_days("2023-02-05", 8)
-        result = walk_forward_forecast(_FixedLinear(), train, test_dates)
-        realized = np.concatenate([train.values, result.predictions])
+        predictions = walk_forward_forecast(_FixedLinear(), train, test_dates)
+        realized = np.concatenate([train.values, predictions])
         for i, date in enumerate(test_dates):
-            batch_row = build_lag_features(realized[: len(train) + i], int(date))
-            incremental = walk_forward_forecast(
-                _FixedLinear(), train, test_dates[: i + 1]
-            )
-            assert incremental.predictions[-1] == _FixedLinear().predict_row(
-                batch_row.as_array()
-            )
+            batch_row = one_row(realized, len(train) + i, date)
+            incremental = walk_forward_forecast(_FixedLinear(), train, test_dates[: i + 1])
+            assert incremental[-1] == _FixedLinear().predict_row(batch_row)
 
 
 class TestLinearLagRegressor:
     def test_exact_linear_recovery(self, rng):
         n = 500
         days = daily_days("2020-01-01", n)
-        base = rng.normal(0, 1, n)
-        ts = TimeSeries(days, base)
         # construct a target that is an exact linear function of the features
         true_w = np.array([0.4, -0.2, 0.1, 0.05, 0.3, -0.1, 0.02, 0.01])
         intercept = 0.7
-        values = base.copy()
+        values = rng.normal(0, 1, n)
         for i in range(365, n):
-            row = build_lag_features(values[:i], int(days[i]))
-            values[i] = row.as_array() @ true_w + intercept
+            values[i] = one_row(values, i, days[i]) @ true_w + intercept
         ts = TimeSeries(days, values)
         reg = fit_linear_lag_regressor(ts)
         assert np.max(np.abs(reg.weights[:-1] - true_w)) < 1e-6
@@ -180,9 +201,7 @@ class TestLinearLagRegressor:
         n = 450
         ts = TimeSeries(daily_days("2020-01-01", n), np.full(n, 5.0))
         reg = fit_linear_lag_regressor(ts)
-        pred = reg.predict_row(
-            build_lag_features(ts.values, int(ts.timestamps[-1]) + 1).as_array()
-        )
+        pred = reg.predict_row(one_row(ts.values, n, int(ts.timestamps[-1]) + 1))
         assert pred == pytest.approx(5.0, abs=1e-6)
 
     def test_matches_normal_equations_oracle(self, rng):
@@ -194,7 +213,7 @@ class TestLinearLagRegressor:
         rows = []
         targets = []
         for i in range(365, n):
-            rows.append(build_lag_features(y[:i], int(days[i])).as_array())
+            rows.append(one_row(y, i, days[i]))
             targets.append(y[i])
         X = np.column_stack([np.array(rows), np.ones(len(rows))])
         oracle = np.linalg.solve(

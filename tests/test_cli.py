@@ -10,7 +10,7 @@ import pytest
 
 from addcast.cli import _load_candidate, main
 from addcast.config import load_config, load_holiday_calendar
-from addcast.errors import ParseError
+from addcast.errors import ParseError, SchemaError
 from addcast.persistence import load_model, read_manifest
 from addcast.timeseries import format_epoch_day, load_csv, read_columns
 
@@ -197,6 +197,11 @@ class TestFitCommand:
                 ({"trend": {"growth": "logistic", "capacity": capacity}},
                  "DomainError", "capacity must be positive and finite")
                 for capacity in (NAN, INF)
+            ),
+            (
+                {"holidays": [{"name": "h", "dates": ["2021-01-01"], "upper_window": 10**30}]},
+                "DomainError",
+                "span of representable dates",
             ),
         ],
     )
@@ -458,6 +463,31 @@ class TestNonUtf8Input:
         assert code == 1
         assert not model.exists()
         assert_one_error_line(capsys, "ParseError", "not UTF-8")
+
+
+class TestDeeplyNestedJson:
+    """JSON nested deeper than the parser's recursion limit is a
+    SchemaError in every JSON reader, never a RecursionError."""
+
+    @staticmethod
+    def write_deep(path):
+        path.write_text("[" * 100000)
+        return path
+
+    @pytest.mark.parametrize("read", [load_config, _load_candidate, load_model, read_manifest])
+    def test_json_readers(self, tmp_path, read):
+        with pytest.raises(SchemaError, match="nested too deeply"):
+            read(self.write_deep(tmp_path / "deep.json"))
+
+    def test_predict_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "forecast.csv"
+        code = main(
+            ["predict", "--input", str(self.write_deep(tmp_path / "deep.json")),
+             "--periods", "3", "--output", str(out)]
+        )
+        assert code == 1
+        assert not out.exists()
+        assert_one_error_line(capsys, "SchemaError", "nested too deeply")
 
 
 class TestRegressorFlow:

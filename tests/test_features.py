@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from addcast.config import (
+    MAX_HOLIDAY_WINDOW,
     HolidaySpec,
     ModelConfig,
     RegressorSpec,
@@ -9,7 +12,7 @@ from addcast.config import (
     TrendSpec,
     load_holiday_calendar,
 )
-from addcast.errors import DuplicateTimestamp, MissingRegressorValue, ParseError
+from addcast.errors import DomainError, DuplicateTimestamp, MissingRegressorValue, ParseError
 from addcast.estimator import row_dot
 from addcast.features import (
     TimeScaling,
@@ -188,6 +191,15 @@ class TestFourierFeatures:
         assert np.allclose(row, expected, atol=1e-15)
 
 
+def expanded_dates(spec):
+    """Set oracle for a holiday window: every day from d - lower_window to
+    d + upper_window around each base date d."""
+    out = set()
+    for d in spec.dates:
+        out.update(range(d - spec.lower_window, d + spec.upper_window + 1))
+    return frozenset(out)
+
+
 class TestHolidayFeatures:
     def test_exact_date(self):
         d = parse_iso_date("2020-07-04")
@@ -222,7 +234,7 @@ class TestHolidayFeatures:
         assert set(np.unique(out)) <= {0.0, 1.0}
         for j, spec in enumerate(specs):
             # brute-force date scan
-            hits = sum(1 for d in days if int(d) in spec.expanded_dates())
+            hits = sum(1 for d in days if int(d) in expanded_dates(spec))
             assert out[:, j].sum() == hits
 
     def test_overlapping_holidays_keep_separate_columns(self):
@@ -237,7 +249,7 @@ class TestHolidayFeatures:
     def isin_definition(timestamps, specs):
         out = np.zeros((len(timestamps), len(specs)))
         for j, spec in enumerate(specs):
-            expanded = np.fromiter(spec.expanded_dates(), dtype=np.int64)
+            expanded = np.fromiter(expanded_dates(spec), dtype=np.int64)
             out[:, j] = np.isin(timestamps, expanded)
         return out
 
@@ -274,6 +286,44 @@ class TestHolidayFeatures:
         assert np.array_equal(out, expected)
         if grid == "no_holidays":
             assert not out.any()
+
+    def test_random_spec_sets_match_isin_definition(self, rng):
+        days = rng.permutation(daily_days("2021-01-01", 90))
+        for _ in range(300):
+            specs = [
+                HolidaySpec(name=f"h{i}",
+                            dates=frozenset(int(d) for d in days[0] - 20 + rng.choice(
+                                130, int(rng.integers(1, 6)), replace=False)),
+                            lower_window=int(rng.integers(0, 12)),
+                            upper_window=int(rng.integers(0, 12)))
+                for i in range(int(rng.integers(0, 4)))
+            ]
+            expected = self.isin_definition(days, specs)
+            assert np.array_equal(holiday_features(days, specs), expected)
+
+    @pytest.mark.parametrize("window", ["lower_window", "upper_window"])
+    def test_window_beyond_the_date_span_rejected(self, window):
+        d = parse_iso_date("2020-07-04")
+        HolidaySpec(name="h", dates=frozenset([d]), **{window: MAX_HOLIDAY_WINDOW})
+        with pytest.raises(DomainError, match="span of representable dates"):
+            HolidaySpec(name="h", dates=frozenset([d]), **{window: MAX_HOLIDAY_WINDOW + 1})
+
+    def test_window_at_the_bound_builds_in_little_memory(self):
+        ts = make_series("2020-01-01", np.arange(60.0))
+        config = ModelConfig(
+            trend=TrendSpec(n_changepoints=0),
+            seasonalities=(),
+            holidays=(HolidaySpec(name="all", dates=frozenset([parse_iso_date("0001-01-01")]),
+                                  upper_window=MAX_HOLIDAY_WINDOW),),
+        )
+        tracemalloc.start()
+        try:
+            design = build_design(ts, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert np.all(design.X[:, design.layout.block("holidays").start] == 1.0)
 
     def test_no_specs(self):
         assert holiday_features(daily_days("2021-01-01", 5), []).shape == (5, 0)
