@@ -28,7 +28,6 @@ from .config import (
     config_from_dict,
     config_to_dict,
     load_config,
-    load_holiday_calendar,
 )
 from .errors import AddcastError
 from .estimator import FittedModel, estimate_sigma, fit, map_gradient, map_objective
@@ -54,8 +53,6 @@ from .features import (
     fourier_features,
     gamma_from_delta,
     holiday_features,
-    linear_trend,
-    logistic_trend,
     place_changepoints,
 )
 from .forecast import (
@@ -76,7 +73,6 @@ from .persistence import (
     make_manifest,
     model_from_document,
     model_to_document,
-    read_manifest,
     save_model,
     write_manifest,
 )
@@ -88,5 +84,4 @@ from .timeseries import (
     forward_fill,
     load_csv,
     log_transform,
-    write_csv,
 )

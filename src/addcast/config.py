@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, field, replace
 from datetime import date
 
-from .errors import DomainError, ParseError, SchemaError
-from .timeseries import csv_field, csv_reader, format_epoch_day, open_text, parse_iso_date
+from .errors import DomainError, SchemaError
+from .timeseries import format_epoch_day, open_text, parse_iso_date
 
 DEFAULT_SEED = 42
 # Days from 0001-01-01 to 9999-12-31. A wider holiday window covers no more
@@ -343,45 +343,3 @@ def read_json(path):
 
 def load_config(path) -> ModelConfig:
     return config_from_dict(read_json(path))
-
-
-def load_holiday_calendar(path) -> tuple[HolidaySpec, ...]:
-    """Load holiday specs from a CSV with columns
-    ``holiday,ds,lower_window,upper_window`` (one row per occurrence).
-
-    Window columns must agree across rows of the same holiday name.
-    """
-    required = ("holiday", "ds", "lower_window", "upper_window")
-    grouped: dict[str, dict] = {}  # in order of first appearance
-    with csv_reader(path, required) as (columns, rows):
-        for lineno, row in enumerate(rows, start=2):
-            name, ds, lower, upper = (csv_field(row, columns[c]) for c in required)
-            name = (name or "").strip()
-            if not name:
-                raise ParseError(f"{path}: row {lineno}: empty holiday name")
-            for col, value in zip(required[1:], (ds, lower, upper)):
-                if value is None:
-                    raise ParseError(f"{path}: row {lineno}: missing field {col!r}")
-            try:
-                day = parse_iso_date(ds)
-                lower = int(lower)
-                upper = int(upper)
-            except (ParseError, ValueError) as exc:
-                raise ParseError(f"{path}: row {lineno}: {exc}") from None
-            entry = grouped.setdefault(name, {"dates": set(), "windows": (lower, upper)})
-            if entry["windows"] != (lower, upper):
-                raise ParseError(
-                    f"{path}: row {lineno}: window mismatch for holiday {name!r}"
-                )
-            entry["dates"].add(day)
-    if not grouped:
-        raise ParseError(f"{path}: no holiday rows")
-    return tuple(
-        HolidaySpec(
-            name=name,
-            dates=frozenset(grouped[name]["dates"]),
-            lower_window=grouped[name]["windows"][0],
-            upper_window=grouped[name]["windows"][1],
-        )
-        for name in grouped
-    )

@@ -36,8 +36,8 @@ from .features import (
     Layout,
     TimeScaling,
     build_design,
-    expit,
     gamma_from_delta,
+    growth_curve,
     model_layout,
 )
 from .timeseries import TimeSeries
@@ -105,20 +105,18 @@ def row_dot(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _model_parts(params, design: DesignMatrix, trend: TrendSpec) -> ModelParts:
     """Evaluate the prediction and the intermediates the gradient reuses.
 
-    For logistic growth ``trend.capacity`` must be expressed in the same
-    units as the target the objective is evaluated against.
+    The trend is ``features.growth_curve`` of the per-row rate
+    k + a(t)'delta and offset m + a(t)'gamma. For logistic growth
+    ``trend.capacity`` must be expressed in the same units as the target
+    the objective is evaluated against.
     """
     k, m, delta, beta = _split_params(params, design)
     t = design.t_scaled
     A = design.columns(design.layout.trend)
     rate = k + row_dot(A, delta)
     offset = m + row_dot(A, gamma_from_delta(design.changepoints_scaled, delta))
-    if trend.growth == "linear":
-        g = rate * t + offset
-        weight = None
-    else:
-        g = trend.capacity * expit(rate * (t - offset))
-        weight = g * (1.0 - g / trend.capacity)
+    g = growth_curve(rate, offset, t, trend)
+    weight = None if trend.growth == "linear" else g * (1.0 - g / trend.capacity)
 
     multiplicative, additive = design.mode_columns
     mul_mask = design.layout.multiplicative_mask
@@ -218,7 +216,7 @@ class _Derivatives:
             return J
         W = self.workspace
         if not self.linear:
-            # g = C * expit(rate * (t - offset)); d g / d(exponent) = logistic_weight.
+            # g = C * sigmoid(rate * (t - offset)); d g / d(exponent) = logistic_weight.
             d_rate = parts.logistic_weight * (self.design.t_scaled - parts.offset)
             d_offset = parts.logistic_weight * parts.rate
             W[0] = d_rate

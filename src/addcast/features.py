@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import ModelConfig, TrendSpec
 from .errors import DomainError, DuplicateTimestamp, MissingRegressorValue
 from .timeseries import TimeSeries, format_epoch_day
 
@@ -71,32 +71,28 @@ def gamma_from_delta(changepoints, delta) -> np.ndarray:
     return -cps * d
 
 
-def linear_trend(t, k: float, m: float, delta, changepoints) -> np.ndarray:
-    """Piecewise-linear growth curve (k + a(t)'delta) * t + (m + a(t)'gamma)."""
-    a = changepoint_basis(t, changepoints)
-    gamma = gamma_from_delta(changepoints, delta)
-    t_arr = np.asarray(t, dtype=np.float64)
-    return (k + a @ np.asarray(delta, dtype=np.float64)) * t_arr + (m + a @ gamma)
-
-
 def expit(x):
     """Logistic sigmoid 1 / (1 + exp(-x)), in a form that cannot overflow."""
     return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
-def logistic_trend(t, k: float, m: float, delta, gamma, changepoints, capacity) -> np.ndarray:
-    """Saturating growth curve C / (1 + exp(-(k + a'delta)(t - (m + a'gamma)))).
-
-    ``capacity`` may be a scalar or a per-timestamp array.
-    """
-    cap = np.asarray(capacity, dtype=np.float64)
-    if np.any(cap <= 0):
-        raise DomainError("capacity must be positive")
-    a = changepoint_basis(t, changepoints)
-    t_arr = np.asarray(t, dtype=np.float64)
-    rate = k + a @ np.asarray(delta, dtype=np.float64)
-    offset = m + a @ np.asarray(gamma, dtype=np.float64)
-    return cap * expit(rate * (t_arr - offset))
+def growth_curve(rate, offset, t, trend: TrendSpec, scratch: bool = False) -> np.ndarray:
+    """The growth curve g at times ``t`` from its per-row growth ``rate`` and
+    ``offset``: rate * t + offset (linear) or
+    capacity * expit(rate * (t - offset)) (logistic), as in Taylor & Letham
+    (2018), section 2.1. ``trend``'s capacity is in the units of g.
+    ``rate`` and ``offset`` have the shape of g, and ``t`` broadcasts
+    against them. With ``scratch`` they are the caller's temporaries, and
+    the operations run in place over one of them; the bits are the same."""
+    if trend.growth == "linear":
+        g = np.multiply(rate, t, out=rate if scratch else None)
+        g += offset
+        return g
+    x = np.subtract(t, offset, out=offset if scratch else None)
+    x *= rate
+    g = expit(x)
+    g *= trend.capacity
+    return g
 
 
 def fourier_features(t, period: float, order: int) -> np.ndarray:
@@ -183,12 +179,6 @@ class Layout:
         holidays and regressors, which are reported even when undeclared."""
         seasonal = [b.name for b in self.blocks if b.kind == "seasonal"]
         return ["trend", *seasonal, "holidays", "regressors"]
-
-    def block(self, kind: str, name: str | None = None) -> Block | None:
-        for b in self.blocks:
-            if b.kind == kind and (name is None or b.name == name):
-                return b
-        return None
 
     def beta_slice(self, block: Block) -> slice:
         """Where ``block``'s coefficients sit in beta."""

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .estimator import FittedModel, ModelParts, _model_parts, row_dot
-from .features import design_for_grid, expit, regressor_column
+from .features import design_for_grid, growth_curve, regressor_column
 from .timeseries import MAX_EPOCH_DAY, format_epoch_day, write_table
 
 
@@ -197,10 +197,10 @@ def _trend_deviations(model: FittedModel, evaluation: _Evaluation, first: int, s
     adds its magnitude to the rate and loc * magnitude to the negated offset
     of every row with t >= loc: a cumulative sum down the rows of what each
     changepoint adds at its first such row. The sampled trend is then
-    evaluated exactly as the fitted one is, rate * t + offset (linear) or
-    capacity * expit(rate * (t - offset)) (logistic), so a sample without
-    changepoints up to a row deviates by exactly 0 there. Yields nothing
-    when there are no future rows or no historical changepoint behaviour.
+    ``features.growth_curve`` of the sampled rate and offset, as the fitted
+    trend is, so a sample without changepoints up to a row deviates by
+    exactly 0 there. Yields nothing when there are no future rows or no
+    historical changepoint behaviour.
     """
     t = evaluation.t_scaled[first:]
     n_hist = len(model.changepoints_scaled)
@@ -238,21 +238,14 @@ def _trend_deviations(model: FittedModel, evaluation: _Evaluation, first: int, s
             active = per_cell.astype(np.float64, copy=False).reshape(n_rows + 1, width)[:n_rows]
             return np.cumsum(active, axis=0, out=active)
 
-        # In place, with the fitted trend's operations in its order, so a
-        # sample without changepoints up to a row still deviates by exactly 0.
+        # The sampled rate and offset in place, and the trend with the fitted
+        # trend's operations in its order, so a sample without changepoints
+        # up to a row still deviates by exactly 0.
         new_rate = active_sum(mags[cps])
         new_rate += rate
         new_offset = active_sum(locs[cps] * mags[cps])
         np.subtract(offset, new_offset, out=new_offset)
-        if trend.growth == "linear":
-            new_rate *= t_col
-            new_rate += new_offset
-            deviation = new_rate
-        else:
-            np.subtract(t_col, new_offset, out=new_offset)
-            new_offset *= new_rate
-            deviation = expit(new_offset)
-            deviation *= trend.capacity
+        deviation = growth_curve(new_rate, new_offset, t_col, trend, scratch=True)
         deviation -= g
         yield slice(lo, hi), deviation
 

@@ -218,18 +218,3 @@ def make_manifest(seed: int, config, ts: TimeSeries, metrics: dict) -> RunManife
 
 def write_manifest(manifest: RunManifest, path) -> None:
     write_output(path, canonical_json_bytes(manifest.to_dict()))
-
-
-def read_manifest(path) -> RunManifest:
-    data = read_json(path)
-    try:
-        return RunManifest(
-            seed=int(data["seed"]),
-            version=str(data["version"]),
-            config_digest=str(data["config_digest"]),
-            dataset_digest=str(data["dataset_digest"]),
-            metrics=data["metrics"],
-            created_at=str(data["created_at"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed manifest: {exc}") from None

@@ -90,10 +90,6 @@ def date_to_epoch_day(d: date) -> int:
     return d.toordinal() - _EPOCH_ORDINAL
 
 
-def epoch_day_to_date(day: int) -> date:
-    return date.fromordinal(int(day) + _EPOCH_ORDINAL)
-
-
 def parse_iso_date(text: str) -> int:
     """Parse a strict ``YYYY-MM-DD`` string into an epoch-day; anything
     else, also a value that is not a string, is a ParseError."""
@@ -339,18 +335,6 @@ def write_table(path, header: list, rows) -> None:
     writer.writerow(header)
     writer.writerows(rows)
     write_output(path, text.getvalue().encode("utf-8"))
-
-
-def write_csv(ts: TimeSeries, path, date_column: str = "ds", value_column: str = "y") -> None:
-    """Write a series as CSV; floats use shortest round-trip formatting."""
-    write_table(
-        path,
-        [date_column, value_column],
-        zip(
-            map(format_epoch_day, ts.timestamps.tolist()),
-            ["NA" if math.isnan(v) else v for v in ts.values.tolist()],
-        ),
-    )
 
 
 def log_transform(ts: TimeSeries, offset: float = 0.0) -> TimeSeries:

@@ -1,10 +1,16 @@
+import csv
+import math
 import os
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from addcast.timeseries import TimeSeries, parse_iso_date
+from addcast.config import ModelConfig, TrendSpec
+from addcast.estimator import _model_parts
+from addcast.features import DesignMatrix, changepoint_basis, expit, model_layout
+from addcast.timeseries import TimeSeries, format_epoch_day, parse_iso_date
 
 # pyproject.toml puts src/ on this process's path; tests that start
 # `python -m addcast` need it too when the package is not installed.
@@ -20,6 +26,50 @@ def daily_days(start_iso: str, n: int) -> np.ndarray:
 def make_series(start_iso: str, values) -> TimeSeries:
     values = np.asarray(values, dtype=np.float64)
     return TimeSeries(daily_days(start_iso, len(values)), values)
+
+
+def epoch_date(day) -> date:
+    """The calendar date of an epoch-day (days since 1970-01-01)."""
+    return date.fromordinal(date(1970, 1, 1).toordinal() + int(day))
+
+
+def write_series_csv(ts: TimeSeries, path) -> None:
+    """``ts`` as a ds,y CSV in the bytes the package's writers give: the csv
+    module's default dialect (CRLF line ends), floats as shortest round-trip
+    decimals and NA for NaN."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["ds", "y"])
+        for day, value in zip(ts.timestamps.tolist(), ts.values.tolist()):
+            writer.writerow([format_epoch_day(day), "NA" if math.isnan(value) else value])
+
+
+def trend_oracle(t, k, m, delta, cps, trend: TrendSpec) -> np.ndarray:
+    """The growth curve g(t) from the model's definition (Taylor & Letham
+    2018, section 2.1): a_j(t) = 1 iff t >= s_j, the rate k + a(t)'delta,
+    the offset m + a(t)'gamma with gamma_j = -s_j * delta_j, and g =
+    rate * t + offset (linear) or C * expit(rate * (t - offset))
+    (logistic). ``k`` and ``m`` may be arrays that broadcast against t."""
+    t = np.asarray(t, dtype=np.float64)
+    cps = np.asarray(cps, dtype=np.float64)
+    delta = np.asarray(delta, dtype=np.float64)
+    a = (t[..., np.newaxis] >= cps).astype(np.float64)
+    rate = k + a @ delta
+    offset = m + a @ (-cps * delta)
+    if trend.growth == "linear":
+        return rate * t + offset
+    return trend.capacity * expit(rate * (t - offset))
+
+
+def program_trend(t, k, m, delta, cps, trend: TrendSpec) -> np.ndarray:
+    """The trend the estimator and the forecast evaluate, at scaled times
+    ``t``: ``_model_parts`` on a design of changepoint columns alone."""
+    t = np.asarray(t, dtype=np.float64)
+    cps = np.asarray(cps, dtype=np.float64)
+    n = len(cps)
+    layout = model_layout(ModelConfig(trend=TrendSpec(n_changepoints=n), seasonalities=()), n)
+    design = DesignMatrix(t, cps, changepoint_basis(t, cps), layout)
+    return _model_parts(np.concatenate(([k, m], delta)), design, trend).trend
 
 
 @pytest.fixture

@@ -24,12 +24,12 @@ from addcast.evaluation import (
     rmse,
     rolling_cv,
 )
-from addcast.features import build_design, linear_trend
+from addcast.features import build_design
 from addcast.forecast import forecast_with_intervals, make_future_grid, predict
 from addcast.persistence import model_to_document
 from addcast.timeseries import TimeSeries, format_epoch_day
 
-from conftest import daily_days
+from conftest import daily_days, program_trend
 
 
 @contextmanager
@@ -56,9 +56,10 @@ def test_criterion_01_trend_continuity():
             delta = rng.uniform(-0.05, 0.05, n_cp)
             k = float(rng.uniform(-0.2, 0.2))
             m = float(rng.uniform(-5.0, 5.0))
-            left = linear_trend(cps - eps, k, m, delta, cps)
-            right = linear_trend(cps + eps, k, m, delta, cps)
-            assert np.max(np.abs(np.diag(left) - np.diag(right))) <= 1e-9
+            # the program's trend, just before and just after each changepoint
+            t = np.concatenate((cps - eps, cps + eps))
+            g = program_trend(t, k, m, delta, cps, TrendSpec())
+            assert np.max(np.abs(g[:n_cp] - g[n_cp:])) <= 1e-9
         assert time.time() - started < 5.0
 
 

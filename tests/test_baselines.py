@@ -10,9 +10,9 @@ from addcast.baselines import (
     walk_forward_forecast,
 )
 from addcast.errors import EmptySeries, InsufficientHistory, SeriesShorterThanPeriod
-from addcast.timeseries import TimeSeries, epoch_day_to_date, parse_iso_date
+from addcast.timeseries import TimeSeries, parse_iso_date
 
-from conftest import daily_days
+from conftest import daily_days, epoch_date
 
 
 class TestNaive:
@@ -79,7 +79,7 @@ class TestLagFeatures:
         days = np.arange(parse_iso_date("1969-11-20"), parse_iso_date("1971-02-10"))
         values = np.zeros(MIN_HISTORY)
         X = build_lag_features(values, np.full(len(days), MIN_HISTORY), days)
-        dates = [epoch_day_to_date(int(d)) for d in days]
+        dates = [epoch_date(d) for d in days]
         assert np.array_equal(X[:, 6], [d.weekday() for d in dates])
         assert np.array_equal(X[:, 7], [d.month for d in dates])
 

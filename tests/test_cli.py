@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from addcast.cli import _load_candidate, main
-from addcast.config import load_config, load_holiday_calendar
+from addcast.config import load_config
 from addcast.errors import ParseError, SchemaError
-from addcast.persistence import load_model, read_manifest
+from addcast.persistence import load_model
 from addcast.timeseries import format_epoch_day, load_csv, read_columns
 
 from conftest import daily_days
@@ -431,7 +431,6 @@ class TestNonUtf8Input:
         "read",
         [
             load_csv,
-            load_holiday_calendar,
             pytest.param(lambda p: read_columns(p, ("e",)), id="read_columns"),
             lambda p: read_columns(p, ("e",), date_column=None),
         ],
@@ -442,7 +441,7 @@ class TestNonUtf8Input:
         with pytest.raises(ParseError, match="not UTF-8"):
             read(path)
 
-    @pytest.mark.parametrize("read", [load_config, _load_candidate, load_model, read_manifest])
+    @pytest.mark.parametrize("read", [load_config, _load_candidate, load_model])
     def test_json_readers(self, tmp_path, read):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"name": "caf\xe9"}')
@@ -474,7 +473,7 @@ class TestDeeplyNestedJson:
         path.write_text("[" * 100000)
         return path
 
-    @pytest.mark.parametrize("read", [load_config, _load_candidate, load_model, read_manifest])
+    @pytest.mark.parametrize("read", [load_config, _load_candidate, load_model])
     def test_json_readers(self, tmp_path, read):
         with pytest.raises(SchemaError, match="nested too deeply"):
             read(self.write_deep(tmp_path / "deep.json"))

@@ -6,7 +6,6 @@ import pytest
 from addcast.config import HolidaySpec, ModelConfig, RegressorSpec, SeasonalitySpec, TrendSpec
 from addcast.errors import DomainError, MissingRegressorValue
 from addcast.estimator import FittedModel, fit
-from addcast.features import gamma_from_delta, linear_trend, logistic_trend
 from addcast.forecast import (
     FutureGrid,
     _evaluate,
@@ -22,7 +21,7 @@ from addcast.forecast import (
 )
 from addcast.timeseries import TimeSeries, parse_iso_date
 
-from conftest import daily_days
+from conftest import daily_days, trend_oracle
 
 
 def flat_model(sigma=0.0, n_train=100, level=2.0, seasonalities=()):
@@ -428,13 +427,7 @@ def _oracle_deviations(model, evaluation, seed):
         new = slice(ends[s] - counts[s], ends[s])
         cps_aug = np.concatenate([cps, locs[new]])
         delta_aug = np.concatenate([model.delta, mags[new]])
-        if trend.growth == "linear":
-            g_new = linear_trend(t, model.k, model.m, delta_aug, cps_aug)
-        else:
-            gamma = gamma_from_delta(cps_aug, delta_aug)
-            g_new = logistic_trend(
-                t, model.k, model.m, delta_aug, gamma, cps_aug, trend.capacity
-            )
+        g_new = trend_oracle(t, model.k, model.m, delta_aug, cps_aug, trend)
         deviations[:, s] = g_new - evaluation.parts.trend
     return deviations, counts, locs, ends
 

@@ -16,7 +16,6 @@ from addcast.persistence import (
     make_manifest,
     model_from_document,
     model_to_document,
-    read_manifest,
     save_model,
     sha256_hex,
     write_manifest,
@@ -187,8 +186,7 @@ class TestManifest:
         manifest = make_manifest(42, config, ts, {"m": {"rmse": 1.0}})
         path = tmp_path / "run.json"
         write_manifest(manifest, path)
-        back = read_manifest(path)
-        assert back == manifest
+        assert json.loads(path.read_text()) == manifest.to_dict()
 
     def test_determinism_up_to_wall_clock(self, fitted):
         ts, config, _ = fitted
@@ -206,9 +204,3 @@ class TestManifest:
         b = make_manifest(42, config, other, {})
         assert a.dataset_digest != b.dataset_digest
         assert a.config_digest == b.config_digest
-
-    def test_malformed_rejected(self, tmp_path):
-        p = tmp_path / "m.json"
-        p.write_text('{"seed": 1}')
-        with pytest.raises(SchemaError):
-            read_manifest(p)

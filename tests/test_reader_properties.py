@@ -1,7 +1,7 @@
-"""Generated CSV files for the series, column and holiday readers: every call
-returns or raises an AddcastError, never another exception, the array path
-gives what the row-by-row path gives, and a well-formed series survives
-write_csv followed by load_csv bit for bit."""
+"""Generated CSV files for the series and column readers: every call returns
+or raises an AddcastError, never another exception, the array path gives
+what the row-by-row path gives, and a well-formed series survives a ds,y
+CSV written as the package writes it followed by load_csv bit for bit."""
 
 import csv
 import io
@@ -13,15 +13,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from addcast.config import load_holiday_calendar
 from addcast.errors import AddcastError
 from addcast.timeseries import (
     TimeSeries,
     date_to_epoch_day,
     load_csv,
     read_columns,
-    write_csv,
 )
+
+from conftest import write_series_csv
 
 SETTINGS = settings(
     derandomize=True,
@@ -40,8 +40,6 @@ odd = st.one_of(
     st.floats().map(repr),
     st.text(max_size=8),
 )
-NAMES = ["a", "b", "c d"]
-windows = st.integers(0, 3).map(str)
 # Well-formed fields of each known column.
 FIELDS = {
     "ds": dates.map(date.isoformat),
@@ -50,7 +48,6 @@ FIELDS = {
         st.integers(-10**6, 10**6).map(str),
         st.sampled_from(["NA", "", " 1.5 "]),
     ),
-    "holiday": st.sampled_from(NAMES),
 }
 MUTATIONS = ["odd field", "short row", "long row", "blank row", "header", "no header", "bytes"]
 
@@ -66,13 +63,9 @@ def csv_files(draw, required):
     header = [*draw(st.permutations(required)), *extra]
     if "header" in mutations:
         header = draw(st.lists(st.one_of(st.sampled_from(header), st.text(max_size=4)), max_size=5))
-    # A holiday's windows agree across its rows.
-    window = {name: (draw(windows), draw(windows)) for name in NAMES}
     rows = []
     for _ in range(draw(st.integers(0, 8))):
         row = {name: draw(FIELDS.get(name, odd)) for name in header}
-        if "holiday" in row:
-            row["lower_window"], row["upper_window"] = window[row["holiday"]]
         rows.append([row[name] for name in header])
     for mutation in mutations:
         if not rows:
@@ -119,12 +112,6 @@ def test_load_csv_returns_or_raises_addcast_error(path, data):
 
 
 @SETTINGS
-@given(data=csv_files(("holiday", "ds", "lower_window", "upper_window")))
-def test_load_holiday_calendar_returns_or_raises_addcast_error(path, data):
-    returns_or_raises_addcast_error(load_holiday_calendar, path, data)
-
-
-@SETTINGS
 @given(
     rows=st.dictionaries(
         dates.map(date_to_epoch_day),
@@ -136,7 +123,7 @@ def test_load_holiday_calendar_returns_or_raises_addcast_error(path, data):
 def test_write_then_load_round_trips(path, rows):
     days = sorted(rows)
     ts = TimeSeries(days, [rows[d] for d in days])
-    write_csv(ts, path)
+    write_series_csv(ts, path)
     back = load_csv(path)
     assert back.timestamps.tobytes() == ts.timestamps.tobytes()
     assert back.values.tobytes() == ts.values.tobytes()

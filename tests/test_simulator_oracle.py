@@ -18,7 +18,6 @@ from addcast import forecast
 from addcast.config import ModelConfig, SeasonalitySpec, TrendSpec
 from addcast.estimator import fit
 from addcast.evaluation import rolling_cv
-from addcast.features import expit
 from addcast.forecast import (
     FutureGrid,
     _evaluate,
@@ -31,7 +30,7 @@ from addcast.forecast import (
 )
 from addcast.timeseries import TimeSeries, filter_weekdays
 
-from conftest import daily_days
+from conftest import daily_days, trend_oracle
 
 
 def _oracle_trend_deviations(model, evaluation, first, stream):
@@ -71,10 +70,8 @@ def _oracle_trend_deviations(model, evaluation, first, stream):
 
         new_rate = rate + active_sum(mags[cps])
         new_offset = offset - active_sum(locs[cps] * mags[cps])
-        if trend.growth == "linear":
-            g_new = new_rate * t_col + new_offset
-        else:
-            g_new = trend.capacity * expit(new_rate * (t_col - new_offset))
+        # each row's sampled rate and offset, with no further changepoints
+        g_new = trend_oracle(t_col, new_rate, new_offset, [], [], trend)
         yield slice(lo, hi), g_new - g
 
 

@@ -24,11 +24,10 @@ from addcast.timeseries import (
     parse_iso_date,
     read_columns,
     weekday_of,
-    write_csv,
     write_output,
 )
 
-from conftest import daily_days, make_series
+from conftest import daily_days, epoch_date, make_series, write_series_csv
 
 
 class TestLoadCsv:
@@ -102,7 +101,7 @@ class TestLoadCsv:
         values[7] = math.nan
         ts = TimeSeries(daily_days("2021-03-01", 50), values)
         p = tmp_path / "rt.csv"
-        write_csv(ts, p)
+        write_series_csv(ts, p)
         back = load_csv(p)
         assert np.array_equal(back.timestamps, ts.timestamps)
         # exact float round-trip, NaN markers included
@@ -279,11 +278,9 @@ class TestFilterWeekdays:
             filter_weekdays(ts)
 
     def test_weekday_arithmetic_matches_calendar(self):
-        from addcast.timeseries import epoch_day_to_date
-
         days = daily_days("2023-01-01", 400)
         computed = weekday_of(days)
-        expected = np.array([epoch_day_to_date(int(d)).weekday() for d in days])
+        expected = np.array([epoch_date(d).weekday() for d in days])
         assert np.array_equal(computed, expected)
 
 
