@@ -82,9 +82,10 @@ def _scaled_trend(trend: TrendSpec, y_scale: float) -> TrendSpec:
 @dataclass(frozen=True)
 class ModelParts:
     """The prediction on a design and the intermediates the gradient and the
-    forecast reuse, in scaled units. ``trend`` is g(t), with per-row growth
-    ``rate`` and ``offset``; ``s_mul`` is the multiplicative seasonal sum;
-    ``logistic_weight`` is g * (1 - g / capacity), None for linear growth."""
+    forecast reuse, in scaled units. ``trend`` is g(t), a function of the
+    trend line rate * t + offset with per-row ``rate`` and ``offset``;
+    ``s_mul`` is the multiplicative seasonal sum; ``logistic_weight`` is
+    dg / d(line) = g * (1 - g / capacity), None for linear growth."""
 
     yhat: np.ndarray
     trend: np.ndarray
@@ -106,7 +107,8 @@ def _model_parts(params, design: DesignMatrix, trend: TrendSpec) -> ModelParts:
     """Evaluate the prediction and the intermediates the gradient reuses.
 
     The trend is ``features.growth_curve`` of the per-row rate
-    k + a(t)'delta and offset m + a(t)'gamma. For logistic growth
+    k + a(t)'delta and offset m + a(t)'gamma, whose line
+    rate * t + offset is continuous at every changepoint. For logistic growth
     ``trend.capacity`` must be expressed in the same units as the target
     the objective is evaluated against.
     """
@@ -148,11 +150,13 @@ class _Derivatives:
     """Exact gradient and Gauss-Newton Hessian of the objective on one design.
 
     The Jacobian d yhat / d theta (one row per observation, columns in packed
-    order) lives in a workspace: trend columns are dg/dtheta times
-    (1 + s_mul), multiplicative seasonal columns are g times the feature, and
-    additive columns are the features. Columns that do not depend on the
-    parameters are written once: the additive features, and for linear
-    growth the trend's t, 1 and A * (t - s). With linear growth and no
+    order) lives in a workspace. The trend line's derivatives t, 1 and
+    A * (t - s) are the same for both growths; the trend columns are those
+    times logistic_weight (logistic growth) and times (1 + s_mul)
+    (multiplicative seasonality). Multiplicative seasonal columns are g times
+    the feature, and additive columns are the features. Columns that do not
+    depend on the parameters are written once: the additive features, and
+    for linear growth the trend line's. With linear growth and no
     multiplicative block nothing depends on the parameters (s_mul is an
     empty sum, so the factor is exactly 1.0), and J^T J is formed once.
 
@@ -170,30 +174,27 @@ class _Derivatives:
         self.design = design
         self.n_trend = n = 2 + layout.trend.width
         multiplicative = [b for b in layout.coefficients if b.mode == "multiplicative"]
-        self.linear = growth == "linear"
+        self.logistic = growth == "logistic"
+        self.multiplicative = bool(multiplicative)
         J = np.empty((len(t), 2 + layout.width))
         J[:, 2:] = design.X
-        if self.linear:
-            J[:, 0] = t
-            J[:, 1] = 1.0
-            J[:, 2:n] *= t[:, np.newaxis] - design.changepoints_scaled
+        J[:, 0] = t
+        J[:, 1] = 1.0
+        J[:, 2:n] *= t[:, np.newaxis] - design.changepoints_scaled
         self.J = J
-        self.multiplicative = bool(multiplicative)
-        self.gram = _gram(J) if self.linear and not multiplicative else None
+        self.gram = None if self.logistic or self.multiplicative else _gram(J)
         self.inv_var = 1.0 / layout.prior_variances
         self.diagonal = slice(None, None, J.shape[1] + 1)
         # The rewritten columns, as the workspace rows of each run of
-        # adjacent columns: the trend columns, unless linear growth fixes
-        # them, then the multiplicative columns. A call computes the trend
-        # rows from a transposed copy of A, or for linear growth of the
-        # fixed trend columns, and the multiplicative rows from the design's
-        # column-major multiplicative columns, whose transpose has
+        # adjacent columns: the trend columns, then the multiplicative
+        # columns. A call computes the trend rows from a transposed copy of
+        # the trend line's columns, and the multiplicative rows from the
+        # design's column-major multiplicative columns, whose transpose has
         # contiguous rows.
         self.runs = []
         if self.gram is not None:
             return
-        trend = J[:, :n] if self.linear else design.columns(layout.trend)
-        self.trend_features = np.ascontiguousarray(trend.T)
+        self.trend_features = np.ascontiguousarray(J[:, :n].T)
         self.multiplicative_features = design.mode_columns[0].T
         runs = [[0, n]]
         for b in multiplicative:
@@ -206,7 +207,6 @@ class _Derivatives:
             self.runs.append((slice(row, row + hi - lo), slice(lo, hi)))
             row += hi - lo
         self.workspace = np.empty((row, len(t)))
-        self.cps = design.changepoints_scaled[:, np.newaxis]
 
     def jacobian(self, parts: ModelParts) -> np.ndarray:
         """The Jacobian at the iterate of ``parts``; the workspace itself, so
@@ -215,23 +215,11 @@ class _Derivatives:
         if not self.runs:
             return J
         W = self.workspace
-        if not self.linear:
-            # g = C * sigmoid(rate * (t - offset)); d g / d(exponent) = logistic_weight.
-            d_rate = parts.logistic_weight * (self.design.t_scaled - parts.offset)
-            d_offset = parts.logistic_weight * parts.rate
-            W[0] = d_rate
-            np.negative(d_offset, out=W[1])
-            trend = W[2:n]
-            trend[:] = d_offset
-            trend *= self.cps
-            trend += d_rate
-            trend *= self.trend_features
+        trend = self.trend_features
+        if self.logistic:
+            trend = np.multiply(trend, parts.logistic_weight, out=W[:n])
         if self.multiplicative:
-            factor = 1.0 + parts.s_mul
-            if self.linear:
-                np.multiply(self.trend_features, factor, out=W[:n])
-            else:
-                W[:n] *= factor
+            np.multiply(trend, 1.0 + parts.s_mul, out=W[:n])
             np.multiply(self.multiplicative_features, parts.trend, out=W[n:])
         for rows, columns in self.runs:
             J[:, columns] = W[rows].T
@@ -287,7 +275,9 @@ class FittedModel:
     """Estimated parameters plus the data scalings needed to apply them.
 
     Trend parameters (k, m, delta, changepoints) live in scaled time and
-    scaled values; sigma is in scaled-value units. gamma is always derived
+    scaled values: k is the trend line's rate and m its value at t = 0, so
+    the line is k * t + m before the first changepoint, for both growths.
+    sigma is in scaled-value units. gamma is always derived
     from (changepoints, delta), never stored. Every parameter and scaling
     must be finite, or construction raises DomainError.
     """
@@ -429,29 +419,27 @@ def minimize(objective, derivatives, x0, callback=None) -> MinimizeResult:
 def _initial_parameters(
     design: DesignMatrix, y_scaled: np.ndarray, trend: TrendSpec
 ) -> np.ndarray:
-    """Start point of the solver: k and m from a least-squares line over
-    scaled t, every other coefficient zero.
+    """Start point of the solver: the trend line k * t + m from a least-squares
+    line over scaled t, every other coefficient zero.
 
-    Linear growth fits the line a * t + b to the scaled values and starts at
-    k = a, m = b. Logistic growth fits it to logit(y / capacity), with the
-    ratio clipped to [0.01, 0.99] as in Prophet's ``logistic_growth_init``
-    (seasonal peaks can exceed the capacity), and starts at k = a,
-    m = -b / a, so that k * (t - m) is that line. ``trend.capacity`` is in
-    the units of ``y_scaled``. A zero slope, or one so small that -b / a
-    overflows, has no such offset; the start is then k = m = 0.
+    Linear growth fits the line to the scaled values. Logistic growth fits
+    it to logit(y / capacity), with the ratio clipped to
+    [min(0.01, smallest positive ratio), 0.99]: the upper clip is Prophet's
+    ``logistic_growth_init`` (seasonal peaks can exceed the capacity), and
+    the lower one leaves data far below the capacity on its own logit.
+    ``trend.capacity`` is in the units of ``y_scaled``.
     """
     t = design.t_scaled
-    A = np.column_stack([t, np.ones_like(t)])
+    target = y_scaled
+    if trend.growth == "logistic":
+        ratio = y_scaled / trend.capacity
+        floor = np.min(ratio, initial=0.01, where=ratio > 0)
+        ratio = np.clip(ratio, floor, 0.99)
+        target = np.log(ratio / (1.0 - ratio))
     x0 = np.zeros(2 + design.layout.width)
-    if trend.growth == "linear":
-        (x0[0], x0[1]), *_ = np.linalg.lstsq(A, y_scaled, rcond=None)
-        return x0
-    ratio = np.clip(y_scaled / trend.capacity, 0.01, 0.99)
-    (a, b), *_ = np.linalg.lstsq(A, np.log(ratio / (1.0 - ratio)), rcond=None)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        m0 = -b / a
-    if np.isfinite(m0):
-        x0[0], x0[1] = a, m0
+    (x0[0], x0[1]), *_ = np.linalg.lstsq(
+        np.column_stack([t, np.ones_like(t)]), target, rcond=None
+    )
     return x0
 
 

@@ -63,7 +63,8 @@ def changepoint_basis(t, changepoints) -> np.ndarray:
 
 
 def gamma_from_delta(changepoints, delta) -> np.ndarray:
-    """Offset adjustments that keep the trend continuous: gamma_j = -t_j * delta_j."""
+    """Offset adjustments that keep the trend line continuous, for both
+    growths: gamma_j = -t_j * delta_j."""
     cps = np.asarray(changepoints, dtype=np.float64)
     d = np.asarray(delta, dtype=np.float64)
     if cps.shape != d.shape:
@@ -72,26 +73,29 @@ def gamma_from_delta(changepoints, delta) -> np.ndarray:
 
 
 def expit(x):
-    """Logistic sigmoid 1 / (1 + exp(-x)), in a form that cannot overflow."""
-    return 0.5 + 0.5 * np.tanh(0.5 * x)
+    """Logistic sigmoid 1 / (1 + exp(-x)) as 0.5 * (1 + u)^2 / (1 + u^2)
+    with u = tanh(x / 4), which cannot overflow. Unlike 0.5 + 0.5 * tanh(x / 2)
+    it keeps relative precision for x << 0 (within 2e-12 down to x = -20), and
+    numpy's tanh gives the same bits at every SIMD level from AVX2 up, which
+    its exponential does not."""
+    u = np.tanh(0.25 * x)
+    return 0.5 * np.square(1.0 + u) / (1.0 + np.square(u))
 
 
 def growth_curve(rate, offset, t, trend: TrendSpec, scratch: bool = False) -> np.ndarray:
     """The growth curve g at times ``t`` from its per-row growth ``rate`` and
-    ``offset``: rate * t + offset (linear) or
-    capacity * expit(rate * (t - offset)) (logistic), as in Taylor & Letham
-    (2018), section 2.1. ``trend``'s capacity is in the units of g.
+    ``offset``. Both growths share the trend line rate * t + offset: linear
+    growth is the line itself and logistic growth is capacity * expit(line),
+    so a continuous line (Taylor & Letham 2018, section 2.1) gives a
+    continuous trend in both. ``trend``'s capacity is in the units of g.
     ``rate`` and ``offset`` have the shape of g, and ``t`` broadcasts
     against them. With ``scratch`` they are the caller's temporaries, and
-    the operations run in place over one of them; the bits are the same."""
-    if trend.growth == "linear":
-        g = np.multiply(rate, t, out=rate if scratch else None)
-        g += offset
-        return g
-    x = np.subtract(t, offset, out=offset if scratch else None)
-    x *= rate
-    g = expit(x)
-    g *= trend.capacity
+    the line is formed in place over ``rate``; the bits are the same."""
+    g = np.multiply(rate, t, out=rate if scratch else None)
+    g += offset
+    if trend.growth == "logistic":
+        g = expit(g)
+        g *= trend.capacity
     return g
 
 

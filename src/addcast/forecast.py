@@ -194,13 +194,15 @@ def _trend_deviations(model: FittedModel, evaluation: _Evaluation, first: int, s
     All changepoint counts, locations and magnitudes are drawn from
     ``stream`` as three block draws; sample s owns the locations and
     magnitudes at [sum(counts[:s]), sum(counts[:s+1])). A changepoint at loc
-    adds its magnitude to the rate and loc * magnitude to the negated offset
-    of every row with t >= loc: a cumulative sum down the rows of what each
-    changepoint adds at its first such row. The sampled trend is then
-    ``features.growth_curve`` of the sampled rate and offset, as the fitted
-    trend is, so a sample without changepoints up to a row deviates by
-    exactly 0 there. Yields nothing when there are no future rows or no
-    historical changepoint behaviour.
+    adds its magnitude to the rate and -loc * magnitude to the offset of
+    every row with t >= loc, as gamma does for a fitted changepoint, so the
+    sampled trend line rate * t + offset stays continuous at loc for both
+    growths: a cumulative sum down the rows of what each changepoint adds at
+    its first such row. The sampled trend is then ``features.growth_curve``
+    of the sampled rate and offset, as the fitted trend is, so a sample
+    without changepoints up to a row deviates by exactly 0 there. Yields
+    nothing when there are no future rows or no historical changepoint
+    behaviour.
     """
     t = evaluation.t_scaled[first:]
     n_hist = len(model.changepoints_scaled)

@@ -23,7 +23,9 @@ from .estimator import FittedModel
 from .features import model_layout
 from .timeseries import TimeSeries, format_epoch_day, write_output
 
-FORMAT_VERSION = 1
+# Version 2: m is the value at t = 0 of the trend line k * t + m for both
+# growths; in version 1 a logistic m was the midpoint of k * (t - m).
+FORMAT_VERSION = 2
 
 
 def canonical_json_bytes(obj) -> bytes:

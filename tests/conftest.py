@@ -48,7 +48,7 @@ def trend_oracle(t, k, m, delta, cps, trend: TrendSpec) -> np.ndarray:
     """The growth curve g(t) from the model's definition (Taylor & Letham
     2018, section 2.1): a_j(t) = 1 iff t >= s_j, the rate k + a(t)'delta,
     the offset m + a(t)'gamma with gamma_j = -s_j * delta_j, and g =
-    rate * t + offset (linear) or C * expit(rate * (t - offset))
+    rate * t + offset (linear) or C * expit(rate * t + offset)
     (logistic). ``k`` and ``m`` may be arrays that broadcast against t."""
     t = np.asarray(t, dtype=np.float64)
     cps = np.asarray(cps, dtype=np.float64)
@@ -56,9 +56,10 @@ def trend_oracle(t, k, m, delta, cps, trend: TrendSpec) -> np.ndarray:
     a = (t[..., np.newaxis] >= cps).astype(np.float64)
     rate = k + a @ delta
     offset = m + a @ (-cps * delta)
+    line = rate * t + offset
     if trend.growth == "linear":
-        return rate * t + offset
-    return trend.capacity * expit(rate * (t - offset))
+        return line
+    return trend.capacity * expit(line)
 
 
 def program_trend(t, k, m, delta, cps, trend: TrendSpec) -> np.ndarray:

@@ -44,7 +44,7 @@ def criterion(number, description):
 
 
 def test_criterion_01_trend_continuity():
-    with criterion(1, "trend continuity at changepoints (1000 random configs)"):
+    with criterion(1, "trend continuity at changepoints (1000 random configs, both growths)"):
         started = time.time()
         rng = np.random.default_rng(101)
         eps = 1e-9
@@ -56,10 +56,12 @@ def test_criterion_01_trend_continuity():
             delta = rng.uniform(-0.05, 0.05, n_cp)
             k = float(rng.uniform(-0.2, 0.2))
             m = float(rng.uniform(-5.0, 5.0))
-            # the program's trend, just before and just after each changepoint
+            # the program's trend, just before and just after each changepoint,
+            # for both growths on the same draws
             t = np.concatenate((cps - eps, cps + eps))
-            g = program_trend(t, k, m, delta, cps, TrendSpec())
-            assert np.max(np.abs(g[:n_cp] - g[n_cp:])) <= 1e-9
+            for trend in (TrendSpec(), TrendSpec(growth="logistic", capacity=4.0)):
+                g = program_trend(t, k, m, delta, cps, trend)
+                assert np.max(np.abs(g[:n_cp] - g[n_cp:])) <= 1e-9
         assert time.time() - started < 5.0
 
 

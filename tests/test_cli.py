@@ -489,6 +489,24 @@ class TestDeeplyNestedJson:
         assert_one_error_line(capsys, "SchemaError", "nested too deeply")
 
 
+def test_predict_refuses_a_version_1_model(tmp_path, rng, capsys):
+    data, config, model = tmp_path / "data.csv", tmp_path / "config.json", tmp_path / "m.json"
+    synthetic_csv(data, rng)
+    small_config(config)
+    assert main(["fit", "--input", str(data), "--config", str(config),
+                 "--output", str(model)]) == 0
+    document = json.loads(model.read_text())
+    document["format_version"] = 1
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(document))
+    capsys.readouterr()
+    out = tmp_path / "forecast.csv"
+    code = main(["predict", "--input", str(old), "--periods", "3", "--output", str(out)])
+    assert code == 1
+    assert not out.exists()
+    assert_one_error_line(capsys, "UnsupportedVersion", "format_version 1")
+
+
 class TestRegressorFlow:
     N = 200
 
@@ -676,7 +694,7 @@ class TestPriorScaleExtremes:
 
     # The model document for prior_scale 1e300 on the file below; pinned
     # like tests/test_golden.py's digests, on the same platform.
-    HUGE_MODEL_SHA256 = "a0238163698a9d6afa62236fe7e4ae5068d8f13453032d1d93121ac552d4ded9"
+    HUGE_MODEL_SHA256 = "0a10fdf206fb84c31ccd9022e1f7464977940d37620229f4f3a3fb14567a2229"
 
     @staticmethod
     def fit(tmp_path, prior_scale):

@@ -231,17 +231,11 @@ def rebuilt_gradient_and_hessian(parts, r, design):
     n_cp = layout.trend.width
     J = np.empty((len(t), 2 + layout.width))
     J[:, 2:] = design.X
-    A = J[:, 2 : 2 + n_cp]
-    if parts.logistic_weight is None:
-        J[:, 0] = t
-        J[:, 1] = 1.0
-        A *= t[:, np.newaxis] - design.changepoints_scaled
-    else:
-        d_rate = parts.logistic_weight * (t - parts.offset)
-        d_offset = parts.logistic_weight * parts.rate
-        J[:, 0] = d_rate
-        J[:, 1] = -d_offset
-        A *= d_rate[:, np.newaxis] + np.outer(d_offset, design.changepoints_scaled)
+    J[:, 0] = t
+    J[:, 1] = 1.0
+    J[:, 2 : 2 + n_cp] *= t[:, np.newaxis] - design.changepoints_scaled
+    if parts.logistic_weight is not None:
+        J[:, : 2 + n_cp] *= parts.logistic_weight[:, np.newaxis]
     J[:, : 2 + n_cp] *= (1.0 + parts.s_mul)[:, np.newaxis]
     mul_mask = layout.multiplicative_mask
     if mul_mask.any():
@@ -259,8 +253,9 @@ def rebuilt_gradient_and_hessian(parts, r, design):
 
 def columnwise_jacobian(design, growth, parts):
     """The Jacobian written column by column into an n x p matrix, as the
-    solver did before it kept a transposed workspace: trend columns are
-    dg/dtheta times (1 + s_mul), multiplicative columns g times the
+    solver did before it kept a transposed workspace: trend columns are the
+    trend line's t, 1 and A * (t - s), times logistic_weight for logistic
+    growth, times (1 + s_mul); multiplicative columns are g times the
     feature."""
     layout = design.layout
     t = design.t_scaled
@@ -270,20 +265,11 @@ def columnwise_jacobian(design, growth, parts):
     multiplicative = [
         slice(b.start, b.stop) for b in layout.coefficients if b.mode == "multiplicative"
     ]
-    if growth == "linear":
-        J[:, 0] = t
-        J[:, 1] = 1.0
-        J[:, 2:n] *= t[:, np.newaxis] - design.changepoints_scaled
-    else:
-        d_rate = parts.logistic_weight * (t - parts.offset)
-        d_offset = parts.logistic_weight * parts.rate
-        J[:, 0] = d_rate
-        J[:, 1] = -d_offset
-        np.multiply(
-            design.columns(layout.trend),
-            d_rate[:, np.newaxis] + np.outer(d_offset, design.changepoints_scaled),
-            out=J[:, 2:n],
-        )
+    J[:, 0] = t
+    J[:, 1] = 1.0
+    J[:, 2:n] *= t[:, np.newaxis] - design.changepoints_scaled
+    if growth == "logistic":
+        J[:, :n] *= parts.logistic_weight[:, np.newaxis]
     if multiplicative:
         J[:, :n] *= (1.0 + parts.s_mul)[:, np.newaxis]
         g = parts.trend[:, np.newaxis]
@@ -303,10 +289,9 @@ def gathered_model_parts(params, design, trend):
     A = design.columns(design.layout.trend)
     rate = k + row_dot(A, delta)
     offset = m + row_dot(A, gamma_from_delta(design.changepoints_scaled, delta))
-    if trend.growth == "linear":
-        g = rate * t + offset
-    else:
-        g = trend.capacity * expit(rate * (t - offset))
+    g = rate * t + offset
+    if trend.growth == "logistic":
+        g = trend.capacity * expit(g)
     Xr = design.X[:, design.layout.trend.stop :]
     mask = design.layout.multiplicative_mask
     return g * (1.0 + row_dot(Xr[:, mask], beta[mask])) + row_dot(Xr[:, ~mask], beta[~mask])
@@ -716,18 +701,20 @@ class TestInitialParameters:
         y = capacity / (1.0 + np.exp(-6.0 * (t - 0.4)))
         x0 = _initial_parameters(flat_design(t), y, TrendSpec("logistic", capacity=capacity))
         assert x0[0] == pytest.approx(6.0, rel=1e-12)
-        assert x0[1] == pytest.approx(0.4, rel=1e-12)
+        assert x0[1] == pytest.approx(-2.4, rel=1e-12)
 
-    def test_zero_slope_starts_at_origin(self):
-        # every t equal: the line has slope exactly 0 and intercept logit(0.01),
-        # so -b / a is infinite
+    def test_zero_slope_starts_on_the_data_logit(self):
+        # every t equal: the line has slope exactly 0, and y / capacity = 1e-6
+        # lies below 0.01, so the lower clip keeps it and the intercept is
+        # logit(1e-6)
         x0 = _initial_parameters(
             flat_design(np.zeros(5)), np.full(5, 1e-6), TrendSpec("logistic", capacity=1.0)
         )
-        assert np.array_equal(x0, [0.0, 0.0])
+        assert x0[0] == 0.0
+        assert x0[1] == pytest.approx(math.log(1e-6 / (1.0 - 1e-6)), rel=1e-12)
 
     def test_half_capacity_starts_at_origin(self):
-        # y = capacity / 2: the logit line is 0 * t + 0 and -b / a is 0 / 0
+        # y = capacity / 2: the logit line is 0 * t + 0
         t = np.linspace(0.0, 1.0, 40)
         trend = TrendSpec("logistic", capacity=3.0)
         x0 = _initial_parameters(flat_design(t), np.full(40, 1.5), trend)
@@ -744,9 +731,9 @@ class TestInitialParameters:
 
 class TestLogisticStart:
     def test_capacity_far_above_data(self, monkeypatch):
-        # constant y = 5 under a capacity of 1e13: the ratio clips at 0.01 and
-        # the logit line is flat up to rounding, so the start's offset is huge
-        # but finite, and k * (t - m) starts on the line logit(0.01)
+        # constant y = 5 under a capacity of 1e13: the ratio 5e-13 lies below
+        # 0.01, so the lower clip keeps it, and the start is the flat line
+        # logit(5e-13), the data itself up to rounding
         results = recorded_minimize(monkeypatch)
         ts = make_series("2020-01-01", np.full(400, 5.0))
         config = logistic_config(
@@ -795,3 +782,61 @@ class TestLogisticStart:
             small_gradient <= GRADIENT_TOLERANCE
             or small_decrease <= OBJECTIVE_TOLERANCE * max(abs(f_last), 1.0)
         )
+
+
+def stationarity(model, ts, config):
+    """max|gradient| of the objective at the fitted parameters."""
+    y = ts.values / model.y_scale
+    gradient = map_gradient(model.params, build_design(ts, config), y, model.scaled_trend)
+    return float(np.max(np.abs(gradient)))
+
+
+class TestLogisticConvergence:
+    """Logistic fits that used to stall or crawl reach a stationary point in
+    a few steps. With the exponent k * (t - m), flat data far below the
+    capacity started at a huge m and stopped with max|g| up to 1.2e13, and the
+    weekday family took over 1000 steps and stopped with max|g| above 30."""
+
+    @pytest.mark.parametrize("capacity", [12.0, 100.0, 1e6, 1e13])
+    @pytest.mark.parametrize("wavy", [False, True])
+    def test_data_far_below_capacity(self, monkeypatch, capacity, wavy):
+        results = recorded_minimize(monkeypatch)
+        days = daily_days("2020-01-01", 400)
+        y = 5.0 + (0.5 * np.sin(2 * np.pi * days / 7.0) if wavy else 0.0)
+        ts = TimeSeries(days, np.broadcast_to(y, days.shape))
+        config = logistic_config(
+            capacity,
+            (
+                SeasonalitySpec(name="yearly", period=365.25, fourier_order=10),
+                SeasonalitySpec(name="weekly", period=7.0, fourier_order=4,
+                                mode="multiplicative"),
+            ),
+        )
+        model = fit(ts, config)
+        assert results[0].nit <= 10
+        assert stationarity(model, ts, config) <= 1e-6
+
+    @pytest.mark.parametrize("seed", [7, 15])
+    def test_weekday_family(self, monkeypatch, seed):
+        from addcast.timeseries import filter_weekdays
+
+        results = recorded_minimize(monkeypatch)
+        rng = np.random.default_rng(seed)
+        days = daily_days("2021-03-01", 226)
+        t = (days - days[0]) / 365.25
+        y = 5.0 + 2.0 * t + 0.3 * np.sin(2 * np.pi * days / 7.0) + rng.normal(0, 0.1, len(days))
+        ts = filter_weekdays(TimeSeries(days, y))
+        assert len(ts) == 162
+        config = ModelConfig(
+            trend=TrendSpec(growth="logistic", capacity=10.0, n_changepoints=4),
+            seasonalities=(
+                SeasonalitySpec(name="weekly", period=7.0, fourier_order=2,
+                                mode="multiplicative"),
+                SeasonalitySpec(name="yearly", period=365.25, fourier_order=2,
+                                mode="multiplicative"),
+                SeasonalitySpec(name="monthly", period=30.5, fourier_order=2),
+            ),
+        )
+        model = fit(ts, config)
+        assert results[0].nit <= 10
+        assert stationarity(model, ts, config) <= 1e-5

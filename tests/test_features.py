@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from addcast.features import (
     build_design,
     changepoint_basis,
     design_for_grid,
+    expit,
     fourier_features,
     gamma_from_delta,
     holiday_features,
@@ -162,21 +164,32 @@ class TestLogisticTrend:
         t = rng.uniform(0, 1, 30)
         cps = np.sort(rng.uniform(0, 1, 4))
         out = program_trend(t, 2.0, 0.4, np.zeros(4), cps, logistic(3.0))
-        expected = 3.0 / (1.0 + np.exp(-2.0 * (t - 0.4)))
+        expected = 3.0 / (1.0 + np.exp(-(2.0 * t + 0.4)))
         assert np.allclose(out, expected, rtol=1e-12)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known defect, ROADMAP item 2: the logistic offset takes the linear "
-        "trend's continuity correction, so the trend jumps at its changepoints",
-    )
     def test_continuity_at_changepoints(self):
-        # the jumps are +3.6592 and -4.1514
+        # the trend used to jump by +3.6592 and -4.1514 here, when the
+        # logistic exponent was rate * (t - offset)
         eps = 1e-9
         cps = np.array([0.3, 0.6])
         t = np.concatenate((cps - eps, cps + eps))
         g = program_trend(t, 1.0, 0.2, [2.0, -1.5], cps, logistic(10.0))
         assert np.all(np.abs(g[2:] - g[:2]) <= 1e-6)
+
+
+class TestExpit:
+    @pytest.mark.parametrize(
+        "lo, hi, bound", [(0.0, 40.0, 1e-15), (-20.0, 0.0, 2e-12), (-28.0, -20.0, 1e-10)]
+    )
+    def test_relative_error_against_math_exp(self, lo, hi, bound):
+        # x = -28 is the logit of flat data under a capacity 1e12 times
+        # larger; 0.5 + 0.5 * tanh(x / 2) is off by 2.2e-8 relative at x = -20
+        x = np.linspace(lo, hi, 20001)
+        reference = np.array([1.0 / (1.0 + math.exp(-v)) for v in x.tolist()])
+        assert np.max(np.abs(expit(x) - reference) / reference) <= bound
+
+    def test_extremes_and_midpoint(self):
+        assert np.array_equal(expit(np.array([-1e308, 0.0, 1e308])), [0.0, 0.5, 1.0])
 
 
 class TestFourierFeatures:

@@ -11,19 +11,31 @@ OpenBLAS core kernel and numpy SIMD level, and not of the BLAS thread
 count. The digests were produced on x86_64 with Python 3.11.7, numpy 2.4.6
 and the OpenBLAS 0.3.31 that numpy's wheel bundles (scipy-openblas64), with
 the SkylakeX kernel and AVX512 dispatch; the package imports nothing else.
-They hold with one BLAS thread as with the default. Another kernel
-(OPENBLAS_CORETYPE=Haswell) changes the last digits of every output, so
-both tests fail there. GOLDEN's inputs are built with numpy ufuncs, whose
-bits change at AVX2-level dispatch, so GOLDEN fails there too although
-addcast's outputs for equal inputs do not change; GOLDEN_COMPARE's inputs
-are exact in float64 and it passes there. A deliberate change to numeric
+They hold with one BLAS thread as with the default, and at AVX2-level
+dispatch (numpy's AVX512 targets turned off), which a test checks in a
+fresh process. The inputs of both tests are exact in float64 and built
+without numpy, so they do not change there; of the numpy functions the
+package calls, np.tanh, sin, cos and sqrt give the same bits there, and
+np.log, which only the logistic start and the log transform call, differs
+in the last bit on about 0.2% of inputs, which changes none of these
+digests. Another kernel (OPENBLAS_CORETYPE=Haswell) changes the last digits
+of every output, so both tests fail there. A deliberate change to numeric
 output updates these digests and says why in CHANGES.md.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
+import pytest
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    __cpu_features__ = {}
 
 from addcast.cli import main
 from addcast.timeseries import format_epoch_day
@@ -35,18 +47,18 @@ CUTOFF_INDEX = 200
 
 GOLDEN = {
     "linear": {
-        "model": "8fd762e668066022b87d70b03621246e0f0c7ae164404291ea503744cc5f9aa3",
-        "forecast": "0a3047b898ede0878d6c0def2a696462ff1cacf231ae9496e600410469c0b259",
-        "folds": "05976f28d61f20d46ee77df014174a6a5c31d4bc1c202d541642bcfc2df0ec3d",
-        "metrics": "298d8d441cd3a29faf1fdf2ae912a4bd8888fdb50bde23bbc3c0a9ce2f1fdb4c",
+        "model": "963aae20dd4d8d625b6b2192b1e06b0ecaf49e309fcf968a6ba93e7a79848596",
+        "forecast": "be44bf51152d7a6ad89813cd569761b6675e49ad231168619fd557d48f104a4f",
+        "folds": "966e896ca96860e0fdb7c2867d9c414b0f086da51bad6d5126c722ced384ce6e",
+        "metrics": "2456177907f0db00b51a2937aa8583af5e0d689b3d93ba46bd8716ddb16bc9d4",
     },
     "logistic": {
-        "model": "d3773ccf8cd262b273ea248a318eff575e493eb186f709be0a1ad4bbc5a75111",
-        "forecast": "24ff814908a33d2c4e384864d175806aa0542ff7c9b1c49788bb2e16073c59d9",
-        "folds": "8af6e61793b62cd801d6cb674219d57a9353411f13fef0b376fac24b6e122c45",
-        "metrics": "c169cbbcbe7d5f2fcbcff713071bb0f1af3e42575306bdc7bb9c9490c53e0a36",
+        "model": "4ce7244b00461545acd738d1621c6d204f11a34045fe80af7158245e151758c2",
+        "forecast": "081664cffa37282bed20cf428b61a6f9b5d5db572ab6567c0fdd24e16873c611",
+        "folds": "8d11b8dfcce871aea215940160aaac472c3796df997cf0df23b1b7c16f71435a",
+        "metrics": "49399af7c3b2282fd52208845bf28e40881b9a99771be46089dc5933116ceff6",
     },
-    "compare": "5d37409b89a7d1e90330c190f6e5534019b64c2f6945e4892fabb4a2dcf805c4",
+    "compare": "c3a3e4de700fa84d5700faecf06010c0740e4385408d675336a4d7df62fc784c",
 }
 
 
@@ -54,29 +66,36 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# The inputs are exact in float64 and built without numpy, like
+# GOLDEN_COMPARE's: the trend is a smoothstep S-curve from 2 that saturates
+# at 8 after 136 days, 2 + 6 * (3p^2 - 2p^3) with p = min(max(i - 8, 0), 128)
+# / 128, and every other term is a small integer over a power of two.
+
+
 def _write_inputs(tmp_path):
-    rng = np.random.default_rng(20240601)
-    days = daily_days("2022-01-01", N_DAYS)
-    t = np.arange(N_DAYS) / N_DAYS
-    x = rng.normal(0.0, 1.0, N_DAYS)
-    holiday = np.isin(days % 30, (0, 1)).astype(float)
-    y = (
-        8.0 / (1.0 + np.exp(-4.0 * (t - 0.3)))
-        + 0.6 * np.sin(2 * np.pi * days / 7.0)
-        + 0.3 * np.cos(2 * np.pi * days / 30.5)
-        + 0.8 * holiday
-        + 0.4 * x
-        + rng.normal(0.0, 0.1, N_DAYS)
-    )
+    days = daily_days("2022-01-01", N_DAYS).tolist()
+    x = [((i * 40503 + 7) % 61 - 30) / 16 for i in range(N_DAYS)]
+    y = []
+    for i, d in enumerate(days):
+        p = min(max(i - 8, 0), 128) / 128
+        y.append(
+            2.0
+            + 6 * (3 * p * p - 2 * p * p * p)
+            + WEEKLY[d % 7] / 8
+            + abs(i % 30 - 15) / 32
+            + (0.75 if d % 30 in (0, 1) else 0.0)
+            + x[i] / 4
+            + ((i * 7919 + 13) % 97 - 48) / 512
+        )
     data = tmp_path / "data.csv"
     data.write_text(
         "ds,y\n"
-        + "".join(f"{format_epoch_day(int(d))},{float(v)!r}\n" for d, v in zip(days, y))
+        + "".join(f"{format_epoch_day(d)},{v!r}\n" for d, v in zip(days, y))
     )
     future = tmp_path / "future.csv"
     future.write_text(
         "ds,x\n"
-        + "".join(f"{format_epoch_day(int(days[-1]) + i)},{0.1 * i!r}\n" for i in range(1, 15))
+        + "".join(f"{format_epoch_day(days[-1] + i)},{i / 8!r}\n" for i in range(1, 15))
     )
     linear = {
         "name": "linear",
@@ -88,7 +107,7 @@ def _write_inputs(tmp_path):
         "holidays": [
             {
                 "name": "payday",
-                "dates": [format_epoch_day(int(d)) for d in days if d % 30 == 0],
+                "dates": [format_epoch_day(d) for d in days if d % 30 == 0],
                 "upper_window": 1,
                 "prior_scale": 2.0,
             }
@@ -97,7 +116,7 @@ def _write_inputs(tmp_path):
             {
                 "name": "x",
                 "prior_scale": 1.0,
-                "values": {format_epoch_day(int(d)): float(v) for d, v in zip(days, x)},
+                "values": {format_epoch_day(d): v for d, v in zip(days, x)},
             }
         ],
         "interval_samples": 100,
@@ -121,7 +140,9 @@ def _write_inputs(tmp_path):
     return data, future, paths, days
 
 
-def test_cli_outputs_match_pinned_digests(tmp_path, capsys):
+def golden_digests(tmp_path) -> dict:
+    """Run the CLI over ``_write_inputs`` in ``tmp_path``; the digests of
+    what it wrote, in GOLDEN's shape."""
     data, future, configs, days = _write_inputs(tmp_path)
     digests = {}
     for name, config in configs.items():
@@ -146,11 +167,41 @@ def test_cli_outputs_match_pinned_digests(tmp_path, capsys):
     report = tmp_path / "compare.json"
     assert main(["compare", "--input", str(data),
                  "--config", str(configs["linear"]), str(configs["logistic"]), str(naive),
-                 "--cutoff", format_epoch_day(int(days[CUTOFF_INDEX])),
+                 "--cutoff", format_epoch_day(days[CUTOFF_INDEX]),
                  "--output", str(report), "--seed", "3"]) == 0
     digests["compare"] = _sha256(report)
+    return digests
+
+
+def test_cli_outputs_match_pinned_digests(tmp_path, capsys):
+    digests = golden_digests(tmp_path)
     capsys.readouterr()
     assert digests == GOLDEN
+
+
+# numpy's dispatch targets above AVX2; the AVX2 test turns them off.
+AVX512_TARGETS = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+
+
+@pytest.mark.skipif(
+    not all(__cpu_features__.get(name) for name in AVX512_TARGETS),
+    reason="needs the AVX512 dispatch targets active, to turn them off",
+)
+def test_cli_outputs_match_pinned_digests_at_avx2_dispatch(tmp_path):
+    script = (
+        "import json, pathlib, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from test_golden import golden_digests\n"
+        "digests = golden_digests(pathlib.Path(sys.argv[2]))\n"
+        "pathlib.Path(sys.argv[2], 'digests.json').write_text(json.dumps(digests))\n"
+    )
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(Path(__file__).parent), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "digests.json").read_text()) == GOLDEN
 
 
 # Compare over a model and every baseline kind, plain and --weekdays-only.

@@ -66,6 +66,16 @@ class TestModelDocument:
         with pytest.raises(UnsupportedVersion):
             ModelDocument.from_dict(data)
 
+    def test_version_1_rejected(self, fitted):
+        # a version 1 logistic m is the midpoint of k * (t - m), not the
+        # trend line's offset, so reading it as version 2 would misread it
+        _, _, model = fitted
+        data = json.loads(model_to_document(model).to_bytes())
+        assert data["format_version"] == 2
+        data["format_version"] = 1
+        with pytest.raises(UnsupportedVersion, match="format_version 1"):
+            ModelDocument.from_dict(data)
+
     def test_missing_key_rejected(self, fitted):
         _, _, model = fitted
         data = json.loads(model_to_document(model).to_bytes())
