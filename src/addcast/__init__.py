@@ -65,8 +65,6 @@ from .forecast import (
     write_forecast_csv,
 )
 from .persistence import (
-    ModelDocument,
-    RunManifest,
     config_digest,
     dataset_digest,
     load_model,
@@ -77,7 +75,6 @@ from .persistence import (
     write_manifest,
 )
 from .timeseries import (
-    SplitResult,
     TimeSeries,
     chronological_split,
     filter_weekdays,

@@ -27,6 +27,7 @@ from .config import DEFAULT_SEED, ModelConfig, _integer, config_from_dict, load_
 from .errors import AddcastError, DomainError, EmptyInput, LengthMismatch, SchemaError
 from .estimator import fit
 from .evaluation import (
+    COVERAGE_LEVEL,
     dm_test,
     evaluate_forecast,
     holdout_forecast,
@@ -224,9 +225,9 @@ def _compare_seed(seed, configs) -> int:
 
 
 def _run_candidate(spec, train: TimeSeries, test: TimeSeries, seed):
-    """Forecast every row of ``test`` from ``train``: (yhat, 95% bounds or
-    None). lag_linear fits on at least MIN_HISTORY + 1 rows, so its walk
-    forward predicts every test day."""
+    """Forecast every row of ``test`` from ``train``: (yhat, COVERAGE_LEVEL
+    bounds or None). lag_linear fits on at least MIN_HISTORY + 1 rows, so
+    its walk forward predicts every test day."""
     if isinstance(spec, dict):
         kind = spec["baseline"]
         if kind == "lag_linear":
@@ -238,14 +239,14 @@ def _run_candidate(spec, train: TimeSeries, test: TimeSeries, seed):
 
     config = spec if seed is None else spec.with_seed(seed)
     yhat, bounds = holdout_forecast(config, train, test.timestamps, int(test.timestamps[-1]))
-    return yhat, bounds.get(0.95)
+    return yhat, bounds.get(COVERAGE_LEVEL)
 
 
 @shared_future_noise()
 def cmd_compare(args) -> int:
     ts = _preprocess(load_csv(args.input[0]), args)
     cutoff = parse_iso_date(args.cutoff)
-    split = chronological_split(ts, cutoff)
+    train, test = chronological_split(ts, cutoff)
 
     specs = [_load_candidate(path) for path in args.config]
     names = [name for name, _ in specs]
@@ -253,16 +254,15 @@ def cmd_compare(args) -> int:
         raise SchemaError(f"candidate names must be unique, got {names}")
     configs = [spec for _, spec in specs]
     seed = _compare_seed(args.seed, configs)
-    candidates = [
-        (name, *_run_candidate(spec, split.train, split.test, args.seed))
-        for name, spec in specs
-    ]
+    if args.h < 1:
+        raise DomainError(f"horizon h must be >= 1, got {args.h}")
+    candidates = [(name, *_run_candidate(spec, train, test, args.seed)) for name, spec in specs]
 
-    y_true = split.test.values
+    y_true = test.values
     models = {}
     errors = []
-    for name, yhat, bounds95 in candidates:
-        report = evaluate_forecast(name, y_true, yhat, *(bounds95 or (None, None)))
+    for name, yhat, bounds in candidates:
+        report = evaluate_forecast(name, y_true, yhat, *(bounds or (None, None)))
         models[name] = {**report.to_dict(), "n_predicted": len(yhat)}
         errors.append((name, y_true - yhat))
     dm_rows = [

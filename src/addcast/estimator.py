@@ -443,12 +443,11 @@ def _initial_parameters(
     return x0
 
 
-def fit(ts: TimeSeries, config: ModelConfig, iteration_callback=None) -> FittedModel:
+def fit(ts: TimeSeries, config: ModelConfig) -> FittedModel:
     """Estimate all model parameters on a dense series.
 
     Deterministic: no randomness enters point estimation, so identical inputs
-    give bit-identical models. ``iteration_callback``, when given, receives
-    the packed parameter vector after every accepted optimizer iteration.
+    give bit-identical models.
     """
     if ts.has_missing:
         raise DomainError("series contains missing values; preprocess before fitting")
@@ -494,9 +493,7 @@ def fit(ts: TimeSeries, config: ModelConfig, iteration_callback=None) -> FittedM
             raise NonFiniteGradient("gradient contains non-finite entries")
         return gradient, hessian
 
-    result = minimize(
-        objective, derivatives, _initial_parameters(design, y_scaled, trend), iteration_callback
-    )
+    result = minimize(objective, derivatives, _initial_parameters(design, y_scaled, trend))
     params = result.x
     k, m, delta, beta = _split_params(params, design)
     sigma = estimate_sigma(evaluate(params)[2])

@@ -24,6 +24,11 @@ from .forecast import forecast_with_intervals, make_future_grid, shared_future_n
 from .timeseries import TimeSeries, format_epoch_day, write_table
 
 
+# The interval level whose coverage every report states: the per-horizon CV
+# metrics, the fold export and compare's candidate reports.
+COVERAGE_LEVEL = 0.95
+
+
 def _paired(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(y_true, dtype=np.float64)
     b = np.asarray(y_pred, dtype=np.float64)
@@ -241,8 +246,8 @@ def performance_by_horizon(folds: list[CvFold]) -> dict[int, MetricReport]:
     """Metrics grouped by lead time (ds - cutoff) in days, across folds.
 
     Each lead's report equals ``evaluate_forecast`` on its rows in fold
-    order, bit for bit, with the widest interval level's bounds; coverage is
-    None for a lead with a row from a fold without bounds. Leads are checked
+    order, bit for bit, with the COVERAGE_LEVEL bounds; coverage is None for
+    a lead with a row from a fold without them. Leads are checked
     in ascending order, so the first one with inverted bounds or an
     overflowing metric raises."""
     if not folds:
@@ -254,15 +259,15 @@ def performance_by_horizon(folds: list[CvFold]) -> dict[int, MetricReport]:
     def pooled(columns):
         return np.concatenate([np.asarray(c, dtype=np.float64) for c in columns])[order]
 
-    widest = [
-        f.bounds[max(f.bounds)] if f.bounds else (np.full(len(f), np.nan),) * 2
-        for f in folds
+    reported = [
+        f.bounds.get(COVERAGE_LEVEL) or (np.full(len(f), np.nan),) * 2 for f in folds
     ]
+    has_level = [COVERAGE_LEVEL in f.bounds for f in folds]
     y = pooled(f.y_true for f in folds)
     pred = pooled(f.yhat for f in folds)
-    lower = pooled(b[0] for b in widest)
-    upper = pooled(b[1] for b in widest)
-    bounded = np.repeat([bool(f.bounds) for f in folds], [len(f) for f in folds])[order]
+    lower = pooled(b[0] for b in reported)
+    upper = pooled(b[1] for b in reported)
+    bounded = np.repeat(has_level, [len(f) for f in folds])[order]
     # Each lead's rows are the run starts[i]:starts[i] + counts[i] of the
     # sorted leads (np.unique would give the same but loads numpy.ma).
     leads = leads[order]
@@ -304,8 +309,9 @@ def performance_by_horizon(folds: list[CvFold]) -> dict[int, MetricReport]:
 
 
 def require_fold_export_level(levels) -> None:
-    """The fold export writes 95% bounds: ``levels`` must hold 0.95."""
-    if 0.95 not in levels:
+    """The fold export writes 95% bounds: ``levels`` must hold
+    COVERAGE_LEVEL."""
+    if COVERAGE_LEVEL not in levels:
         raise DomainError("fold export requires 95% interval bounds")
 
 
@@ -316,7 +322,7 @@ def write_cv_folds_csv(folds: list[CvFold], path) -> None:
     rows = []
     for fold in folds:
         require_fold_export_level(fold.bounds)
-        lo, hi = fold.bounds[0.95]
+        lo, hi = fold.bounds[COVERAGE_LEVEL]
         rows += zip(
             [format_epoch_day(fold.cutoff)] * len(fold),
             map(format_epoch_day, fold.ds.tolist()),

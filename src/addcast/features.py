@@ -279,21 +279,18 @@ class TimeScaling:
         return (np.asarray(days, dtype=np.float64) - self.t_start) / self.t_span
 
 
-def regressor_column(spec, timestamps: np.ndarray, extra: dict | None) -> np.ndarray:
-    """Values of one regressor at ``timestamps``, taken from ``extra``
-    ({day: value}) before the spec's own values; raises
-    MissingRegressorValue at the first day neither covers."""
+def regressor_column(name: str, timestamps: np.ndarray, values: dict) -> np.ndarray:
+    """Values of regressor ``name`` at ``timestamps``, read from ``values``
+    ({day: value}); raises MissingRegressorValue at the first day it does
+    not cover."""
     col = np.empty(len(timestamps), dtype=np.float64)
     for i, day in enumerate(timestamps):
         day = int(day)
-        if extra is not None and day in extra:
-            col[i] = extra[day]
-        elif day in spec.values:
-            col[i] = spec.values[day]
-        else:
+        if day not in values:
             raise MissingRegressorValue(
-                f"regressor {spec.name!r} has no value for {format_epoch_day(day)}"
+                f"regressor {name!r} has no value for {format_epoch_day(day)}"
             )
+        col[i] = values[day]
     return col
 
 
@@ -370,6 +367,8 @@ def design_for_grid(
 ) -> DesignMatrix:
     """Assemble the design for arbitrary timestamps under a fixed scaling and
     changepoint set (used both at fit time and when extending to a future grid).
+    A regressor's values are ``extra_regressors[name]`` ({day: value}) when
+    given, else its spec's.
 
     Inside ``shared_day_columns`` the seasonal and holiday columns of a run
     of consecutive series days are a slice of the scope's build."""
@@ -388,7 +387,10 @@ def design_for_grid(
     if config.regressors:
         extra = extra_regressors or {}
         columns.append(
-            np.column_stack([regressor_column(r, t, extra.get(r.name)) for r in config.regressors])
+            np.column_stack(
+                [regressor_column(r.name, t, extra.get(r.name, r.values))
+                 for r in config.regressors]
+            )
         )
     return DesignMatrix(
         t_scaled=t_scaled, changepoints_scaled=cps, X=np.hstack(columns), layout=layout

@@ -5,10 +5,11 @@ The point forecast is the sum of the reported components, so the additive
 identity holds exactly for additive models. The model's layout
 (``features.model_layout``) is the single owner of the components' order:
 trend, each seasonal block, holidays, regressors. A forecast evaluates the
-model on its grid once, for both the point forecast and the simulation; a
-day's point forecast is a function of (model, day). Interval simulation
-draws future trend changes from the historical changepoint behaviour plus
-per-timestamp observation noise, and is a pure function of (model, grid, seed).
+model on its grid once: ``predict`` keeps the evaluation on the Forecast,
+and ``simulate_intervals`` reads it. A day's point forecast is a function of
+(model, day). Interval simulation draws future trend changes from the
+historical changepoint behaviour plus per-timestamp observation noise, and
+is a pure function of (model, grid, seed).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,13 +53,16 @@ class Forecast:
 
     components always carries "trend", one entry per seasonal block,
     "holidays" and "regressors"; bounds maps coverage level to (lower, upper)
-    arrays and is empty until intervals are simulated.
+    arrays and is empty until intervals are simulated. evaluation is the
+    model evaluated on the grid in scaled units, which ``simulate_intervals``
+    reads.
     """
 
     timestamps: np.ndarray
     yhat: np.ndarray
     components: dict
     bounds: dict
+    evaluation: _Evaluation = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -86,7 +90,7 @@ def make_future_grid(model: FittedModel, periods: int, extra_regressors=None) ->
             values.update(
                 {int(k): float(v) for k, v in extra_regressors[spec.name].items()}
             )
-        regressor_column(spec, timestamps, values)  # raises MissingRegressorValue
+        regressor_column(spec.name, timestamps, values)  # raises MissingRegressorValue
         merged[spec.name] = values
     return FutureGrid(timestamps=timestamps, regressor_values=merged)
 
@@ -127,42 +131,17 @@ def _evaluate(model: FittedModel, grid: FutureGrid) -> _Evaluation:
     return _Evaluation(design.t_scaled, parts, components, yhat)
 
 
-def _point_forecast(model: FittedModel, grid: FutureGrid, evaluation: _Evaluation) -> Forecast:
+def predict(model: FittedModel, grid: FutureGrid) -> Forecast:
+    """Point forecast with additive component decomposition, original units,
+    from one build of the grid's design."""
+    evaluation = _evaluate(model, grid)
     return Forecast(
         timestamps=grid.timestamps,
         yhat=evaluation.yhat * model.y_scale,
         components={k: v * model.y_scale for k, v in evaluation.components.items()},
         bounds={},
+        evaluation=evaluation,
     )
-
-
-def predict(model: FittedModel, grid: FutureGrid) -> Forecast:
-    """Point forecast with additive component decomposition, original units."""
-    return _point_forecast(model, grid, _evaluate(model, grid))
-
-
-def simulate_intervals(model: FittedModel, grid: FutureGrid, seed: int) -> dict:
-    """Monte-Carlo prediction bounds per configured coverage level.
-
-    Each draw samples future changepoints (count from a Poisson process at
-    the historical changepoints-per-unit-scaled-time rate, locations uniform
-    over the future span, magnitudes Laplace with scale mean|delta|) plus
-    Normal(0, sigma) observation noise. The bounds are numpy's default
-    type-7 (linear) empirical quantiles, bit for bit, read from one sort of
-    each row of the sample matrix.
-
-    A pure function of (model, grid, seed). The seed is split into three
-    independent Philox streams: history-row noise, future-row noise, and
-    future trend changes. A future day's draws therefore do not depend on
-    whether history rows are in the grid.
-
-    History rows are drawn, sorted and read in blocks of a fixed size, so
-    the simulation's memory does not grow with the history. Inside
-    ``shared_future_noise`` the simulations of a (seed, sample count) share
-    one future-noise draw, and a shorter horizon reads a prefix of a longer
-    one, which is exactly what its own draw would give.
-    """
-    return _simulate(model, grid, _evaluate(model, grid), seed)
 
 
 # Samples per block of trend-deviation temporaries; bounds the extra memory
@@ -252,7 +231,7 @@ def _trend_deviations(model: FittedModel, evaluation: _Evaluation, first: int, s
         yield slice(lo, hi), deviation
 
 
-def _first_future_row(model: FittedModel, grid: FutureGrid) -> int:
+def _first_future_row(model: FittedModel, grid: FutureGrid | Forecast) -> int:
     """Index of the first grid row after the model's last training day."""
     return int(np.searchsorted(grid.timestamps, model.last_day, side="right"))
 
@@ -298,18 +277,40 @@ def _future_noise(seed: int, stream, n_rows: int, n_samples: int) -> np.ndarray:
     return noise
 
 
-def _simulate(model: FittedModel, grid: FutureGrid, evaluation: _Evaluation, seed: int) -> dict:
-    """Bounds of the grid's rows. History rows are sampled, sorted and read
-    in blocks of about ``_HISTORY_CELLS`` cells; the future rows form one
-    matrix of the future noise plus the trend deviations."""
+def simulate_intervals(model: FittedModel, forecast: Forecast, seed: int) -> dict:
+    """Monte-Carlo prediction bounds per configured coverage level, at the
+    rows of ``forecast``, ``predict``'s point forecast of ``model``.
+
+    Each draw samples future changepoints (count from a Poisson process at
+    the historical changepoints-per-unit-scaled-time rate, locations uniform
+    over the future span, magnitudes Laplace with scale mean|delta|) plus
+    Normal(0, sigma) observation noise. The bounds are numpy's default
+    type-7 (linear) empirical quantiles, bit for bit, read from one sort of
+    each row of the sample matrix.
+
+    A pure function of (model, grid, seed), where ``forecast`` is
+    ``predict(model, grid)``. The seed is split into three independent
+    Philox streams: history-row noise, future-row noise, and future trend
+    changes. A future day's draws therefore do not depend on whether
+    history rows are in the grid.
+
+    History rows are drawn, sorted and read in blocks of about
+    ``_HISTORY_CELLS`` cells, so the simulation's memory does not grow with
+    the history; the future rows form one matrix of the future noise plus
+    the trend deviations. Inside ``shared_future_noise`` the simulations of
+    a (seed, sample count) share one future-noise draw, and a shorter
+    horizon reads a prefix of a longer one, which is exactly what its own
+    draw would give.
+    """
     history_stream, future_stream, trend_stream = _streams(seed)
     levels = model.config.interval_levels
     if not levels:
         return {}
-    first = _first_future_row(model, grid)
+    evaluation = forecast.evaluation
+    first = _first_future_row(model, forecast)
     n_samples = model.config.interval_samples
     qs = [q for level in levels for q in ((1.0 - level) / 2.0, (1.0 + level) / 2.0)]
-    bounds = np.empty((len(qs), len(grid)))
+    bounds = np.empty((len(qs), len(forecast)))
 
     step = max(1, _HISTORY_CELLS // n_samples)
     for lo in range(0, first, step):
@@ -319,7 +320,7 @@ def _simulate(model: FittedModel, grid: FutureGrid, evaluation: _Evaluation, see
         block += evaluation.yhat[lo:hi, np.newaxis]
         bounds[:, lo:hi] = _row_quantiles(block, qs)
 
-    noise = _future_noise(int(seed), future_stream, len(grid) - first, n_samples)
+    noise = _future_noise(int(seed), future_stream, len(forecast) - first, n_samples)
     future = noise * model.sigma
     future += evaluation.yhat[first:, np.newaxis]
     seasonal_factor = (1.0 + evaluation.parts.s_mul[first:])[:, np.newaxis]
@@ -373,9 +374,9 @@ def forecast_with_intervals(
     if not history:
         future = grid.timestamps[_first_future_row(model, grid) :]
         grid = FutureGrid(future, grid.regressor_values)
-    evaluation = _evaluate(model, grid)
-    bounds = _simulate(model, grid, evaluation, model.config.seed if seed is None else seed)
-    return replace(_point_forecast(model, grid, evaluation), bounds=bounds)
+    fc = predict(model, grid)
+    bounds = simulate_intervals(model, fc, model.config.seed if seed is None else seed)
+    return replace(fc, bounds=bounds)
 
 
 def write_forecast_csv(forecast: Forecast, model: FittedModel, path) -> None:

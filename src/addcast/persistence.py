@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -62,57 +61,18 @@ def dataset_digest(ts: TimeSeries) -> str:
     return sha256_hex(canonical_json_bytes(payload))
 
 
-@dataclass(frozen=True)
-class ModelDocument:
-    """Serializable form of a fitted model; round-trips bit-exactly."""
-
-    format_version: int
-    config: dict
-    parameters: dict
-    scaling: dict
-    train_summary: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": self.format_version,
-            "config": self.config,
-            "parameters": self.parameters,
-            "scaling": self.scaling,
-            "train_summary": self.train_summary,
-        }
-
-    def to_bytes(self) -> bytes:
-        return canonical_json_bytes(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelDocument":
-        if not isinstance(data, dict):
-            raise SchemaError("model document must be a JSON object")
-        version = data.get("format_version")
-        if version != FORMAT_VERSION:
-            raise UnsupportedVersion(f"unsupported format_version {version!r}")
-        try:
-            return cls(
-                format_version=int(version),
-                config=data["config"],
-                parameters=data["parameters"],
-                scaling=data["scaling"],
-                train_summary=data["train_summary"],
-            )
-        except KeyError as exc:
-            raise SchemaError(f"model document missing key {exc}") from None
-
-
-def model_to_document(model: FittedModel) -> ModelDocument:
+def model_to_document(model: FittedModel) -> dict:
+    """The model document: the dict whose canonical bytes ``save_model``
+    writes, and which ``model_from_document`` reads back bit-exactly."""
     layout = model.layout
     blocks = [
         {"kind": b.kind, "name": b.name, "values": model.beta[layout.beta_slice(b)].tolist()}
         for b in layout.coefficients
     ]
-    return ModelDocument(
-        format_version=FORMAT_VERSION,
-        config=config_to_dict(model.config),
-        parameters={
+    return {
+        "format_version": FORMAT_VERSION,
+        "config": config_to_dict(model.config),
+        "parameters": {
             "k": model.k,
             "m": model.m,
             "delta": [float(v) for v in model.delta],
@@ -120,24 +80,35 @@ def model_to_document(model: FittedModel) -> ModelDocument:
             "blocks": blocks,
             "sigma": model.sigma,
         },
-        scaling={
+        "scaling": {
             "t_start": model.t_start,
             "t_span": model.t_span,
             "y_scale": model.y_scale,
         },
-        train_summary={
+        "train_summary": {
             "n_obs": model.n_obs,
             "first": format_epoch_day(model.first_day),
             "last": format_epoch_day(model.last_day),
             "timestamps": [int(t) for t in model.train_timestamps],
         },
-    )
+    }
 
 
-def model_from_document(doc: ModelDocument) -> FittedModel:
+def model_from_document(data) -> FittedModel:
+    """The model of a document dict. A non-object is a SchemaError, a
+    format_version other than FORMAT_VERSION is UnsupportedVersion, and a
+    missing top-level key or a malformed value is a SchemaError."""
+    if not isinstance(data, dict):
+        raise SchemaError("model document must be a JSON object")
+    version = data.get("format_version")
+    if version != FORMAT_VERSION:
+        raise UnsupportedVersion(f"unsupported format_version {version!r}")
+    for key in ("config", "parameters", "scaling", "train_summary"):
+        if key not in data:
+            raise SchemaError(f"model document missing key {key!r}")
+    params, scaling = data["parameters"], data["scaling"]
     try:
-        config = config_from_dict(doc.config)
-        params = doc.parameters
+        config = config_from_dict(data["config"])
         layout = model_layout(config, len(params["changepoints"]))
         found = [(b["kind"], b["name"], len(b["values"])) for b in params["blocks"]]
         expected = [(b.kind, b.name, b.width) for b in layout.coefficients]
@@ -154,11 +125,11 @@ def model_from_document(doc: ModelDocument) -> FittedModel:
             delta=np.array(params["delta"], dtype=np.float64),
             beta=beta,
             sigma=float(params["sigma"]),
-            t_start=float(doc.scaling["t_start"]),
-            t_span=float(doc.scaling["t_span"]),
-            y_scale=float(doc.scaling["y_scale"]),
+            t_start=float(scaling["t_start"]),
+            t_span=float(scaling["t_span"]),
+            y_scale=float(scaling["y_scale"]),
             changepoints_scaled=np.array(params["changepoints"], dtype=np.float64),
-            train_timestamps=np.array(doc.train_summary["timestamps"], dtype=np.int64),
+            train_timestamps=np.array(data["train_summary"]["timestamps"], dtype=np.int64),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed model document: {exc}") from None
@@ -168,16 +139,17 @@ def model_from_document(doc: ModelDocument) -> FittedModel:
 
 
 def save_model(model: FittedModel, path) -> None:
-    write_output(path, model_to_document(model).to_bytes())
+    write_output(path, canonical_json_bytes(model_to_document(model)))
 
 
 def load_model(path) -> FittedModel:
-    return model_from_document(ModelDocument.from_dict(read_json(path)))
+    return model_from_document(read_json(path))
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Record of one run: seed, content digests, and metric reports.
+def make_manifest(seed: int, config, ts: TimeSeries, metrics: dict) -> dict:
+    """Record of one run on ``ts``: seed, content digests, and metric
+    reports; ``config`` is a ModelConfig or a list as taken by
+    config_digest.
 
     Output bytes are a function of the inputs, flags, seed, numpy build,
     OpenBLAS core kernel and numpy SIMD level, and not of the BLAS thread
@@ -186,37 +158,15 @@ class RunManifest:
     created_at (wall clock, UTC ISO-8601) differs; another kernel or SIMD
     level may change their last digits.
     """
-
-    seed: int
-    version: str
-    config_digest: str
-    dataset_digest: str
-    metrics: dict
-    created_at: str
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "version": self.version,
-            "config_digest": self.config_digest,
-            "dataset_digest": self.dataset_digest,
-            "metrics": self.metrics,
-            "created_at": self.created_at,
-        }
+    return {
+        "seed": int(seed),
+        "version": __version__,
+        "config_digest": config_digest(config),
+        "dataset_digest": dataset_digest(ts),
+        "metrics": metrics,
+        "created_at": datetime.now(timezone.utc).isoformat(),
+    }
 
 
-def make_manifest(seed: int, config, ts: TimeSeries, metrics: dict) -> RunManifest:
-    """Manifest of a run on ``ts``; ``config`` is a ModelConfig or a list as
-    taken by config_digest."""
-    return RunManifest(
-        seed=int(seed),
-        version=__version__,
-        config_digest=config_digest(config),
-        dataset_digest=dataset_digest(ts),
-        metrics=metrics,
-        created_at=datetime.now(timezone.utc).isoformat(),
-    )
-
-
-def write_manifest(manifest: RunManifest, path) -> None:
-    write_output(path, canonical_json_bytes(manifest.to_dict()))
+def write_manifest(manifest: dict, path) -> None:
+    write_output(path, canonical_json_bytes(manifest))

@@ -15,7 +15,7 @@ import math
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
@@ -168,29 +168,17 @@ class TimeSeries:
         return TimeSeries(self.timestamps[mask], self.values[mask], self.name)
 
 
-@dataclass(frozen=True)
-class SplitResult:
-    """Chronological partition of a series at a cutoff epoch-day.
-
-    Every train timestamp is <= cutoff and every test timestamp is > cutoff;
-    together they restore the input series.
-    """
-
-    train: TimeSeries
-    test: TimeSeries
-    cutoff: int = field(default=0)
-
-
-def load_csv(path, date_column: str = "ds", value_column: str = "y") -> TimeSeries:
-    """Load a daily series from a headered CSV file.
+def load_csv(path) -> TimeSeries:
+    """Load a daily series from a headered CSV file with ``ds`` and ``y``
+    columns.
 
     The rows are read by ``read_columns``, sorted ascending by date, with
     the empty field and the literal ``NA`` read as missing markers (NaN).
     """
-    days, columns = read_columns(path, (value_column,), date_column=date_column, missing=True)
+    days, columns = read_columns(path, ("y",), missing=True)
     if len(days) == 0:
         raise EmptySeries(f"{path}: no data rows")
-    return TimeSeries(days, columns[value_column], name=value_column)
+    return TimeSeries(days, columns["y"], name="y")
 
 
 def read_columns(path, required, optional=(), date_column="ds", missing=False):
@@ -342,8 +330,8 @@ def log_transform(ts: TimeSeries, offset: float = 0.0) -> TimeSeries:
 
     The offset handles zero-valued observations (offset=1 for count data).
     """
-    if offset < 0:
-        raise DomainError(f"offset must be nonnegative, got {offset}")
+    if not (math.isfinite(offset) and offset >= 0):
+        raise DomainError(f"log offset must be finite and nonnegative, got {offset}")
     shifted = ts.values + offset
     if np.any(shifted <= 0):
         bad = float(ts.values[np.nanargmin(shifted)])
@@ -374,8 +362,9 @@ def filter_weekdays(ts: TimeSeries) -> TimeSeries:
     return ts.slice_mask(mask)
 
 
-def chronological_split(ts: TimeSeries, cutoff: int) -> SplitResult:
-    """Partition into train (timestamps <= cutoff) and test (> cutoff)."""
+def chronological_split(ts: TimeSeries, cutoff: int) -> tuple[TimeSeries, TimeSeries]:
+    """Partition into ``(train, test)``: train holds the timestamps <= cutoff
+    and test those > cutoff, and together they restore the input series."""
     first = int(ts.timestamps[0])
     last = int(ts.timestamps[-1])
     if not (first <= cutoff < last):
@@ -384,8 +373,4 @@ def chronological_split(ts: TimeSeries, cutoff: int) -> SplitResult:
             f"[{format_epoch_day(first)}, {format_epoch_day(last)})"
         )
     mask = ts.timestamps <= cutoff
-    return SplitResult(
-        train=ts.slice_mask(mask),
-        test=ts.slice_mask(~mask),
-        cutoff=int(cutoff),
-    )
+    return ts.slice_mask(mask), ts.slice_mask(~mask)

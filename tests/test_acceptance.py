@@ -26,7 +26,7 @@ from addcast.evaluation import (
 )
 from addcast.features import build_design
 from addcast.forecast import forecast_with_intervals, make_future_grid, predict
-from addcast.persistence import model_to_document
+from addcast.persistence import canonical_json_bytes, model_from_document, model_to_document
 from addcast.timeseries import TimeSeries, format_epoch_day
 
 from conftest import daily_days, program_trend
@@ -262,10 +262,8 @@ def test_criterion_09_serialization_roundtrip(tmp_path):
             interval_samples=300,
         )
         model = fit(ts, config)
-        doc_bytes = model_to_document(model).to_bytes()
-        from addcast.persistence import ModelDocument, model_from_document
-
-        restored = model_from_document(ModelDocument.from_dict(json.loads(doc_bytes)))
+        doc_bytes = canonical_json_bytes(model_to_document(model))
+        restored = model_from_document(json.loads(doc_bytes))
         grid_a = make_future_grid(model, 45)
         grid_b = make_future_grid(restored, 45)
         fc_a = forecast_with_intervals(model, grid_a, seed=11)
@@ -275,7 +273,7 @@ def test_criterion_09_serialization_roundtrip(tmp_path):
             assert np.array_equal(fc_a.bounds[level][0], fc_b.bounds[level][0])
             assert np.array_equal(fc_a.bounds[level][1], fc_b.bounds[level][1])
         again = fit(ts, config)
-        assert model_to_document(again).to_bytes() == doc_bytes
+        assert canonical_json_bytes(model_to_document(again)) == doc_bytes
 
 
 def test_criterion_10_seed_determinism_across_processes(tmp_path):

@@ -19,11 +19,10 @@ from conftest import daily_days
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
-# Span names no command records. forecast_with_intervals simulates without
-# going through simulate_intervals, and the bounds are read off one sort of
-# the sample rows rather than numpy.quantile, so the forecast.simulate.*,
-# forecast.sim_* and forecast.quantile_* metrics read 0 on every workload.
-NEVER_RECORDED = {"forecast.simulate_intervals", "forecast.quantile"}
+# Span names no command records. The bounds are read off one sort of the
+# sample rows rather than numpy.quantile, so the forecast.quantile_* metrics
+# read 0 on every workload.
+NEVER_RECORDED = {"forecast.quantile"}
 
 
 @pytest.fixture(scope="module")

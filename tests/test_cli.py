@@ -255,6 +255,24 @@ class TestFitCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["n_obs"] < 200  # weekends removed
 
+    @pytest.mark.parametrize("offset", ["nan", "inf"])
+    def test_non_finite_log_offset_exits_1(self, tmp_path, rng, capsys, offset):
+        # nan failed later as "series contains missing values", inf as a
+        # ParseError "values must be finite"
+        data = tmp_path / "data.csv"
+        synthetic_csv(data, rng, n=60)
+        config = tmp_path / "config.json"
+        small_config(config, n_changepoints=0)
+        code = main(
+            ["fit", "--input", str(data), "--config", str(config),
+             "--output", str(tmp_path / "m.json"), "--log-offset", offset]
+        )
+        assert code == 1
+        assert sorted(tmp_path.iterdir()) == sorted([data, config])
+        assert_one_error_line(
+            capsys, "DomainError", f"log offset must be finite and nonnegative, got {offset}"
+        )
+
 
 class TestPredictCommand:
     def fit_once(self, tmp_path, rng):
@@ -626,6 +644,43 @@ class TestCvCommand:
         metrics = json.loads((tmp_path / "folds.csv.metrics.json").read_text())
         for day, report in metrics["metrics"].items():
             assert set(report) == {"rmse", "mae", "mape_percent", "coverage_percent"}
+
+    def test_metrics_coverage_is_recomputable_from_the_folds_csv(self, tmp_path, rng, capsys):
+        # with a 99% level beside the 95% one, the metrics used to report
+        # the 99% coverage, which the folds CSV does not hold
+        from addcast.evaluation import coverage
+        from addcast.timeseries import parse_iso_date
+
+        data = tmp_path / "data.csv"
+        synthetic_csv(data, rng, n=400)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "trend": {"n_changepoints": 3},
+            "seasonalities": [{"name": "weekly", "period": 7.0, "fourier_order": 2}],
+            "interval_levels": [0.95, 0.99],
+            "interval_samples": 200,
+        }))
+        folds_csv = tmp_path / "folds.csv"
+        code = main(
+            ["cv", "--input", str(data), "--config", str(config),
+             "--initial-days", "150", "--period-days", "20", "--horizon-days", "30",
+             "--output", str(folds_csv)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        rows = {}
+        for line in folds_csv.read_text().splitlines()[1:]:
+            cutoff, ds, *values = line.split(",")
+            lead = parse_iso_date(ds) - parse_iso_date(cutoff)
+            rows.setdefault(lead, []).append([float(v) for v in values])
+        metrics = json.loads((tmp_path / "folds.csv.metrics.json").read_text())["metrics"]
+        assert sorted(map(int, metrics)) == sorted(rows)
+        recomputed = {}
+        for lead, table in rows.items():
+            y, _, lo, hi = np.array(table).T
+            recomputed[lead] = coverage(y, lo, hi)
+            assert metrics[str(lead)]["coverage_percent"] == recomputed[lead], lead
+        assert min(recomputed.values()) < 100.0
 
 
     def test_without_95_level_fails_before_fitting_and_writes_nothing(
@@ -1071,22 +1126,27 @@ class TestCompareCommand:
         assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
 
     @pytest.mark.parametrize(
-        "entries,fragment",
+        "entries,flags,error,fragment",
         [
             # the manifest could not serialize it: a ValueError traceback
-            ({"b": {"baseline": "naive", "note": NAN}}, "not JSON compliant"),
+            ({"b": {"baseline": "naive", "note": NAN}}, [], "SchemaError", "not JSON compliant"),
             # int(NaN): a ValueError traceback
-            ({"b": {"baseline": "seasonal_naive", "period": NAN}}, "period must be an integer"),
+            ({"b": {"baseline": "seasonal_naive", "period": NAN}}, [], "SchemaError",
+             "period must be an integer"),
             # ran as period 2
-            ({"b": {"baseline": "seasonal_naive", "period": 2.7}}, "period must be an integer"),
+            ({"b": {"baseline": "seasonal_naive", "period": 2.7}}, [], "SchemaError",
+             "period must be an integer"),
             # kept the last entry's metrics and compared naive with naive
             ({"naive": {"baseline": "naive"}, "b": {"baseline": "seasonal_naive", "name": "naive"}},
-             "unique, got ['m', 'naive', 'naive']"),
+             [], "SchemaError", "unique, got ['m', 'naive', 'naive']"),
+            # failed in the DM test, after every candidate had run
+            ({"b": {"baseline": "naive"}}, ["--h", "0"], "DomainError",
+             "horizon h must be >= 1, got 0"),
         ],
-        ids=["nan_note", "nan_period", "fractional_period", "duplicate_name"],
+        ids=["nan_note", "nan_period", "fractional_period", "duplicate_name", "zero_h"],
     )
     def test_bad_candidates_exit_1_before_any_candidate_runs(
-        self, tmp_path, rng, capsys, monkeypatch, entries, fragment
+        self, tmp_path, rng, capsys, monkeypatch, entries, flags, error, fragment
     ):
         import addcast.cli
 
@@ -1104,11 +1164,12 @@ class TestCompareCommand:
         before = sorted(tmp_path.iterdir())
         code = main(
             ["compare", "--input", str(data), "--config", *map(str, paths),
-             "--cutoff", format_epoch_day(int(days[320])), "--output", str(tmp_path / "o.json")]
+             "--cutoff", format_epoch_day(int(days[320])), "--output", str(tmp_path / "o.json"),
+             *flags]
         )
         assert code == 1
         assert sorted(tmp_path.iterdir()) == before
-        assert_one_error_line(capsys, "SchemaError", fragment)
+        assert_one_error_line(capsys, error, fragment)
 
     def test_failing_manifest_writes_nothing(self, tmp_path, rng, capsys, monkeypatch):
         # the report used to be written before the manifest was built

@@ -176,7 +176,7 @@ class TestMapGradient:
         # which is exactly zero at the origin (softabs'(0) = 0)
         assert np.array_equal(grad, np.zeros_like(grad))
 
-    def test_stationarity_at_optimum(self, rng):
+    def test_stationarity_at_optimum(self, rng, monkeypatch):
         n = 150
         days = daily_days("2020-01-01", n)
         y = 1.0 + 0.5 * np.arange(n) / n + rng.normal(0, 0.05, n)
@@ -186,7 +186,8 @@ class TestMapGradient:
             seasonalities=(SeasonalitySpec(name="weekly", period=7.0, fourier_order=2),),
         )
         trace = []
-        model = fit(ts, config, iteration_callback=lambda xk: trace.append(xk.copy()))
+        recorded_minimize(monkeypatch, lambda xk: trace.append(xk.copy()))
+        model = fit(ts, config)
         design = build_design(ts, config)
         ys = y / model.y_scale
         params = pack(model.k, model.m, model.delta, model.beta)
@@ -497,7 +498,7 @@ class TestFit:
         assert np.array_equal(a.beta, b.beta)
         assert a.sigma == b.sigma
 
-    def test_objective_decreases_monotonically(self, rng):
+    def test_objective_decreases_monotonically(self, rng, monkeypatch):
         n = 250
         days = daily_days("2020-01-01", n)
         t = np.arange(n) / (n - 1)
@@ -508,7 +509,8 @@ class TestFit:
             seasonalities=(SeasonalitySpec(name="weekly", period=7.0, fourier_order=2),),
         )
         trace = []
-        model = fit(ts, config, iteration_callback=lambda xk: trace.append(xk.copy()))
+        recorded_minimize(monkeypatch, lambda xk: trace.append(xk.copy()))
+        model = fit(ts, config)
         design = build_design(ts, config)
         ys = y / model.y_scale
         objs = [map_objective(x, design, ys, config.trend) for x in trace]
@@ -652,15 +654,16 @@ class TestFit:
         assert abs(observed - model.sigma_rescaled) < 1e-9
 
 
-def recorded_minimize(monkeypatch):
-    """Wrap estimator.minimize; the returned list receives each fit's result."""
+def recorded_minimize(monkeypatch, callback=None):
+    """Wrap estimator.minimize; the returned list receives each fit's
+    result, and ``callback``, when given, each accepted iterate."""
     import addcast.estimator as est
 
     real_minimize = est.minimize
     results = []
 
-    def recorded(*args, **kwargs):
-        results.append(real_minimize(*args, **kwargs))
+    def recorded(objective, derivatives, x0):
+        results.append(real_minimize(objective, derivatives, x0, callback))
         return results[-1]
 
     monkeypatch.setattr(est, "minimize", recorded)
@@ -764,10 +767,10 @@ class TestLogisticStart:
         assert np.max(np.abs(predict(model, make_future_grid(model, 0)).yhat)) <= 1e-5
 
     def test_multiplicative_holiday_fit_converges_in_few_steps(self, rng, monkeypatch):
-        results = recorded_minimize(monkeypatch)
-        ts, config = logistic_holiday_problem(rng)
         iterates = []
-        model = fit(ts, config, iteration_callback=lambda x: iterates.append(x.copy()))
+        results = recorded_minimize(monkeypatch, lambda x: iterates.append(x.copy()))
+        ts, config = logistic_holiday_problem(rng)
+        model = fit(ts, config)
         assert 1 <= results[0].nit <= 5
         # the solver stopped by its own rule: a small gradient, or a last
         # accepted step that lowered the objective by a negligible amount

@@ -190,13 +190,13 @@ class TestRollingCv:
         folds = rolling_cv(config, ts, initial, 60, horizon)
         assert len(folds) == 1
         fold = folds[0]
-        split = chronological_split(ts, fold.cutoff)
-        model = fit(split.train, config)
+        train, test = chronological_split(ts, fold.cutoff)
+        model = fit(train, config)
         grid = make_future_grid(model, horizon)
         fc = forecast_with_intervals(model, grid)
         idx = np.searchsorted(grid.timestamps, fold.ds)
         assert np.array_equal(fold.yhat, fc.yhat[idx])
-        assert np.array_equal(fold.y_true, split.test.values)
+        assert np.array_equal(fold.y_true, test.values)
         # the fold simulates only its horizon, yet its bounds are the
         # full-grid forecast's bounds at the same days, bit for bit
         assert sorted(fold.bounds) == [0.80, 0.95]
@@ -347,17 +347,16 @@ class TestPerformanceByHorizon:
 
 def by_horizon_oracle(folds):
     """The per-lead definition: pool each lead's rows in fold order and call
-    evaluate_forecast on them, with the widest level's bounds when every row
-    has bounds."""
+    evaluate_forecast on them, with the 95% bounds when every row has them."""
     groups = {}
     for fold in folds:
-        widest = fold.bounds[max(fold.bounds)] if fold.bounds else None
+        reported = fold.bounds.get(0.95)
         for j in range(len(fold)):
             row = (
                 fold.y_true[j],
                 fold.yhat[j],
-                None if widest is None else widest[0][j],
-                None if widest is None else widest[1][j],
+                None if reported is None else reported[0][j],
+                None if reported is None else reported[1][j],
             )
             groups.setdefault(int(fold.ds[j]) - fold.cutoff, []).append(row)
     out = {}
@@ -432,6 +431,16 @@ class TestPerformanceByHorizonOracle:
         kind, rows = self.assert_same(folds)
         assert kind == "ok"
         assert any(r[4] is None for r in rows) and any(r[4] is not None for r in rows)
+
+    def test_coverage_is_of_the_95_percent_bounds(self, rng):
+        # a 99% level that covers every row used to be the one reported
+        folds = [
+            replace(f, bounds={**f.bounds, 0.99: (f.yhat - 1e6, f.yhat + 1e6)})
+            for f in self.folds(rng, 9)
+        ]
+        kind, rows = self.assert_same(folds)
+        assert kind == "ok"
+        assert min(float.fromhex(r[5]) for r in rows) < 100.0
 
     def test_folds_without_bounds(self, rng):
         folds = self.folds(rng, 9)

@@ -195,7 +195,7 @@ class TestSimulateIntervals:
         model = flat_model(sigma=0.0)
         grid = make_future_grid(model, 20)
         fc = predict(model, grid)
-        bounds = simulate_intervals(model, grid, seed=3)
+        bounds = simulate_intervals(model, predict(model, grid), seed=3)
         for lo, hi in bounds.values():
             assert np.array_equal(lo, fc.yhat)
             assert np.array_equal(hi, fc.yhat)
@@ -203,12 +203,12 @@ class TestSimulateIntervals:
     def test_seed_determinism(self):
         model = flat_model(sigma=0.5)
         grid = make_future_grid(model, 15)
-        a = simulate_intervals(model, grid, seed=11)
-        b = simulate_intervals(model, grid, seed=11)
+        a = simulate_intervals(model, predict(model, grid), seed=11)
+        b = simulate_intervals(model, predict(model, grid), seed=11)
         for level in a:
             assert np.array_equal(a[level][0], b[level][0])
             assert np.array_equal(a[level][1], b[level][1])
-        c = simulate_intervals(model, grid, seed=12)
+        c = simulate_intervals(model, predict(model, grid), seed=12)
         assert not np.array_equal(a[0.95][1], c[0.95][1])
 
     def test_gaussian_halfwidth_oracle(self, rng):
@@ -223,7 +223,7 @@ class TestSimulateIntervals:
         )
         model = fit(ts, config)
         grid = make_future_grid(model, 0)
-        bounds = simulate_intervals(model, grid, seed=5)
+        bounds = simulate_intervals(model, predict(model, grid), seed=5)
         half = np.mean((bounds[0.95][1] - bounds[0.95][0]) / 2.0)
         assert abs(half - 1.96) / 1.96 < 0.15
 
@@ -238,7 +238,7 @@ class TestSimulateIntervals:
         )
         model = fit(ts, config)
         grid = make_future_grid(model, 60)
-        bounds = simulate_intervals(model, grid, seed=9)
+        bounds = simulate_intervals(model, predict(model, grid), seed=9)
         lo80, hi80 = bounds[0.80]
         lo95, hi95 = bounds[0.95]
         assert np.all(lo95 <= lo80)
@@ -269,7 +269,7 @@ class TestSimulateIntervals:
         )
         grid = make_future_grid(model, 30)
         fc = predict(model, grid)
-        bounds = simulate_intervals(model, grid, seed=21)
+        bounds = simulate_intervals(model, predict(model, grid), seed=21)
         lo, hi = bounds[0.95]
         assert np.array_equal(lo[:n], fc.yhat[:n])
         assert np.array_equal(hi[:n], fc.yhat[:n])
@@ -280,7 +280,7 @@ class TestSimulateIntervals:
     def test_negative_seed_rejected(self):
         model = flat_model(sigma=0.5)
         with pytest.raises(DomainError, match="seed"):
-            simulate_intervals(model, make_future_grid(model, 5), seed=-1)
+            simulate_intervals(model, predict(model, make_future_grid(model, 5)), seed=-1)
 
     def test_grid_without_history_rows(self):
         # rows are independent in a model with no changepoints or seasonal

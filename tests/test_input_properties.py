@@ -24,7 +24,7 @@ from addcast.cli import main
 from addcast.config import ModelConfig, config_from_dict, config_to_dict
 from addcast.errors import AddcastError
 from addcast.estimator import FittedModel, fit
-from addcast.persistence import ModelDocument, model_from_document, model_to_document
+from addcast.persistence import model_from_document, model_to_document
 from addcast.timeseries import TimeSeries, format_epoch_day
 
 from conftest import daily_days
@@ -124,7 +124,7 @@ def _valid_document():
     days = daily_days("2021-01-01", 30)
     y = 3.0 + (np.arange(30) % 7) / 4
     config = config_from_dict({**VALID_CONFIG, "regressors": []})
-    return model_to_document(fit(TimeSeries(days, y), config)).to_dict()
+    return model_to_document(fit(TimeSeries(days, y), config))
 
 
 VALID_DOCUMENT = _valid_document()
@@ -134,7 +134,7 @@ VALID_DOCUMENT = _valid_document()
 @given(data=mutated(VALID_DOCUMENT))
 def test_model_documents_load_or_raise_an_addcast_error(data):
     try:
-        model = model_from_document(ModelDocument.from_dict(data))
+        model = model_from_document(data)
     except AddcastError:
         return
     assert isinstance(model, FittedModel)

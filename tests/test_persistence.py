@@ -8,7 +8,6 @@ from addcast.errors import SchemaError, UnsupportedVersion
 from addcast.estimator import FittedModel, fit
 from addcast.forecast import forecast_with_intervals, make_future_grid, predict
 from addcast.persistence import (
-    ModelDocument,
     canonical_json_bytes,
     config_digest,
     dataset_digest,
@@ -57,38 +56,40 @@ class TestModelDocument:
     def test_refit_byte_identical_documents(self, fitted):
         ts, config, model = fitted
         again = fit(ts, config)
-        assert model_to_document(model).to_bytes() == model_to_document(again).to_bytes()
+        assert canonical_json_bytes(model_to_document(model)) == canonical_json_bytes(
+            model_to_document(again)
+        )
 
     def test_unknown_version_rejected(self, fitted):
         _, _, model = fitted
-        data = json.loads(model_to_document(model).to_bytes())
+        data = model_to_document(model)
         data["format_version"] = 99
         with pytest.raises(UnsupportedVersion):
-            ModelDocument.from_dict(data)
+            model_from_document(data)
 
     def test_version_1_rejected(self, fitted):
         # a version 1 logistic m is the midpoint of k * (t - m), not the
         # trend line's offset, so reading it as version 2 would misread it
         _, _, model = fitted
-        data = json.loads(model_to_document(model).to_bytes())
+        data = model_to_document(model)
         assert data["format_version"] == 2
         data["format_version"] = 1
         with pytest.raises(UnsupportedVersion, match="format_version 1"):
-            ModelDocument.from_dict(data)
+            model_from_document(data)
 
     def test_missing_key_rejected(self, fitted):
         _, _, model = fitted
-        data = json.loads(model_to_document(model).to_bytes())
+        data = model_to_document(model)
         del data["parameters"]
         with pytest.raises(SchemaError):
-            ModelDocument.from_dict(data)
+            model_from_document(data)
 
     def test_wrong_block_width_rejected(self, fitted):
         _, _, model = fitted
-        data = json.loads(model_to_document(model).to_bytes())
+        data = model_to_document(model)
         data["parameters"]["blocks"][0]["values"].append(0.0)
         with pytest.raises(SchemaError):
-            model_from_document(ModelDocument.from_dict(data))
+            model_from_document(data)
 
     @pytest.mark.parametrize("edit", ["shifted_widths", "renamed", "kind"])
     def test_block_layout_mismatch_rejected(self, edit):
@@ -99,8 +100,8 @@ class TestModelDocument:
             t_start=float(days[0]), t_span=59.0, y_scale=1.0,
             changepoints_scaled=[], train_timestamps=days,
         )
-        data = json.loads(model_to_document(model).to_bytes())
-        model_from_document(ModelDocument.from_dict(data))
+        data = model_to_document(model)
+        model_from_document(data)
         yearly, weekly = data["parameters"]["blocks"]
         if edit == "shifted_widths":  # 19 + 9 keeps the total at 28
             weekly["values"].insert(0, yearly["values"].pop())
@@ -109,18 +110,17 @@ class TestModelDocument:
         else:
             weekly["kind"] = "holidays"
         with pytest.raises(SchemaError, match="coefficient blocks"):
-            model_from_document(ModelDocument.from_dict(data))
+            model_from_document(data)
 
     def test_tampering_is_digest_evident(self, fitted):
         _, _, model = fitted
-        doc = model_to_document(model)
-        original_digest = sha256_hex(doc.to_bytes())
-        data = json.loads(doc.to_bytes())
+        doc_bytes = canonical_json_bytes(model_to_document(model))
+        original_digest = sha256_hex(doc_bytes)
+        data = json.loads(doc_bytes)
         data["parameters"]["delta"][0] += 0.5
-        tampered = ModelDocument.from_dict(data)
-        assert sha256_hex(tampered.to_bytes()) != original_digest
+        assert sha256_hex(canonical_json_bytes(data)) != original_digest
         # and the edit genuinely changes predictions
-        edited = model_from_document(tampered)
+        edited = model_from_document(data)
         grid = make_future_grid(model, 10)
         grid_e = make_future_grid(edited, 10)
         assert not np.array_equal(predict(model, grid).yhat, predict(edited, grid_e).yhat)
@@ -196,21 +196,20 @@ class TestManifest:
         manifest = make_manifest(42, config, ts, {"m": {"rmse": 1.0}})
         path = tmp_path / "run.json"
         write_manifest(manifest, path)
-        assert json.loads(path.read_text()) == manifest.to_dict()
+        assert json.loads(path.read_text()) == manifest
 
     def test_determinism_up_to_wall_clock(self, fitted):
         ts, config, _ = fitted
         a = make_manifest(42, config, ts, {"m": {"rmse": 1.0}})
         b = make_manifest(42, config, ts, {"m": {"rmse": 1.0}})
-        da, db = a.to_dict(), b.to_dict()
-        da.pop("created_at")
-        db.pop("created_at")
-        assert da == db
+        a.pop("created_at")
+        b.pop("created_at")
+        assert a == b
 
     def test_changed_dataset_changes_digest(self, fitted):
         ts, config, _ = fitted
         other = TimeSeries(ts.timestamps, ts.values * 1.0001)
         a = make_manifest(42, config, ts, {})
         b = make_manifest(42, config, other, {})
-        assert a.dataset_digest != b.dataset_digest
-        assert a.config_digest == b.config_digest
+        assert a["dataset_digest"] != b["dataset_digest"]
+        assert a["config_digest"] == b["config_digest"]

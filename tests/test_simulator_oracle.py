@@ -26,6 +26,7 @@ from addcast.forecast import (
     _streams,
     forecast_with_intervals,
     make_future_grid,
+    predict,
     simulate_intervals,
 )
 from addcast.timeseries import TimeSeries, filter_weekdays
@@ -159,7 +160,7 @@ class TestFullMatrixOracle:
         for n_history in (0, 1, 65, 730):
             for n_future in (0, 1, 90):
                 grid = grid_of(model, n_history, n_future)
-                got = simulate_intervals(model, grid, 11)
+                got = simulate_intervals(model, predict(model, grid), 11)
                 assert_same_bits(got, oracle_bounds(model, grid, 11))
 
     def test_one_history_row_per_block(self, model, monkeypatch):
@@ -168,42 +169,50 @@ class TestFullMatrixOracle:
         expected = oracle_bounds(model, grid, 11)
         for cells in (1, 7, 20, 7 * 65):
             monkeypatch.setattr(forecast, "_HISTORY_CELLS", cells)
-            assert_same_bits(simulate_intervals(model, grid, 11), expected)
+            assert_same_bits(simulate_intervals(model, predict(model, grid), 11), expected)
 
     def test_no_interval_levels(self, model):
         config = replace(model.config, interval_levels=())
         model = replace(model, config=config)
         grid = grid_of(model, 65, 90)
         assert oracle_bounds(model, grid, 11) == {}
-        assert simulate_intervals(model, grid, 11) == {}
+        assert simulate_intervals(model, predict(model, grid), 11) == {}
 
     def test_interleaved_seeds(self, model):
         grid = grid_of(model, 10, 90)
         with forecast.shared_future_noise():
             for seed in (3, 4, 3):
-                got = simulate_intervals(model, grid, seed)
+                got = simulate_intervals(model, predict(model, grid), seed)
                 assert_same_bits(got, oracle_bounds(model, grid, seed))
             assert kept_noise()[0] == (3, model.config.interval_samples)
 
     def test_shorter_horizon_reads_a_prefix(self, model):
         long, short = grid_of(model, 0, 90), grid_of(model, 0, 30)
         with forecast.shared_future_noise():
-            assert_same_bits(simulate_intervals(model, long, 5), oracle_bounds(model, long, 5))
+            assert_same_bits(
+                simulate_intervals(model, predict(model, long), 5), oracle_bounds(model, long, 5)
+            )
             noise = kept_noise()[1]
             assert len(noise) == 90
-            assert_same_bits(simulate_intervals(model, short, 5), oracle_bounds(model, short, 5))
+            assert_same_bits(
+                simulate_intervals(model, predict(model, short), 5), oracle_bounds(model, short, 5)
+            )
             assert kept_noise()[1] is noise
 
     def test_longer_horizon_draws_anew(self, model):
         short, long = grid_of(model, 0, 30), grid_of(model, 0, 90)
         with forecast.shared_future_noise():
-            assert_same_bits(simulate_intervals(model, short, 5), oracle_bounds(model, short, 5))
-            assert_same_bits(simulate_intervals(model, long, 5), oracle_bounds(model, long, 5))
+            assert_same_bits(
+                simulate_intervals(model, predict(model, short), 5), oracle_bounds(model, short, 5)
+            )
+            assert_same_bits(
+                simulate_intervals(model, predict(model, long), 5), oracle_bounds(model, long, 5)
+            )
             assert len(kept_noise()[1]) == 90
 
     def test_kept_noise_is_read_only(self, model):
         with forecast.shared_future_noise():
-            simulate_intervals(model, grid_of(model, 0, 20), 5)
+            simulate_intervals(model, predict(model, grid_of(model, 0, 20)), 5)
             noise = kept_noise()[1]
         assert not noise.flags.writeable
         with pytest.raises(ValueError):
@@ -211,10 +220,10 @@ class TestFullMatrixOracle:
 
     def test_nothing_is_kept_outside_a_scope(self, model):
         grid = grid_of(model, 0, 20)
-        simulate_intervals(model, grid, 5)
+        simulate_intervals(model, predict(model, grid), 5)
         assert not hasattr(forecast._noise_scope, "entry")
         with forecast.shared_future_noise():
-            simulate_intervals(model, grid, 5)
+            simulate_intervals(model, predict(model, grid), 5)
             with forecast.shared_future_noise():
                 noise = kept_noise()[1]
             # an inner scope leaves the outer one's draw in place
@@ -225,7 +234,7 @@ class TestFullMatrixOracle:
         grids = [grid_of(model, 5, 90), grid_of(model, 0, 40)]
         seeds = (21, 22, 23)
         serial = {
-            (seed, i): simulate_intervals(model, grid, seed)
+            (seed, i): simulate_intervals(model, predict(model, grid), seed)
             for seed in seeds
             for i, grid in enumerate(grids)
         }
@@ -236,7 +245,7 @@ class TestFullMatrixOracle:
                 with forecast.shared_future_noise():
                     for _ in range(15):
                         for i, grid in enumerate(grids):
-                            got = simulate_intervals(model, grid, seed)
+                            got = simulate_intervals(model, predict(model, grid), seed)
                             assert_same_bits(got, serial[seed, i])
             except AssertionError as exc:  # reported by the main thread
                 failures.append((seed, exc))

@@ -224,6 +224,12 @@ class TestLogTransform:
         with pytest.raises(DomainError):
             log_transform(ts, -0.5)
 
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+    def test_non_finite_offset_rejected(self, offset):
+        ts = make_series("2020-01-01", [1.0, 2.0])
+        with pytest.raises(DomainError, match=f"log offset .* got {offset}"):
+            log_transform(ts, offset)
+
     def test_invertible(self, rng):
         values = rng.uniform(0.5, 50.0, 200)
         ts = make_series("2020-01-01", values)
@@ -288,19 +294,19 @@ class TestChronologicalSplit:
     def test_boundary_membership(self):
         ts = make_series("2020-01-01", np.arange(10.0))
         cutoff = int(ts.timestamps[0]) + 6  # the 7th day
-        result = chronological_split(ts, cutoff)
-        assert len(result.train) == 7
-        assert len(result.test) == 3
-        assert result.train.timestamps[-1] == cutoff
+        train, test = chronological_split(ts, cutoff)
+        assert len(train) == 7
+        assert len(test) == 3
+        assert train.timestamps[-1] == cutoff
 
     def test_partition_property(self, rng):
         ts = make_series("2019-06-01", rng.normal(0, 1, 60))
         for _ in range(20):
             cutoff = int(rng.integers(ts.timestamps[0], ts.timestamps[-1]))
-            result = chronological_split(ts, cutoff)
-            assert len(result.train) + len(result.test) == len(ts)
-            assert result.train.timestamps[-1] <= cutoff < result.test.timestamps[0]
-            merged = np.concatenate([result.train.timestamps, result.test.timestamps])
+            train, test = chronological_split(ts, cutoff)
+            assert len(train) + len(test) == len(ts)
+            assert train.timestamps[-1] <= cutoff < test.timestamps[0]
+            merged = np.concatenate([train.timestamps, test.timestamps])
             assert np.array_equal(merged, ts.timestamps)
 
     def test_cutoff_before_first_rejected(self):
@@ -316,9 +322,9 @@ class TestChronologicalSplit:
     def test_year_end_split(self):
         # two years of daily data cut at 2023-12-31: all 2024 points in test
         ts = make_series("2023-01-01", np.arange(731.0))
-        result = chronological_split(ts, parse_iso_date("2023-12-31"))
-        assert len(result.train) == 365
-        assert result.test.timestamps[0] == parse_iso_date("2024-01-01")
+        train, test = chronological_split(ts, parse_iso_date("2023-12-31"))
+        assert len(train) == 365
+        assert test.timestamps[0] == parse_iso_date("2024-01-01")
 
 
 class TestTimeSeriesInvariants:
