@@ -368,6 +368,3 @@ def main(argv=None) -> int:
         print(line, file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

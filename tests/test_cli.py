@@ -4,10 +4,12 @@ import stat
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from addcast.__main__ import main as entry_main
 from addcast.cli import _load_candidate, main
 from addcast.config import load_config
 from addcast.errors import ParseError, SchemaError
@@ -1308,6 +1310,48 @@ class TestImports:
             modules = self.imported_modules(["-m", "addcast", *args])
             assert "addcast.cli" in modules
             assert not {m for m in modules if m.split(".")[:2] == ["numpy", "ma"]}, args[0]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    @pytest.mark.parametrize("threads_env, threads", [(None, 1), ("2", 2)])
+    def test_entry_runs_blas_on_one_thread_unless_the_variable_is_set(
+        self, tmp_path, threads_env, threads
+    ):
+        if threads > (os.cpu_count() or 1):
+            pytest.skip(f"needs {threads} cores")
+        errors = tmp_path / "e.csv"
+        errors.write_text("e\n1.0\n2.0\n0.5\n")
+        script = (
+            "import json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from worker import blas_threads\n"
+            "from addcast.__main__ import main\n"
+            "assert main(['dm', '--input', sys.argv[2], sys.argv[2]]) == 0\n"
+            "print(json.dumps(blas_threads()))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads_env is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads_env
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(perfbench), str(errors)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        blas = json.loads(proc.stdout.splitlines()[-1])
+        if blas["threads"] is None:
+            pytest.skip("no OpenBLAS thread-count getter found")
+        assert blas["threads"] == threads
+
+    def test_entry_leaves_the_environment_alone_once_numpy_is_loaded(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        errors = tmp_path / "e.csv"
+        errors.write_text("e\n1.0\n2.0\n0.5\n")
+        before = dict(os.environ)
+        assert "numpy" in sys.modules
+        assert entry_main(["dm", "--input", str(errors), str(errors)]) == 0
+        assert dict(os.environ) == before
 
     def test_cli_runs_without_scipy(self, tmp_path, rng, capsys):
         data = tmp_path / "data.csv"

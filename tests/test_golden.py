@@ -11,15 +11,15 @@ OpenBLAS core kernel and numpy SIMD level, and not of the BLAS thread
 count. The digests were produced on x86_64 with Python 3.11.7, numpy 2.4.6
 and the OpenBLAS 0.3.31 that numpy's wheel bundles (scipy-openblas64), with
 the SkylakeX kernel and AVX512 dispatch; the package imports nothing else.
-They hold with one BLAS thread as with the default, and at AVX2-level
-dispatch (numpy's AVX512 targets turned off), which a test checks in a
-fresh process. The inputs of both tests are exact in float64 and built
-without numpy, so they do not change there; of the numpy functions the
-package calls, np.tanh, sin, cos and sqrt give the same bits there, and
-np.log, which only the logistic start and the log transform call, differs
-in the last bit on about 0.2% of inputs, which changes none of these
-digests. Another kernel (OPENBLAS_CORETYPE=Haswell) changes the last digits
-of every output, so both tests fail there. A deliberate change to numeric
+They hold with one BLAS thread as with two, and at AVX2-level dispatch
+(numpy's AVX512 targets turned off), which tests check in fresh processes.
+The inputs of both tests are exact in float64 and built without numpy, so
+they do not change there; of the numpy functions the package calls,
+np.tanh, sin, cos and sqrt give the same bits there, and np.log, which
+only the logistic start and the log transform call, differs in the last
+bit on about 0.2% of inputs, which changes none of these digests.
+Another kernel (OPENBLAS_CORETYPE=Haswell) changes the last digits of
+every output, so these tests fail there. A deliberate change to numeric
 output updates these digests and says why in CHANGES.md.
 """
 
@@ -179,6 +179,31 @@ def test_cli_outputs_match_pinned_digests(tmp_path, capsys):
     assert digests == GOLDEN
 
 
+def digests_in_fresh_process(tmp_path, **env) -> dict:
+    """``golden_digests`` run by ``addcast.cli.main`` in a new interpreter
+    whose environment adds ``env``."""
+    script = (
+        "import json, pathlib, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from test_golden import golden_digests\n"
+        "digests = golden_digests(pathlib.Path(sys.argv[2]))\n"
+        "pathlib.Path(sys.argv[2], 'digests.json').write_text(json.dumps(digests))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(Path(__file__).parent), str(tmp_path)],
+        env=dict(os.environ, **env), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads((tmp_path / "digests.json").read_text())
+
+
+# The CLI entry runs BLAS on one thread unless OPENBLAS_NUM_THREADS is set,
+# while the in-process tests above run at the library default.
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cli_outputs_match_pinned_digests_at_each_blas_thread_count(tmp_path, threads):
+    assert digests_in_fresh_process(tmp_path, OPENBLAS_NUM_THREADS=threads) == GOLDEN
+
+
 # numpy's dispatch targets above AVX2; the AVX2 test turns them off.
 AVX512_TARGETS = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
 
@@ -188,20 +213,10 @@ AVX512_TARGETS = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
     reason="needs the AVX512 dispatch targets active, to turn them off",
 )
 def test_cli_outputs_match_pinned_digests_at_avx2_dispatch(tmp_path):
-    script = (
-        "import json, pathlib, sys\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "from test_golden import golden_digests\n"
-        "digests = golden_digests(pathlib.Path(sys.argv[2]))\n"
-        "pathlib.Path(sys.argv[2], 'digests.json').write_text(json.dumps(digests))\n"
+    digests = digests_in_fresh_process(
+        tmp_path, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS)
     )
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS))
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(Path(__file__).parent), str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads((tmp_path / "digests.json").read_text()) == GOLDEN
+    assert digests == GOLDEN
 
 
 # Compare over a model and every baseline kind, plain and --weekdays-only.
