@@ -23,8 +23,8 @@ _EXPORTS = {
     name: module
     for module, names in {
         "baselines": (
-            "LinearLagRegressor", "build_lag_features", "fit_linear_lag_regressor",
-            "naive_forecast", "seasonal_naive", "walk_forward_forecast",
+            "build_lag_features", "fit_linear_lag_regressor", "naive_forecast",
+            "seasonal_naive", "walk_forward_forecast",
         ),
         "config": (
             "HolidaySpec", "ModelConfig", "RegressorSpec", "SeasonalitySpec", "TrendSpec",
@@ -33,9 +33,9 @@ _EXPORTS = {
         "errors": ("AddcastError",),
         "estimator": ("FittedModel", "estimate_sigma", "fit", "map_gradient", "map_objective"),
         "evaluation": (
-            "CvFold", "DmResult", "MetricReport", "coverage", "dm_test", "enumerate_cutoffs",
-            "evaluate_forecast", "mae", "mape", "performance_by_horizon", "rmse",
-            "rolling_cv", "write_cv_folds_csv",
+            "CvFold", "coverage", "dm_test", "enumerate_cutoffs", "evaluate_forecast",
+            "mae", "mape", "performance_by_horizon", "rmse", "rolling_cv",
+            "write_cv_folds_csv",
         ),
         "features": (
             "DesignMatrix", "build_design", "changepoint_basis", "fourier_features",

@@ -14,8 +14,6 @@ so rolling statistics mix realized and predicted values by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -71,20 +69,10 @@ def build_lag_features(values, ends, dates) -> np.ndarray:
     return np.column_stack([lags, *means, weekday_of(days), months])
 
 
-@dataclass(frozen=True)
-class LinearLagRegressor:
-    """Linear point predictor over the 8 lag features plus an intercept."""
-
-    weights: np.ndarray  # 8 feature weights followed by the intercept
-
-    def predict_row(self, features: np.ndarray) -> float:
-        return float(features @ self.weights[:-1] + self.weights[-1])
-
-
-def fit_linear_lag_regressor(train: TimeSeries) -> LinearLagRegressor:
-    """Least squares on the lag features of every training day after the
-    first MIN_HISTORY, with ridge penalty RIDGE_LAMBDA on all coefficients
-    for conditioning."""
+def fit_linear_lag_regressor(train: TimeSeries) -> np.ndarray:
+    """The lag features' linear weights, 8 feature weights then the
+    intercept: least squares on every training day after the first
+    MIN_HISTORY, with ridge penalty RIDGE_LAMBDA on all for conditioning."""
     values = train.values
     if len(values) < MIN_HISTORY + 1:
         raise InsufficientHistory(
@@ -95,22 +83,21 @@ def fit_linear_lag_regressor(train: TimeSeries) -> LinearLagRegressor:
     X = np.column_stack([features, np.ones(len(ends))])
     gram = X.T @ X + RIDGE_LAMBDA * np.eye(X.shape[1])
     try:
-        weights = np.linalg.solve(gram, X.T @ values[MIN_HISTORY:])
+        return np.linalg.solve(gram, X.T @ values[MIN_HISTORY:])
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"normal equations are singular: {exc}") from None
-    return LinearLagRegressor(weights=weights)
 
 
-def walk_forward_forecast(regressor, train: TimeSeries, test_dates) -> np.ndarray:
-    """Recursive multi-step forecasting: predict each test date from the
-    training values and the predictions so far, then append the prediction
-    before the next step. Returns one prediction per test date; predicting a
-    day from fewer than MIN_HISTORY training values is InsufficientHistory."""
+def walk_forward_forecast(weights, train: TimeSeries, test_dates) -> np.ndarray:
+    """Recursive multi-step forecasting with ``fit_linear_lag_regressor``'s
+    weights: predict each test date from the training values and the
+    predictions so far, and append it before the next step; one prediction
+    per test date. Fewer than MIN_HISTORY training values is InsufficientHistory."""
     dates = np.asarray(test_dates, dtype=np.int64)
     n = len(train)
     values = np.concatenate([train.values, np.empty(len(dates))])
     ends = np.arange(n, len(values))
     for step in range(len(dates)):
         row = build_lag_features(values, ends[step : step + 1], dates[step : step + 1])[0]
-        values[n + step] = regressor.predict_row(row)
+        values[n + step] = float(row @ weights[:-1] + weights[-1])
     return values[n:]

@@ -1,8 +1,8 @@
 """Command-line surface: fit, predict, cross-validate, evaluate, compare and
 DM-test, all deterministic given (inputs, flags, seed).
 
-Exit codes: 0 success, 2 usage error, 1 any domain error (with a
-machine-readable JSON line on stderr).
+Exit codes: 0 success, 2 usage error, 1 any domain error or an allocation
+that runs out of memory (with a machine-readable JSON line on stderr).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .evaluation import (
     write_cv_folds_csv,
 )
 from .forecast import (
+    bound_columns,
     forecast_with_intervals,
     make_future_grid,
     predict,
@@ -121,7 +122,7 @@ def cmd_fit(args) -> int:
                 "train_start": format_epoch_day(model.first_day),
                 "train_end": format_epoch_day(model.last_day),
                 "sigma": model.sigma_rescaled,
-                "in_sample": report.to_dict(),
+                "in_sample": report,
             }
         )
     )
@@ -147,8 +148,7 @@ def cmd_cv(args) -> int:
     ts = _preprocess(load_csv(args.input[0]), args)
     require_fold_export_level(config.interval_levels)  # before any fold is fit
     folds = rolling_cv(config, ts, args.initial_days, args.period_days, args.horizon_days)
-    by_horizon = performance_by_horizon(folds)
-    metrics = {str(day): report.to_dict() for day, report in by_horizon.items()}
+    metrics = {str(day): report for day, report in performance_by_horizon(folds).items()}
     write_cv_folds_csv(folds, args.output)
     metrics_path = str(args.output) + ".metrics.json"
     print(_dump_json({"n_folds": len(folds), "metrics": metrics}, metrics_path))
@@ -160,7 +160,7 @@ def cmd_evaluate(args) -> int:
     if truth.has_missing:
         day = truth.timestamps[np.isnan(truth.values)][0]
         raise DomainError(f"{args.input[0]}: missing truth value on {format_epoch_day(int(day))}")
-    bounds = ("yhat_lower_95", "yhat_upper_95")
+    bounds = bound_columns(COVERAGE_LEVEL)
     days, table = read_columns(args.input[1], ("yhat",), optional=[bounds])
     if not np.array_equal(days, truth.timestamps):
         only_truth = np.setdiff1d(truth.timestamps, days)[:5].tolist()
@@ -173,7 +173,7 @@ def cmd_evaluate(args) -> int:
     lower, upper = (table.get(column) for column in bounds)
     name = Path(args.input[1]).stem
     report = evaluate_forecast(name, truth.values, table["yhat"], lower, upper)
-    print(_dump_json({name: report.to_dict()}, args.output))
+    print(_dump_json({name: report}, args.output))
     return 0
 
 
@@ -185,7 +185,7 @@ def cmd_dm(args) -> int:
             raise EmptyInput(f"{path}: no data rows")
         errors.append(columns["e"])
     result = dm_test(*errors, loss=args.loss, h=args.h)
-    print(_dump_json(result.to_dict(), args.output))
+    print(_dump_json(result, args.output))
     return 0
 
 
@@ -231,8 +231,8 @@ def _run_candidate(spec, train: TimeSeries, test: TimeSeries, seed):
     if isinstance(spec, dict):
         kind = spec["baseline"]
         if kind == "lag_linear":
-            regressor = fit_linear_lag_regressor(train)
-            return walk_forward_forecast(regressor, train, test.timestamps), None
+            weights = fit_linear_lag_regressor(train)
+            return walk_forward_forecast(weights, train, test.timestamps), None
         if kind == "naive":
             return naive_forecast(train.values, len(test)), None
         return seasonal_naive(train.values, len(test), spec.get("period", 7)), None
@@ -263,10 +263,10 @@ def cmd_compare(args) -> int:
     errors = []
     for name, yhat, bounds in candidates:
         report = evaluate_forecast(name, y_true, yhat, *(bounds or (None, None)))
-        models[name] = {**report.to_dict(), "n_predicted": len(yhat)}
+        models[name] = {**report, "n_predicted": len(yhat)}
         errors.append((name, y_true - yhat))
     dm_rows = [
-        {"model_a": a, "model_b": b, **dm_test(ea, eb, loss=args.loss, h=args.h).to_dict()}
+        {"model_a": a, "model_b": b, **dm_test(ea, eb, loss=args.loss, h=args.h)}
         for (a, ea), (b, eb) in itertools.combinations(errors, 2)
     ]
 
@@ -363,8 +363,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (AddcastError, OSError, json.JSONDecodeError) as exc:
-        line = json.dumps({"error": type(exc).__name__, "message": str(exc)})
+    except (AddcastError, OSError, json.JSONDecodeError, MemoryError) as exc:
+        # numpy's failed allocations raise a private subclass of MemoryError
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        line = json.dumps({"error": kind, "message": str(exc)})
         print(line, file=sys.stderr)
         return 1
 

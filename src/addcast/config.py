@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from datetime import date
 
 from .errors import DomainError, SchemaError
@@ -189,53 +189,24 @@ class ModelConfig:
 
 
 # --- canonical dict form ----------------------------------------------------
+#
+# The spec dataclasses are the schema of the dict form: a config's keys are
+# their fields, and a field without a default is a required key.
 
 def config_to_dict(config: ModelConfig) -> dict:
-    """Canonical plain-dict form (ISO dates, sorted holiday dates)."""
-    trend = {
-        "growth": config.trend.growth,
-        "n_changepoints": config.trend.n_changepoints,
-        "changepoint_range": config.trend.changepoint_range,
-        "changepoint_prior_scale": config.trend.changepoint_prior_scale,
-    }
-    if config.trend.capacity is not None:
-        trend["capacity"] = config.trend.capacity
-    return {
-        "trend": trend,
-        "seasonalities": [
-            {
-                "name": s.name,
-                "period": s.period,
-                "fourier_order": s.fourier_order,
-                "prior_scale": s.prior_scale,
-                "mode": s.mode,
-            }
-            for s in config.seasonalities
-        ],
-        "holidays": [
-            {
-                "name": h.name,
-                "dates": [format_epoch_day(d) for d in sorted(h.dates)],
-                "lower_window": h.lower_window,
-                "upper_window": h.upper_window,
-                "prior_scale": h.prior_scale,
-            }
-            for h in config.holidays
-        ],
-        "regressors": [
-            {
-                "name": r.name,
-                "prior_scale": r.prior_scale,
-                "values": {
-                    format_epoch_day(k): r.values[k] for k in sorted(r.values)
-                },
-            }
-            for r in config.regressors
-        ],
-        "interval_levels": list(config.interval_levels),
-        "interval_samples": config.interval_samples,
-        "seed": config.seed,
-    }
+    """Canonical plain-dict form, one walk of the spec values: a dataclass
+    becomes its set (not None) fields, holiday dates sorted ISO dates,
+    regressor values ISO-date keys, a tuple a list."""
+    if is_dataclass(config):
+        items = ((f.name, getattr(config, f.name)) for f in fields(config))
+        return {key: config_to_dict(value) for key, value in items if value is not None}
+    if isinstance(config, frozenset):
+        return [format_epoch_day(d) for d in sorted(config)]
+    if isinstance(config, dict):
+        return {format_epoch_day(k): config[k] for k in sorted(config)}
+    if isinstance(config, tuple):
+        return [config_to_dict(v) for v in config]
+    return config
 
 
 def _integer(value, name: str) -> int:
@@ -253,78 +224,48 @@ def _object(value, name: str) -> dict:
     return value
 
 
-def _given(data: dict, **converters) -> dict:
-    """The optional keys that ``data`` holds, each passed through its
-    converter; ``int`` stands for a strict JSON integer (``_integer``). A key
-    that ``data`` lacks takes the dataclass field's default."""
-    return {
-        key: _integer(data[key], key) if convert is int else convert(data[key])
-        for key, convert in converters.items()
-        if key in data
-    }
+def _spec(cls, data, name: str):
+    """The ``cls`` that the JSON object ``data``, called ``name`` in
+    messages, describes: its fields in order, each read by the reader of
+    its annotation or left to its default. A missing required key is a
+    KeyError; other keys are ignored."""
+    data = _object(data, name)
+    values = {}
+    for f in fields(cls):
+        if f.name in data:
+            values[f.name] = _READERS[f.type](data[f.name], f"{name} {f.name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise KeyError(f.name)
+    return cls(**values)
 
 
-def _trend(t) -> TrendSpec:
-    return TrendSpec(
-        **_given(
-            dict(t),
-            growth=str,
-            n_changepoints=int,
-            changepoint_range=float,
-            changepoint_prior_scale=float,
-            capacity=float,
-        )
-    )
+def _entries(cls, kind: str):
+    return lambda value, name: tuple(_spec(cls, entry, kind) for entry in value)
 
 
-def _seasonality(s) -> SeasonalitySpec:
-    return SeasonalitySpec(
-        name=str(s["name"]),
-        period=float(s["period"]),
-        fourier_order=_integer(s["fourier_order"], "fourier_order"),
-        **_given(s, prior_scale=float, mode=str),
-    )
-
-
-def _holiday(h) -> HolidaySpec:
-    return HolidaySpec(
-        name=str(h["name"]),
-        dates=frozenset(parse_iso_date(d) for d in h["dates"]),
-        **_given(h, lower_window=int, upper_window=int, prior_scale=float),
-    )
-
-
-def _regressor_values(values) -> dict[int, float]:
-    return {
-        parse_iso_date(k): float(v)
-        for k, v in _object(values, "regressor values").items()
-    }
-
-
-def _regressor(r) -> RegressorSpec:
-    return RegressorSpec(
-        name=str(r["name"]),
-        prior_scale=float(r["prior_scale"]),
-        **_given(r, values=_regressor_values),
-    )
+# The reader of each field annotation of the spec dataclasses, as
+# ``reader(value, name)``; ``name`` is the key's name in messages, and a
+# spec object is named as its kind.
+_READERS = {
+    "str": lambda value, name: str(value),
+    "float": lambda value, name: float(value),
+    "float | None": lambda value, name: float(value),
+    "int": _integer,
+    "frozenset[int]": lambda value, name: frozenset(map(parse_iso_date, value)),
+    "dict[int, float]": lambda value, name: {
+        parse_iso_date(k): float(v) for k, v in _object(value, name).items()
+    },
+    "tuple[float, ...]": lambda value, name: tuple(value),
+    "TrendSpec": lambda value, name: _spec(TrendSpec, value, "trend"),
+    "tuple[SeasonalitySpec, ...]": _entries(SeasonalitySpec, "seasonality"),
+    "tuple[HolidaySpec, ...]": _entries(HolidaySpec, "holiday"),
+    "tuple[RegressorSpec, ...]": _entries(RegressorSpec, "regressor"),
+}
 
 
 def config_from_dict(data: dict) -> ModelConfig:
-    if not isinstance(data, dict):
-        raise SchemaError("model config must be a JSON object")
     try:
-        return ModelConfig(
-            **_given(
-                data,
-                trend=_trend,
-                seasonalities=lambda ss: tuple(map(_seasonality, ss)),
-                holidays=lambda hs: tuple(map(_holiday, hs)),
-                regressors=lambda rs: tuple(map(_regressor, rs)),
-                interval_levels=tuple,
-                interval_samples=int,
-                seed=int,
-            )
-        )
+        return _spec(ModelConfig, data, "model config")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed model config: {exc}") from None
 

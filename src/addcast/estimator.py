@@ -505,8 +505,8 @@ def fit(ts: TimeSeries, config: ModelConfig) -> FittedModel:
         delta=np.array(delta),
         beta=np.array(beta),
         sigma=sigma,
-        t_start=float(ts.timestamps[0]),
-        t_span=float(ts.timestamps[-1] - ts.timestamps[0]),
+        t_start=design.scaling.t_start,
+        t_span=design.scaling.t_span,
         y_scale=y_scale,
         changepoints_scaled=np.array(design.changepoints_scaled),
         train_timestamps=ts.timestamps,

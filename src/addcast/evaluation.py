@@ -4,7 +4,7 @@ summaries, and the Diebold-Mariano comparison test."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,9 @@ from .errors import (
 )
 from .estimator import fit
 from .features import shared_day_columns
-from .forecast import forecast_with_intervals, make_future_grid, shared_future_noise
+from .forecast import (
+    bound_columns, forecast_with_intervals, make_future_grid, shared_future_noise,
+)
 from .timeseries import TimeSeries, format_epoch_day, write_table
 
 
@@ -102,43 +104,19 @@ def coverage(y_true, lower, upper) -> float:
     return float(_coverage_rows(_row(a), _row(lo), _row(hi))[0])
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """Point-accuracy metrics for one model, MAPE in percent.
-
-    mape_percent is None for all-zero truths; coverage_percent is None when
-    no interval bounds were available.
-    """
-
-    model_name: str
-    rmse: float
-    mae: float
-    mape_percent: float | None
-    coverage_percent: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "rmse": self.rmse,
-            "mae": self.mae,
-            "mape_percent": self.mape_percent,
-            "coverage_percent": self.coverage_percent,
-        }
-
-
-def _checked_report(model_name, rmse_, mae_, mape_, coverage_) -> MetricReport:
-    """The report of one forecast; a metric that is not finite (it
-    overflowed) is a DomainError."""
-    report = MetricReport(model_name, rmse_, mae_, mape_, coverage_)
-    if not all(v is None or math.isfinite(v) for v in report.to_dict().values()):
-        raise DomainError(f"{model_name}: a metric overflowed: {report.to_dict()}")
+def _checked_report(model_name, rmse_, mae_, mape_, coverage_) -> dict:
+    """The report of one forecast, percentages None for all-zero truths (MAPE)
+    or without bounds (coverage); a metric that is not finite (it
+    overflowed) is a DomainError that names ``model_name``."""
+    report = dict(rmse=rmse_, mae=mae_, mape_percent=mape_, coverage_percent=coverage_)
+    if not all(v is None or math.isfinite(v) for v in report.values()):
+        raise DomainError(f"{model_name}: a metric overflowed: {report}")
     return report
 
 
-def evaluate_forecast(
-    model_name: str, y_true, y_pred, lower=None, upper=None
-) -> MetricReport:
-    """All accuracy metrics for one forecast, coverage when bounds given;
-    a metric that overflows is a DomainError."""
+def evaluate_forecast(model_name: str, y_true, y_pred, lower=None, upper=None) -> dict:
+    """The metric report of one forecast, coverage when bounds given; a
+    metric that overflows is a DomainError."""
     cov = None
     if lower is not None and upper is not None:
         cov = coverage(y_true, lower, upper)
@@ -242,7 +220,7 @@ def _cv_fold(config: ModelConfig, ts: TimeSeries, cutoff: int, horizon: int) -> 
     )
 
 
-def performance_by_horizon(folds: list[CvFold]) -> dict[int, MetricReport]:
+def performance_by_horizon(folds: list[CvFold]) -> dict[int, dict]:
     """Metrics grouped by lead time (ds - cutoff) in days, across folds.
 
     Each lead's report equals ``evaluate_forecast`` on its rows in fold
@@ -309,10 +287,10 @@ def performance_by_horizon(folds: list[CvFold]) -> dict[int, MetricReport]:
 
 
 def require_fold_export_level(levels) -> None:
-    """The fold export writes 95% bounds: ``levels`` must hold
-    COVERAGE_LEVEL."""
+    """The fold export writes COVERAGE_LEVEL bounds: ``levels`` must hold
+    it."""
     if COVERAGE_LEVEL not in levels:
-        raise DomainError("fold export requires 95% interval bounds")
+        raise DomainError(f"fold export requires {COVERAGE_LEVEL:.0%} interval bounds")
 
 
 def write_cv_folds_csv(folds: list[CvFold], path) -> None:
@@ -329,26 +307,10 @@ def write_cv_folds_csv(folds: list[CvFold], path) -> None:
             *(np.asarray(col, dtype=np.float64).tolist()
               for col in (fold.y_true, fold.yhat, lo, hi)),
         )
-    write_table(path, ["cutoff", "ds", "y", "yhat", "yhat_lower_95", "yhat_upper_95"], rows)
+    write_table(path, ["cutoff", "ds", "y", "yhat", *bound_columns(COVERAGE_LEVEL)], rows)
 
 
 # --- Diebold-Mariano test -----------------------------------------------------
-
-@dataclass(frozen=True)
-class DmResult:
-    """Diebold-Mariano comparison of two forecast-error series.
-
-    A negative statistic favours the first series (smaller loss).
-    """
-
-    statistic: float
-    p_value: float
-    mean_loss_diff: float
-    interpretation: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _interpret(p_value: float) -> str:
     if p_value < 0.01:
@@ -360,8 +322,10 @@ def _interpret(p_value: float) -> str:
     return "not significant"
 
 
-def dm_test(e1, e2, loss: str = "squared", h: int = 1) -> DmResult:
-    """Equal-accuracy test on the loss differential d_t = L(e1_t) - L(e2_t).
+def dm_test(e1, e2, loss: str = "squared", h: int = 1) -> dict:
+    """Equal-accuracy test on the loss differential d_t = L(e1_t) - L(e2_t),
+    as {statistic, p_value, mean_loss_diff, interpretation}; a negative
+    statistic favours ``e1`` (smaller loss).
 
     The long-run variance uses lags 0..h-1 with Bartlett weights (1 - l/n);
     a nonpositive estimate falls back to the lag-0 variance, and identical
@@ -397,10 +361,13 @@ def dm_test(e1, e2, loss: str = "squared", h: int = 1) -> DmResult:
             f"the loss differential overflowed: mean {d_bar!r}, variance {var_d!r}"
         )
     if gamma0 == 0.0:
-        return DmResult(0.0, 1.0, d_bar, _interpret(1.0))
-    if var_d <= 0.0:
-        var_d = gamma0
-
-    statistic = d_bar / math.sqrt(var_d / n)
-    p_value = math.erfc(abs(statistic) / math.sqrt(2.0))
-    return DmResult(statistic, p_value, d_bar, _interpret(p_value))
+        statistic, p_value = 0.0, 1.0
+    else:
+        if var_d <= 0.0:
+            var_d = gamma0
+        statistic = d_bar / math.sqrt(var_d / n)
+        p_value = math.erfc(abs(statistic) / math.sqrt(2.0))
+    return dict(
+        statistic=statistic, p_value=p_value, mean_loss_diff=d_bar,
+        interpretation=_interpret(p_value),
+    )

@@ -233,9 +233,21 @@ def model_layout(config: ModelConfig, n_changepoints: int) -> Layout:
 
 
 @dataclass(frozen=True)
+class TimeScaling:
+    """Affine map from epoch-days to model time: (day - t_start) / t_span."""
+
+    t_start: float
+    t_span: float
+
+    def scale(self, days) -> np.ndarray:
+        return (np.asarray(days, dtype=np.float64) - self.t_start) / self.t_span
+
+
+@dataclass(frozen=True)
 class DesignMatrix:
     """Feature columns laid out by ``layout``, plus the scaled time axis the
-    trend evaluates on.
+    trend evaluates on and the scaling that maps days onto it (the identity
+    for a design built on model times directly).
 
     The trend block's columns are the changepoint indicators a(t); the
     remaining blocks enter the prediction linearly.
@@ -245,6 +257,7 @@ class DesignMatrix:
     changepoints_scaled: np.ndarray
     X: np.ndarray
     layout: Layout
+    scaling: TimeScaling = TimeScaling(t_start=0.0, t_span=1.0)
 
     def __post_init__(self):
         if self.layout.width != self.X.shape[1]:
@@ -266,17 +279,6 @@ class DesignMatrix:
 
     def columns(self, block: Block) -> np.ndarray:
         return self.X[:, block.start : block.stop]
-
-
-@dataclass(frozen=True)
-class TimeScaling:
-    """Affine map from epoch-days to model time: (day - t_start) / t_span."""
-
-    t_start: float
-    t_span: float
-
-    def scale(self, days) -> np.ndarray:
-        return (np.asarray(days, dtype=np.float64) - self.t_start) / self.t_span
 
 
 def regressor_column(name: str, timestamps: np.ndarray, values: dict) -> np.ndarray:
@@ -393,7 +395,8 @@ def design_for_grid(
             )
         )
     return DesignMatrix(
-        t_scaled=t_scaled, changepoints_scaled=cps, X=np.hstack(columns), layout=layout
+        t_scaled=t_scaled, changepoints_scaled=cps, X=np.hstack(columns), layout=layout,
+        scaling=scaling,
     )
 
 

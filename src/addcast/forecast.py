@@ -72,7 +72,8 @@ def make_future_grid(model: FittedModel, periods: int, extra_regressors=None) ->
     """Training timestamps plus the next ``periods`` consecutive calendar days.
 
     Regressor values for every grid timestamp must be available either in the
-    model's regressor specs or in ``extra_regressors`` ({name: {day: value}}).
+    model's regressor specs or in ``extra_regressors`` ({name: {day: value}}),
+    and like a spec's values they must be finite.
     """
     if periods < 0:
         raise DomainError("periods must be >= 0")
@@ -87,9 +88,8 @@ def make_future_grid(model: FittedModel, periods: int, extra_regressors=None) ->
     for spec in model.config.regressors:
         values = dict(spec.values)
         if extra_regressors and spec.name in extra_regressors:
-            values.update(
-                {int(k): float(v) for k, v in extra_regressors[spec.name].items()}
-            )
+            # RegressorSpec converts the values and rejects a non-finite one
+            values.update(replace(spec, values=extra_regressors[spec.name]).values)
         regressor_column(spec.name, timestamps, values)  # raises MissingRegressorValue
         merged[spec.name] = values
     return FutureGrid(timestamps=timestamps, regressor_values=merged)
@@ -379,14 +379,20 @@ def forecast_with_intervals(
     return replace(fc, bounds=bounds)
 
 
+def bound_columns(level: float) -> tuple[str, str]:
+    """The forecast table's lower and upper bound column names at an
+    interval level: ``yhat_lower_95`` and ``yhat_upper_95`` at 0.95."""
+    pct = int(round(level * 100))
+    return f"yhat_lower_{pct}", f"yhat_upper_{pct}"
+
+
 def write_forecast_csv(forecast: Forecast, model: FittedModel, path) -> None:
     """Forecast table: ds, yhat, per-level bounds, then component columns
     (regressors only when the model declares any)."""
     levels = sorted(forecast.bounds)
     header = ["ds", "yhat"]
     for level in levels:
-        pct = int(round(level * 100))
-        header += [f"yhat_lower_{pct}", f"yhat_upper_{pct}"]
+        header += bound_columns(level)
     names = model.layout.component_names
     if not model.config.regressors:
         names.remove("regressors")

@@ -206,8 +206,8 @@ def test_criterion_06_metric_oracles():
 def test_criterion_07_dm_oracle():
     with criterion(7, "DM worked example, antisymmetry, degenerate case"):
         result = dm_test([2.0, 0.0, 2.0, 0.0], [1.0, 1.0, 1.0, 1.0], "squared", 1)
-        assert abs(result.statistic - 1.000000) <= 1e-6
-        assert abs(result.p_value - 0.317311) <= 1e-6
+        assert abs(result["statistic"] - 1.000000) <= 1e-6
+        assert abs(result["p_value"] - 0.317311) <= 1e-6
         rng = np.random.default_rng(707)
         for _ in range(100):
             n = int(rng.integers(2, 50))
@@ -215,10 +215,10 @@ def test_criterion_07_dm_oracle():
             e2 = rng.normal(0, 1.4, n)
             fwd = dm_test(e1, e2)
             rev = dm_test(e2, e1)
-            assert fwd.statistic == pytest.approx(-rev.statistic, rel=1e-12, abs=1e-12)
-            assert fwd.p_value == pytest.approx(rev.p_value, rel=1e-12, abs=1e-12)
+            assert fwd["statistic"] == pytest.approx(-rev["statistic"], rel=1e-12, abs=1e-12)
+            assert fwd["p_value"] == pytest.approx(rev["p_value"], rel=1e-12, abs=1e-12)
         same = dm_test([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-        assert same.statistic == 0.0 and same.p_value == 1.0
+        assert same["statistic"] == 0.0 and same["p_value"] == 1.0
 
 
 def test_criterion_08_cv_enumeration_and_leakage():

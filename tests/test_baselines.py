@@ -106,16 +106,10 @@ class TestLagFeatures:
             build_lag_features(np.ones(500), np.array([400, 364]), np.array([0, 0]))
 
 
-class _Lag1Regressor:
-    def predict_row(self, features):
-        return float(features[0])
-
-
-class _FixedLinear:
-    """predict = 0.5*lag_1 + 0.1*rolling_mean_7 + 1.0"""
-
-    def predict_row(self, features):
-        return 0.5 * features[0] + 0.1 * features[4] + 1.0
+# predict = lag_1
+_LAG1 = np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 0])
+# predict = 0.5*lag_1 + 0.1*rolling_mean_7 + 1.0
+_FIXED_LINEAR = np.array([0.5, 0, 0, 0, 0.1, 0, 0, 0, 1.0])
 
 
 class TestWalkForward:
@@ -126,17 +120,17 @@ class TestWalkForward:
     def test_lag1_regressor_collapses_to_naive(self):
         train = self.make_train()
         test_dates = daily_days("2023-02-05", 10)
-        predictions = walk_forward_forecast(_Lag1Regressor(), train, test_dates)
+        predictions = walk_forward_forecast(_LAG1, train, test_dates)
         assert np.array_equal(predictions, np.full(10, 400.0))
 
     def test_empty_test(self):
         train = self.make_train()
-        assert len(walk_forward_forecast(_Lag1Regressor(), train, [])) == 0
+        assert len(walk_forward_forecast(_LAG1, train, [])) == 0
 
     def test_three_step_manual_unroll(self):
         train = self.make_train()
         test_dates = daily_days("2023-02-05", 3)
-        predictions = walk_forward_forecast(_FixedLinear(), train, test_dates)
+        predictions = walk_forward_forecast(_FIXED_LINEAR, train, test_dates)
         # manual unroll oracle
         history = list(train.values)
         expected = []
@@ -150,7 +144,7 @@ class TestWalkForward:
         days = daily_days("2022-01-01", MIN_HISTORY - 1)
         train = TimeSeries(days, np.arange(float(len(days))))
         with pytest.raises(InsufficientHistory):
-            walk_forward_forecast(_Lag1Regressor(), train, daily_days("2022-12-31", 5))
+            walk_forward_forecast(_LAG1, train, daily_days("2022-12-31", 5))
 
     def test_poisoned_targets_change_nothing(self, rng):
         # leakage freedom: the recursion sees only test DATES, so corrupting
@@ -174,12 +168,12 @@ class TestWalkForward:
     def test_incremental_features_match_batch(self):
         train = self.make_train()
         test_dates = daily_days("2023-02-05", 8)
-        predictions = walk_forward_forecast(_FixedLinear(), train, test_dates)
+        predictions = walk_forward_forecast(_FIXED_LINEAR, train, test_dates)
         realized = np.concatenate([train.values, predictions])
         for i, date in enumerate(test_dates):
             batch_row = one_row(realized, len(train) + i, date)
-            incremental = walk_forward_forecast(_FixedLinear(), train, test_dates[: i + 1])
-            assert incremental[-1] == _FixedLinear().predict_row(batch_row)
+            incremental = walk_forward_forecast(_FIXED_LINEAR, train, test_dates[: i + 1])
+            assert incremental[-1] == float(batch_row @ _FIXED_LINEAR[:-1] + _FIXED_LINEAR[-1])
 
 
 class TestLinearLagRegressor:
@@ -193,15 +187,15 @@ class TestLinearLagRegressor:
         for i in range(365, n):
             values[i] = one_row(values, i, days[i]) @ true_w + intercept
         ts = TimeSeries(days, values)
-        reg = fit_linear_lag_regressor(ts)
-        assert np.max(np.abs(reg.weights[:-1] - true_w)) < 1e-6
-        assert abs(reg.weights[-1] - intercept) < 1e-6
+        weights = fit_linear_lag_regressor(ts)
+        assert np.max(np.abs(weights[:-1] - true_w)) < 1e-6
+        assert abs(weights[-1] - intercept) < 1e-6
 
     def test_constant_series(self):
         n = 450
         ts = TimeSeries(daily_days("2020-01-01", n), np.full(n, 5.0))
-        reg = fit_linear_lag_regressor(ts)
-        pred = reg.predict_row(one_row(ts.values, n, int(ts.timestamps[-1]) + 1))
+        weights = fit_linear_lag_regressor(ts)
+        pred = one_row(ts.values, n, int(ts.timestamps[-1]) + 1) @ weights[:-1] + weights[-1]
         assert pred == pytest.approx(5.0, abs=1e-6)
 
     def test_matches_normal_equations_oracle(self, rng):
@@ -209,7 +203,7 @@ class TestLinearLagRegressor:
         days = daily_days("2020-01-01", n)
         y = 3.0 + rng.normal(0, 0.5, n)
         ts = TimeSeries(days, y)
-        reg = fit_linear_lag_regressor(ts)
+        weights = fit_linear_lag_regressor(ts)
         rows = []
         targets = []
         for i in range(365, n):
@@ -219,7 +213,7 @@ class TestLinearLagRegressor:
         oracle = np.linalg.solve(
             X.T @ X + 1e-6 * np.eye(9), X.T @ np.array(targets)
         )
-        assert np.max(np.abs(reg.weights - oracle)) < 1e-8
+        assert np.max(np.abs(weights - oracle)) < 1e-8
 
     def test_insufficient_history(self):
         ts = TimeSeries(daily_days("2020-01-01", 365), np.ones(365))

@@ -205,6 +205,12 @@ class TestFitCommand:
                 "DomainError",
                 "span of representable dates",
             ),
+            # a non-object trend was read as dict(trend), so "" and a list
+            # of pairs passed as a trend
+            ({"trend": ""}, "SchemaError", "trend must be an object"),
+            ({"trend": [["growth", "linear"]]}, "SchemaError", "trend must be an object"),
+            ({"seasonalities": ["x"]}, "SchemaError", "seasonality must be an object"),
+            ({"holidays": [7]}, "SchemaError", "holiday must be an object"),
         ],
     )
     def test_malformed_config_entries_exit_1(self, tmp_path, rng, capsys, extra, error, fragment):
@@ -287,6 +293,39 @@ class TestPredictCommand:
             ["fit", "--input", str(data), "--config", str(config), "--output", str(model)]
         ) == 0
         return model
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path, rng):
+        # 100000 future days x 5000 samples ask for a 3.7 GiB noise matrix; a
+        # 1 GiB address-space limit on the child alone makes that allocation
+        # fail, which ended in a numpy traceback
+        import resource
+
+        data = tmp_path / "data.csv"
+        config = tmp_path / "config.json"
+        model = tmp_path / "model.json"
+        synthetic_csv(data, rng)
+        small_config(config)
+        config.write_text(json.dumps({**json.loads(config.read_text()), "interval_samples": 5000}))
+        assert main(
+            ["fit", "--input", str(data), "--config", str(config), "--output", str(model)]
+        ) == 0
+        out = tmp_path / "forecast.csv"
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "addcast", "predict", "--input", str(model),
+             "--periods", "100000", "--output", str(out)],
+            preexec_fn=limit_address_space, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "MemoryError"
+        assert error["message"].startswith("Unable to allocate")
+        assert not out.exists()
 
     def test_zero_periods_in_sample_only(self, tmp_path, rng, capsys):
         model = self.fit_once(tmp_path, rng)

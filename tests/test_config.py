@@ -1,10 +1,13 @@
 import json
+from dataclasses import fields, is_dataclass
 
 import pytest
 
 from addcast.config import (
+    _READERS,
     HolidaySpec,
     ModelConfig,
+    RegressorSpec,
     SeasonalitySpec,
     TrendSpec,
     config_from_dict,
@@ -146,3 +149,92 @@ class TestConfigDictRoundtrip:
     def test_unset_seasonalities_default_explicit_empty_respected(self):
         assert len(config_from_dict({}).seasonalities) == 2
         assert len(config_from_dict({"seasonalities": []}).seasonalities) == 0
+
+
+SPECS = (TrendSpec, SeasonalitySpec, HolidaySpec, RegressorSpec, ModelConfig)
+
+
+def full_config() -> ModelConfig:
+    """A config that sets every field of every spec to a non-default value."""
+    return ModelConfig(
+        trend=TrendSpec(
+            growth="logistic", n_changepoints=4, changepoint_range=0.7,
+            changepoint_prior_scale=0.2, capacity=9.5,
+        ),
+        seasonalities=(
+            SeasonalitySpec(
+                name="monthly", period=30.5, fourier_order=3, prior_scale=2.0,
+                mode="multiplicative",
+            ),
+        ),
+        holidays=(
+            HolidaySpec(
+                name="h", dates=frozenset([18600, 18262]), lower_window=1,
+                upper_window=2, prior_scale=3.0,
+            ),
+        ),
+        regressors=(RegressorSpec(name="r", prior_scale=0.5, values={18263: 1.5, 18262: -2.0}),),
+        interval_levels=(0.5, 0.9),
+        interval_samples=300,
+        seed=7,
+    )
+
+
+def assert_keys_are_fields(spec, plain):
+    """Every dict of ``plain`` holds exactly the set fields of its spec."""
+    assert list(plain) == [f.name for f in fields(spec) if getattr(spec, f.name) is not None]
+    for key, value in plain.items():
+        nested = getattr(spec, key)
+        if is_dataclass(nested):
+            assert_keys_are_fields(nested, value)
+        elif isinstance(nested, tuple) and nested and is_dataclass(nested[0]):
+            for entry, entry_plain in zip(nested, value, strict=True):
+                assert_keys_are_fields(entry, entry_plain)
+
+
+class TestSchemaWalk:
+    """The spec dataclasses are the dict form's one schema."""
+
+    def test_every_field_annotation_has_a_reader(self):
+        missing = [
+            (spec.__name__, f.name, f.type)
+            for spec in SPECS for f in fields(spec) if f.type not in _READERS
+        ]
+        assert missing == []
+
+    def test_dict_keys_are_the_dataclass_fields_at_every_level(self):
+        config = full_config()
+        plain = config_to_dict(config)
+        assert_keys_are_fields(config, plain)
+        assert plain["holidays"][0]["dates"] == ["2020-01-01", "2020-12-04"]
+        assert plain["regressors"][0]["values"] == {"2020-01-01": -2.0, "2020-01-02": 1.5}
+        assert "capacity" not in config_to_dict(ModelConfig())["trend"]
+
+    def test_full_config_round_trips(self):
+        config = full_config()
+        plain = config_to_dict(config)
+        assert config_from_dict(plain) == config
+        assert config_from_dict(json.loads(json.dumps(plain))) == config
+
+    def test_required_key_is_a_field_without_default(self):
+        for key in ("name", "period", "fourier_order"):
+            entry = {"name": "w", "period": 7.0, "fourier_order": 2}
+            del entry[key]
+            with pytest.raises(SchemaError, match=f"malformed model config: '{key}'"):
+                config_from_dict({"seasonalities": [entry]})
+        with pytest.raises(SchemaError, match="malformed model config: 'prior_scale'"):
+            config_from_dict({"regressors": [{"name": "r"}]})
+
+    @pytest.mark.parametrize(
+        "data, fragment",
+        [
+            ({"trend": ""}, "trend must be an object, got ''"),
+            ({"trend": [["growth", "linear"]]}, "trend must be an object"),
+            ({"seasonalities": ["x"]}, "seasonality must be an object, got 'x'"),
+            ({"holidays": [7]}, "holiday must be an object, got 7"),
+            ({"regressors": [None]}, "regressor must be an object, got None"),
+        ],
+    )
+    def test_non_object_spec_entry_is_a_schema_error(self, data, fragment):
+        with pytest.raises(SchemaError, match=fragment):
+            config_from_dict(data)

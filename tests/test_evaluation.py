@@ -315,7 +315,7 @@ class TestPerformanceByHorizon:
             bounds={},
         )
         table = performance_by_horizon([fold])
-        assert all(r.rmse == 0.0 for r in table.values())
+        assert all(r["rmse"] == 0.0 for r in table.values())
 
     def test_matches_regroup_oracle(self, rng):
         from addcast.evaluation import CvFold
@@ -337,8 +337,8 @@ class TestPerformanceByHorizon:
         for lead in range(1, 8):
             y = np.concatenate([[f.y_true[lead - 1]] for f in folds])
             p = np.concatenate([[f.yhat[lead - 1]] for f in folds])
-            assert table[lead].rmse == rmse(y, p)
-            assert table[lead].mae == mae(y, p)
+            assert table[lead]["rmse"] == rmse(y, p)
+            assert table[lead]["mae"] == mae(y, p)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
@@ -376,7 +376,7 @@ def outcome(fn, folds):
     except AddcastError as exc:
         return type(exc).__name__, str(exc)
     return "ok", [
-        (lead, r.model_name, *(None if v is None else float(v).hex() for v in r.to_dict().values()))
+        (lead, *(None if v is None else float(v).hex() for v in r.values()))
         for lead, r in table.items()
     ]
 
@@ -430,7 +430,7 @@ class TestPerformanceByHorizonOracle:
                 fold.y_true[:] = 0.0
         kind, rows = self.assert_same(folds)
         assert kind == "ok"
-        assert any(r[4] is None for r in rows) and any(r[4] is not None for r in rows)
+        assert any(r[3] is None for r in rows) and any(r[3] is not None for r in rows)
 
     def test_coverage_is_of_the_95_percent_bounds(self, rng):
         # a 99% level that covers every row used to be the one reported
@@ -440,14 +440,14 @@ class TestPerformanceByHorizonOracle:
         ]
         kind, rows = self.assert_same(folds)
         assert kind == "ok"
-        assert min(float.fromhex(r[5]) for r in rows) < 100.0
+        assert min(float.fromhex(r[4]) for r in rows) < 100.0
 
     def test_folds_without_bounds(self, rng):
         folds = self.folds(rng, 9)
         folds[4] = replace(folds[4], bounds={})
         kind, rows = self.assert_same(folds)
         assert kind == "ok"
-        assert any(r[5] is None for r in rows) and any(r[5] is not None for r in rows)
+        assert any(r[4] is None for r in rows) and any(r[4] is not None for r in rows)
         assert outcome(performance_by_horizon, self.folds(rng, 9, bounds=False))[0] == "ok"
 
     def test_inverted_bounds(self, rng):
@@ -475,16 +475,16 @@ class TestDmTest:
     def test_worked_example(self):
         result = dm_test([2.0, 0.0, 2.0, 0.0], [1.0, 1.0, 1.0, 1.0], "squared", 1)
         # d = [3,-1,3,-1], dbar = 1, gamma0 = 4, DM = 1/sqrt(4/4) = 1
-        assert result.statistic == pytest.approx(1.0, abs=1e-12)
-        assert result.p_value == pytest.approx(0.3173105078629141, abs=1e-9)
-        assert result.mean_loss_diff == pytest.approx(1.0, abs=1e-12)
-        assert result.interpretation == "not significant"
+        assert result["statistic"] == pytest.approx(1.0, abs=1e-12)
+        assert result["p_value"] == pytest.approx(0.3173105078629141, abs=1e-9)
+        assert result["mean_loss_diff"] == pytest.approx(1.0, abs=1e-12)
+        assert result["interpretation"] == "not significant"
 
     def test_identical_losses(self):
         result = dm_test([1.0, -2.0, 3.0], [1.0, -2.0, 3.0])
-        assert result.statistic == 0.0
-        assert result.p_value == 1.0
-        assert result.interpretation == "not significant"
+        assert result["statistic"] == 0.0
+        assert result["p_value"] == 1.0
+        assert result["interpretation"] == "not significant"
 
     def test_antisymmetry(self, rng):
         for _ in range(100):
@@ -495,8 +495,8 @@ class TestDmTest:
             h = int(rng.integers(1, 4))
             a = dm_test(e1, e2, loss, h)
             b = dm_test(e2, e1, loss, h)
-            assert a.statistic == pytest.approx(-b.statistic, rel=1e-12, abs=1e-12)
-            assert a.p_value == pytest.approx(b.p_value, rel=1e-12, abs=1e-12)
+            assert a["statistic"] == pytest.approx(-b["statistic"], rel=1e-12, abs=1e-12)
+            assert a["p_value"] == pytest.approx(b["p_value"], rel=1e-12, abs=1e-12)
 
     def test_newey_west_oracle_h2(self):
         # hand-computable case with h=2: d=[4,1,4,1,4,1], dbar=2.5,
@@ -507,9 +507,9 @@ class TestDmTest:
         e2 = np.zeros(6)
         result = dm_test(e1, e2, "squared", 2)
         expected = 2.5 / math.sqrt(2.25 / 6)
-        assert result.statistic == pytest.approx(expected, rel=1e-12)
+        assert result["statistic"] == pytest.approx(expected, rel=1e-12)
         p = math.erfc(abs(expected) / math.sqrt(2.0))
-        assert result.p_value == pytest.approx(p, rel=1e-12)
+        assert result["p_value"] == pytest.approx(p, rel=1e-12)
 
     def test_newey_west_positive_var_h3(self, rng):
         # oracle recomputation of the weighted long-run variance
@@ -526,10 +526,10 @@ class TestDmTest:
             var += 2.0 * gamma * (1.0 - lag / n)
         if var <= 0:
             var = float(np.mean(c**2))
-        assert result.statistic == pytest.approx(dbar / math.sqrt(var / n), rel=1e-12)
+        assert result["statistic"] == pytest.approx(dbar / math.sqrt(var / n), rel=1e-12)
 
     def test_interpretation_thresholds(self):
-        assert dm_test([5.0] * 30 + [5.1], [0.1] * 31).interpretation in (
+        assert dm_test([5.0] * 30 + [5.1], [0.1] * 31)["interpretation"] in (
             "highly significant",
             "significant",
         )
@@ -552,26 +552,26 @@ class TestEvaluateForecast:
             lo, hi = pred - 1.0, pred + 1.0
             report = evaluate_forecast("m", y, pred, lo, hi)
             nz = y != 0
-            assert report.rmse == float(np.sqrt(np.mean(np.square(y - pred))))
-            assert report.mae == float(np.mean(np.abs(y - pred)))
-            assert report.mape_percent == float(
+            assert report["rmse"] == float(np.sqrt(np.mean(np.square(y - pred))))
+            assert report["mae"] == float(np.mean(np.abs(y - pred)))
+            assert report["mape_percent"] == float(
                 np.mean(np.abs((y[nz] - pred[nz]) / y[nz])) * 100.0
             )
-            assert report.coverage_percent == float(np.mean((y >= lo) & (y <= hi)) * 100.0)
+            assert report["coverage_percent"] == float(np.mean((y >= lo) & (y <= hi)) * 100.0)
 
     def test_report_fields(self):
         report = evaluate_forecast(
             "m", [2.0, 4.0], [1.0, 5.0], [0.0, 0.0], [3.0, 3.0]
         )
-        assert report.rmse == 1.0
-        assert report.mae == 1.0
-        assert report.mape_percent == pytest.approx(37.5)
-        assert report.coverage_percent == 50.0
-        assert report.model_name == "m"
+        assert report["rmse"] == 1.0
+        assert report["mae"] == 1.0
+        assert report["mape_percent"] == pytest.approx(37.5)
+        assert report["coverage_percent"] == 50.0
+        assert list(report) == ["rmse", "mae", "mape_percent", "coverage_percent"]
 
     def test_no_bounds_no_coverage(self):
         report = evaluate_forecast("m", [1.0], [1.0])
-        assert report.coverage_percent is None
+        assert report["coverage_percent"] is None
 
     def test_overflowing_metric_rejected(self):
         # squared residuals of 1e300 overflow, so RMSE would read inf

@@ -436,6 +436,15 @@ class TestBuildDesign:
         assert design.t_scaled[0] == 0.0
         assert design.t_scaled[-1] == 1.0
 
+    def test_design_carries_the_scaling_the_fit_records(self):
+        from addcast.estimator import fit
+
+        ts = make_series("2020-01-01", np.arange(80.0) % 9)
+        design = build_design(ts, ModelConfig())
+        assert design.scaling == TimeScaling(float(ts.timestamps[0]), 79.0)
+        assert np.array_equal(design.t_scaled, design.scaling.scale(ts.timestamps))
+        assert fit(ts, ModelConfig()).time_scaling == design.scaling
+
 
 def scope_configs(days):
     """Configs that cover both growths, both seasonal modes (adjacent and

@@ -8,6 +8,7 @@ from addcast.errors import DomainError, MissingRegressorValue
 from addcast.estimator import FittedModel, fit
 from addcast.forecast import (
     FutureGrid,
+    bound_columns,
     _evaluate,
     _first_future_row,
     _row_quantiles,
@@ -80,6 +81,21 @@ class TestMakeFutureGrid:
             model, 1, extra_regressors={"x": {int(days[-1]) + 1: 2.0}}
         )
         assert len(grid) == 61
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_future_regressor_value_rejected(self, value):
+        # such a value used to reach the forecast as a nan or inf yhat
+        days = daily_days("2021-01-01", 60)
+        values = {int(d): 1.0 for d in days}
+        config = ModelConfig(
+            trend=TrendSpec(n_changepoints=0),
+            seasonalities=(),
+            regressors=(RegressorSpec(name="x", prior_scale=1.0, values=values),),
+        )
+        model = fit(TimeSeries(days, np.arange(60.0)), config)
+        extra = {"x": {int(days[-1]) + 1: 2.0, int(days[-1]) + 2: value}}
+        with pytest.raises(DomainError, match="regressor 'x': values must be finite"):
+            make_future_grid(model, 2, extra_regressors=extra)
 
     def test_design_builds_per_call(self, monkeypatch):
         import addcast.features
@@ -504,6 +520,10 @@ class TestForecastCsv:
             "ds,yhat,yhat_lower_80,yhat_upper_80,yhat_lower_95,yhat_upper_95,"
             "trend,yearly,weekly,holidays"
         )
+
+    def test_bound_columns_name_the_level_in_percent(self):
+        assert bound_columns(0.95) == ("yhat_lower_95", "yhat_upper_95")
+        assert bound_columns(0.5) == ("yhat_lower_50", "yhat_upper_50")
 
     def test_roundtrip_values_exact(self, tmp_path):
         model = flat_model(sigma=0.25)
