@@ -43,8 +43,8 @@ class TrendSpec:
             raise DomainError("n_changepoints must be >= 0")
         if not (0 < self.changepoint_range <= 1):
             raise DomainError("changepoint_range must be in (0, 1]")
-        if not self.changepoint_prior_scale > 0:
-            raise DomainError("changepoint_prior_scale must be positive")
+        if not 0 < self.changepoint_prior_scale < math.inf:
+            raise DomainError("changepoint_prior_scale must be positive and finite")
         if self.growth == "logistic":
             if self.capacity is None:
                 raise DomainError("logistic growth requires a capacity")
@@ -55,11 +55,11 @@ class TrendSpec:
 
 
 def _check_prior_scale(owner: str, scale: float) -> None:
-    """A coefficient's Gaussian prior has precision 1 / scale**2, which
-    must be finite: a positive scale whose square underflows to 0, or is so
-    small that its inverse overflows, is rejected."""
-    if not scale > 0:
-        raise DomainError(f"{owner}: prior_scale must be positive")
+    """A scale must be finite, and a coefficient's Gaussian prior has
+    precision 1 / scale**2, which must be finite too: a positive scale whose
+    square underflows to 0, or whose inverse square overflows, is rejected."""
+    if not 0 < scale < math.inf:
+        raise DomainError(f"{owner}: prior_scale must be positive and finite")
     square = scale * scale
     if square == 0.0 or math.isinf(1.0 / square):
         raise DomainError(

@@ -144,13 +144,9 @@ def predict(model: FittedModel, grid: FutureGrid) -> Forecast:
     )
 
 
-# Samples per block of trend-deviation temporaries; bounds the extra memory
-# of the simulation to a few (future rows x block) arrays.
-_SAMPLE_BLOCK = 128
-
-# Sample cells (rows x samples) per block of history rows; bounds the
-# simulation's history matrix to about 0.5 MB whatever the history's length.
-_HISTORY_CELLS = 65536
+# Sample cells (rows x samples) per block of rows, at least one row; bounds
+# the simulation's matrices to about 128 KB each whatever the grid's length.
+_BLOCK_CELLS = 16384
 
 # The current thread's open shared_future_noise scope: its ``entry`` is the
 # last future-noise matrix drawn in it, as ((seed, samples), array), or None.
@@ -166,22 +162,22 @@ def _streams(seed) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.Generator(np.random.Philox(child)) for child in children)
 
 
-def _trend_deviations(model: FittedModel, evaluation: _Evaluation, first: int, stream):
-    """Yield (columns, deviation) blocks of the sampled trend minus the fitted
-    trend on the future rows ``[first:]``, in scaled units.
+def _trend_deviations(model: FittedModel, evaluation: _Evaluation, first: int, stream, step: int):
+    """Yield the sampled trend minus the fitted trend on the future rows
+    ``[first:]``, in scaled units, one (rows, samples) block per ``step`` rows.
 
     All changepoint counts, locations and magnitudes are drawn from
-    ``stream`` as three block draws; sample s owns the locations and
+    ``stream`` up front, in three draws; sample s owns the locations and
     magnitudes at [sum(counts[:s]), sum(counts[:s+1])). A changepoint at loc
     adds its magnitude to the rate and -loc * magnitude to the offset of
     every row with t >= loc, as gamma does for a fitted changepoint, so the
     sampled trend line rate * t + offset stays continuous at loc for both
-    growths: a cumulative sum down the rows of what each changepoint adds at
-    its first such row. The sampled trend is then ``features.growth_curve``
-    of the sampled rate and offset, as the fitted trend is, so a sample
-    without changepoints up to a row deviates by exactly 0 there. Yields
-    nothing when there are no future rows or no historical changepoint
-    behaviour.
+    growths: a running sum down the rows, carried across blocks, of what
+    each changepoint adds at its first such row. The sampled trend is then
+    ``features.growth_curve`` of the sampled rate and offset, as the fitted
+    trend is, so a sample without changepoints up to a row deviates by
+    exactly 0 there. Yields nothing when there are no future rows or no
+    historical changepoint behaviour.
     """
     t = evaluation.t_scaled[first:]
     n_hist = len(model.changepoints_scaled)
@@ -195,40 +191,41 @@ def _trend_deviations(model: FittedModel, evaluation: _Evaluation, first: int, s
     counts = stream.poisson(n_hist * span, n_samples)
     locs = stream.uniform(1.0, 1.0 + span, int(counts.sum()))
     mags = stream.laplace(0.0, laplace_scale, len(locs))
-    owner = np.repeat(np.arange(n_samples), counts)
-    row = np.searchsorted(t, locs, side="left")
-    cp_start = np.concatenate(([0], np.cumsum(counts)))
+    # Sorted keys of (first row, draw index) put the changepoints in row
+    # order and keep each row's in draw order, the order its sums add them
+    # in; cell is then each one's (row, sample) cell, ascending.
+    n_cps = len(locs)
+    key = np.searchsorted(t, locs, side="left") * n_cps + np.arange(n_cps)
+    key.sort()
+    order = key % n_cps
+    cell = key // n_cps * n_samples + np.repeat(np.arange(n_samples), counts)[order]
+    weights = mags[order], np.multiply(locs, mags, out=locs)[order]
 
     parts = evaluation.parts
-    rate = parts.rate[first:, np.newaxis]
-    offset = parts.offset[first:, np.newaxis]
-    g = parts.trend[first:, np.newaxis]
-    t_col = t[:, np.newaxis]
     trend = model.scaled_trend
-    n_rows = len(t)
-    for lo in range(0, n_samples, _SAMPLE_BLOCK):
-        hi = min(lo + _SAMPLE_BLOCK, n_samples)
-        width = hi - lo
-        cps = slice(cp_start[lo], cp_start[hi])
-        cell = row[cps] * width + (owner[cps] - lo)
-
-        def active_sum(weights):
-            """Per (row, sample) sum of ``weights`` over changepoints <= t."""
-            per_cell = np.bincount(cell, weights=weights, minlength=(n_rows + 1) * width)
+    carry = np.zeros((2, n_samples))
+    for lo in range(0, len(t), step):
+        hi = min(lo + step, len(t))
+        a, b = np.searchsorted(cell, (lo * n_samples, hi * n_samples))
+        sums = []
+        for weight, last in zip(weights, carry):
+            active = np.bincount(cell[a:b] - lo * n_samples, weight[a:b], (hi - lo) * n_samples)
             # bincount counts in int64 when a block has no changepoint at all
-            active = per_cell.astype(np.float64, copy=False).reshape(n_rows + 1, width)[:n_rows]
-            return np.cumsum(active, axis=0, out=active)
-
+            active = active.astype(np.float64, copy=False).reshape(hi - lo, n_samples)
+            for before, row in zip([last, *active], active):
+                row += before
+            sums.append(active)
+            last[:] = active[-1]
+        new_rate, new_offset = sums
         # The sampled rate and offset in place, and the trend with the fitted
         # trend's operations in its order, so a sample without changepoints
         # up to a row still deviates by exactly 0.
-        new_rate = active_sum(mags[cps])
-        new_rate += rate
-        new_offset = active_sum(locs[cps] * mags[cps])
-        np.subtract(offset, new_offset, out=new_offset)
-        deviation = growth_curve(new_rate, new_offset, t_col, trend, scratch=True)
-        deviation -= g
-        yield slice(lo, hi), deviation
+        rows = slice(first + lo, first + hi)
+        new_rate += parts.rate[rows, np.newaxis]
+        np.subtract(parts.offset[rows, np.newaxis], new_offset, out=new_offset)
+        deviation = growth_curve(new_rate, new_offset, t[lo:hi, np.newaxis], trend, scratch=True)
+        deviation -= parts.trend[rows, np.newaxis]
+        yield deviation
 
 
 def _first_future_row(model: FittedModel, grid: FutureGrid | Forecast) -> int:
@@ -252,10 +249,10 @@ def shared_future_noise():
         del _noise_scope.entry
 
 
-def _future_noise(seed: int, stream, n_rows: int, n_samples: int) -> np.ndarray:
-    """``(n_rows, n_samples)`` standard normals of a seed's fresh future
-    stream. Inside ``shared_future_noise`` they are read only and shared by
-    every simulation under ``(seed, n_samples)``.
+def _shared_future_noise(seed: int, stream, n_rows: int, n_samples: int):
+    """Inside ``shared_future_noise``, ``(n_rows, n_samples)`` standard
+    normals of a seed's fresh future stream, read only and shared by every
+    simulation under ``(seed, n_samples)``; None outside one.
 
     ``standard_normal`` fills row-major, so the first r rows of a larger
     draw from a fresh stream are exactly an r-row draw: a request for no
@@ -263,7 +260,7 @@ def _future_noise(seed: int, stream, n_rows: int, n_samples: int) -> np.ndarray:
     is drawn from and its matrix replaces the scope's single entry.
     """
     if not hasattr(_noise_scope, "entry"):
-        return stream.standard_normal((n_rows, n_samples))
+        return None
     key = (seed, n_samples)
     cached = _noise_scope.entry
     if cached is not None and cached[0] == key and len(cached[1]) >= n_rows:
@@ -294,13 +291,12 @@ def simulate_intervals(model: FittedModel, forecast: Forecast, seed: int) -> dic
     changes. A future day's draws therefore do not depend on whether
     history rows are in the grid.
 
-    History rows are drawn, sorted and read in blocks of about
-    ``_HISTORY_CELLS`` cells, so the simulation's memory does not grow with
-    the history; the future rows form one matrix of the future noise plus
-    the trend deviations. Inside ``shared_future_noise`` the simulations of
-    a (seed, sample count) share one future-noise draw, and a shorter
-    horizon reads a prefix of a longer one, which is exactly what its own
-    draw would give.
+    Rows are drawn, sorted and read in blocks of about ``_BLOCK_CELLS``
+    cells, history and future rows apart, so no sample matrix grows with
+    the grid, and no bound depends on the block size. Inside
+    ``shared_future_noise`` the simulations of a (seed, sample count) share
+    one future-noise draw, and a shorter horizon reads a prefix of a longer
+    one, which is exactly what its own draw would give.
     """
     history_stream, future_stream, trend_stream = _streams(seed)
     levels = model.config.interval_levels
@@ -312,22 +308,23 @@ def simulate_intervals(model: FittedModel, forecast: Forecast, seed: int) -> dic
     qs = [q for level in levels for q in ((1.0 - level) / 2.0, (1.0 + level) / 2.0)]
     bounds = np.empty((len(qs), len(forecast)))
 
-    step = max(1, _HISTORY_CELLS // n_samples)
-    for lo in range(0, first, step):
-        hi = min(lo + step, first)
-        block = history_stream.standard_normal((hi - lo, n_samples))
-        block *= model.sigma
-        block += evaluation.yhat[lo:hi, np.newaxis]
-        bounds[:, lo:hi] = _row_quantiles(block, qs)
-
-    noise = _future_noise(int(seed), future_stream, len(forecast) - first, n_samples)
-    future = noise * model.sigma
-    future += evaluation.yhat[first:, np.newaxis]
-    seasonal_factor = (1.0 + evaluation.parts.s_mul[first:])[:, np.newaxis]
-    for columns, deviation in _trend_deviations(model, evaluation, first, trend_stream):
-        deviation *= seasonal_factor
-        future[:, columns] += deviation
-    bounds[:, first:] = _row_quantiles(future, qs)
+    step = max(1, _BLOCK_CELLS // n_samples)
+    shared = _shared_future_noise(int(seed), future_stream, len(forecast) - first, n_samples)
+    deviations = _trend_deviations(model, evaluation, first, trend_stream, step)
+    for start, stop, stream in ((0, first, history_stream), (first, len(forecast), future_stream)):
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            if lo < first or shared is None:
+                block = stream.standard_normal((hi - lo, n_samples))
+                block *= model.sigma
+            else:
+                block = shared[lo - first : hi - first] * model.sigma
+            block += evaluation.yhat[lo:hi, np.newaxis]
+            deviation = next(deviations, None) if lo >= first else None
+            if deviation is not None:
+                deviation *= 1.0 + evaluation.parts.s_mul[lo:hi, np.newaxis]
+                block += deviation
+            bounds[:, lo:hi] = _row_quantiles(block, qs)
 
     bounds *= model.y_scale
     return {level: (bounds[2 * i], bounds[2 * i + 1]) for i, level in enumerate(levels)}

@@ -211,6 +211,29 @@ class TestFitCommand:
             ({"trend": [["growth", "linear"]]}, "SchemaError", "trend must be an object"),
             ({"seasonalities": ["x"]}, "SchemaError", "seasonality must be an object"),
             ({"holidays": [7]}, "SchemaError", "holiday must be an object"),
+            # 1 / inf**2 is 0, so an infinite scale passed; the fit then
+            # ended in a traceback from saving the model
+            (
+                {"seasonalities": [{"name": "w", "fourier_order": 2, "period": 7.0,
+                                    "prior_scale": INF}]},
+                "DomainError",
+                "prior_scale must be positive and finite",
+            ),
+            (
+                {"holidays": [{"name": "h", "dates": ["2021-01-01"], "prior_scale": INF}]},
+                "DomainError",
+                "prior_scale must be positive and finite",
+            ),
+            (
+                {"regressors": [{"name": "x", "prior_scale": INF}]},
+                "DomainError",
+                "prior_scale must be positive and finite",
+            ),
+            (
+                {"trend": {"changepoint_prior_scale": INF}},
+                "DomainError",
+                "changepoint_prior_scale must be positive and finite",
+            ),
         ],
     )
     def test_malformed_config_entries_exit_1(self, tmp_path, rng, capsys, extra, error, fragment):
@@ -295,9 +318,10 @@ class TestPredictCommand:
         return model
 
     def test_out_of_memory_is_one_error_line(self, tmp_path, rng):
-        # 100000 future days x 5000 samples ask for a 3.7 GiB noise matrix; a
-        # 1 GiB address-space limit on the child alone makes that allocation
-        # fail, which ended in a numpy traceback
+        # 200 million samples ask for a 1.5 GiB draw for a single row, the
+        # smallest block the simulator forms; a 1 GiB address-space limit on
+        # the child alone makes that allocation fail, which ended in a numpy
+        # traceback
         import resource
 
         data = tmp_path / "data.csv"
@@ -305,7 +329,8 @@ class TestPredictCommand:
         model = tmp_path / "model.json"
         synthetic_csv(data, rng)
         small_config(config)
-        config.write_text(json.dumps({**json.loads(config.read_text()), "interval_samples": 5000}))
+        samples = {**json.loads(config.read_text()), "interval_samples": 200_000_000}
+        config.write_text(json.dumps(samples))
         assert main(
             ["fit", "--input", str(data), "--config", str(config), "--output", str(model)]
         ) == 0
@@ -316,7 +341,7 @@ class TestPredictCommand:
 
         proc = subprocess.run(
             [sys.executable, "-m", "addcast", "predict", "--input", str(model),
-             "--periods", "100000", "--output", str(out)],
+             "--periods", "10", "--output", str(out)],
             preexec_fn=limit_address_space, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 1
@@ -326,6 +351,46 @@ class TestPredictCommand:
         assert error["error"] == "MemoryError"
         assert error["message"].startswith("Unable to allocate")
         assert not out.exists()
+
+    # Runs ``python -m addcast ARGS`` and prints its exit code and peak RSS.
+    # It spawns the command from a small interpreter: Linux counts the
+    # resident set of the process a child was spawned from into the child's
+    # ru_maxrss, and that of the test process would hide the command's own.
+    PEAK_RSS = (
+        "import os, sys\n"
+        "argv = [sys.executable, '-m', 'addcast', *sys.argv[1:]]\n"
+        "_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+
+    def test_peak_memory_is_nearly_flat_in_the_horizon(self, tmp_path, rng):
+        # The simulator holds blocks of about 16384 samples whatever the
+        # horizon. What still grows with it is the grid, its design, the CSV
+        # and the future changepoint draws: 25 per sample per 300 days here,
+        # 0.84 million at 10000 days. Measured on a 2-core x86-64 Linux VM
+        # (numpy 2.4.6) with this 300-day series, 25 changepoints and 1000
+        # samples, 90 periods peak at 37.4 MB and 10000 periods at 83.8 MB.
+        # A simulator that forms one (rows x samples) future matrix peaks at
+        # 259 MB there.
+        data = tmp_path / "data.csv"
+        config = tmp_path / "config.json"
+        model = tmp_path / "model.json"
+        synthetic_csv(data, rng)
+        config.write_text(json.dumps({"seed": 3}))
+        assert main(
+            ["fit", "--input", str(data), "--config", str(config), "--output", str(model)]
+        ) == 0
+        peak_mb = {}
+        for periods in (90, 10000):
+            proc = subprocess.run(
+                [sys.executable, "-c", self.PEAK_RSS, "predict", "--input", str(model),
+                 "--periods", str(periods), "--output", str(tmp_path / "forecast.csv")],
+                capture_output=True, text=True, timeout=60,
+            )
+            code, max_rss_kib = map(int, proc.stdout.split())
+            assert code == 0, proc.stderr
+            peak_mb[periods] = max_rss_kib / 1024
+        assert peak_mb[10000] <= peak_mb[90] + 60.0
 
     def test_zero_periods_in_sample_only(self, tmp_path, rng, capsys):
         model = self.fit_once(tmp_path, rng)

@@ -449,7 +449,7 @@ def _oracle_deviations(model, evaluation, seed):
 
 
 class TestTrendDeviationOracle:
-    """The block-vectorized trend deviation against a per-sample replay."""
+    """The row-blocked trend deviation against a per-sample replay."""
 
     @pytest.fixture(params=["linear", "logistic"])
     def model(self, request, rng):
@@ -464,7 +464,6 @@ class TestTrendDeviationOracle:
             weekly = SeasonalitySpec(
                 name="weekly", period=7.0, fourier_order=2, mode="multiplicative"
             )
-        # 300 samples span three blocks of the simulator, the last one partial
         config = ModelConfig(trend=trend, seasonalities=(weekly,), interval_samples=300)
         return fit(TimeSeries(days, y + rng.normal(0, 0.2, n)), config)
 
@@ -474,9 +473,10 @@ class TestTrendDeviationOracle:
         evaluation = _evaluate(model, grid)
         first = _first_future_row(model, grid)
         assert first == len(model.train_timestamps)
-        blocks = list(_trend_deviations(model, evaluation, first, _streams(seed)[2]))
-        assert len(blocks) == 3
-        vectorized = np.hstack([deviation for _, deviation in blocks])
+        # 25 future rows in blocks of 10 rows: the last block is partial
+        blocks = list(_trend_deviations(model, evaluation, first, _streams(seed)[2], 10))
+        assert [len(block) for block in blocks] == [10, 10, 5]
+        vectorized = np.vstack(blocks)
         oracle, counts, locs, ends = _oracle_deviations(model, evaluation, seed)
 
         scale = np.max(np.abs(evaluation.parts.trend))

@@ -1,6 +1,8 @@
 """Generated model configs, model documents and compare candidates: every
 call returns or raises an AddcastError, never another exception, and every
-``addcast compare`` exits 0, 1 or 2 without a traceback.
+``addcast compare`` exits 0, 1 or 2 without a traceback. A config that loads
+also fits and its model document round-trips through canonical JSON, or the
+fit raises an AddcastError.
 
 Configs and documents start from a valid one and get up to three
 mutations: a value anywhere in the tree replaced by an arbitrary JSON value
@@ -12,11 +14,12 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from addcast import errors
@@ -24,7 +27,7 @@ from addcast.cli import main
 from addcast.config import ModelConfig, config_from_dict, config_to_dict
 from addcast.errors import AddcastError
 from addcast.estimator import FittedModel, fit
-from addcast.persistence import model_from_document, model_to_document
+from addcast.persistence import canonical_json_bytes, model_from_document, model_to_document
 from addcast.timeseries import TimeSeries, format_epoch_day
 
 from conftest import daily_days
@@ -118,6 +121,43 @@ def test_config_from_dict_returns_a_config_or_raises_an_addcast_error(data):
         return
     assert isinstance(config, ModelConfig)
     assert config_from_dict(config_to_dict(config)) == config
+
+
+def with_entry(key, **changes):
+    """VALID_CONFIG with ``changes`` made to its ``key`` entry (the first
+    entry of a list)."""
+    entry = VALID_CONFIG[key]
+    if isinstance(entry, list):
+        return {**VALID_CONFIG, key: [{**entry[0], **changes}, *entry[1:]]}
+    return {**VALID_CONFIG, key: {**entry, **changes}}
+
+
+@SETTINGS
+@given(data=mutated(VALID_CONFIG))
+# an infinite scale loaded, and its fit's document could not be written
+@example(data=with_entry("trend", changepoint_prior_scale=math.inf))
+@example(data=with_entry("seasonalities", prior_scale=math.inf))
+@example(data=with_entry("holidays", prior_scale=math.inf))
+@example(data=with_entry("regressors", prior_scale=math.inf))
+def test_accepted_configs_fit_save_and_reload_or_raise_an_addcast_error(data):
+    try:
+        config = config_from_dict(data)
+    except AddcastError:
+        return
+    days = daily_days("2021-01-01", 30)
+    y = 3.0 + (np.arange(30) % 7) / 4
+    # every regressor gets a value on every day, its own values kept
+    regressors = tuple(
+        replace(spec, values={**dict.fromkeys(days.tolist(), 1.0), **spec.values})
+        for spec in config.regressors
+    )
+    try:
+        model = fit(TimeSeries(days, y), replace(config, regressors=regressors))
+        document = model_to_document(model)
+        loaded = model_from_document(json.loads(canonical_json_bytes(document)))
+    except AddcastError:
+        return
+    assert canonical_json_bytes(model_to_document(loaded)) == canonical_json_bytes(document)
 
 
 def _valid_document():

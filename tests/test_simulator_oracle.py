@@ -1,10 +1,12 @@
 """The interval simulator against its full-matrix form, bit for bit.
 
-The simulator samples history rows in blocks, shares one future-noise draw
-between the simulations of a (seed, sample count) inside
-``shared_future_noise``, and computes the trend deviations in place. The oracle below is the form it replaced: one
-(rows, S) sample matrix per call, filled by one history draw and one fresh
-future draw, with the trend deviations computed out of place.
+The simulator samples all rows in row blocks, carries the trend deviations'
+running sums from block to block, shares one future-noise draw between the
+simulations of a (seed, sample count) inside ``shared_future_noise``, and
+computes the trend deviations in place. The oracle below is the form it
+replaced: one (rows, S) sample matrix per call, filled by one history draw
+and one fresh future draw, with the trend deviations of all future rows and
+samples computed at once and out of place.
 """
 
 import sys
@@ -35,45 +37,32 @@ from conftest import daily_days, trend_oracle
 
 
 def _oracle_trend_deviations(model, evaluation, first, stream):
+    """The (future rows, S) trend deviations, or None without any."""
     t = evaluation.t_scaled[first:]
     n_hist = len(model.changepoints_scaled)
     if len(t) == 0 or n_hist == 0:
-        return
+        return None
     laplace_scale = float(np.mean(np.abs(model.delta)))
     if laplace_scale == 0.0:
-        return
+        return None
     span = float(t[-1] - 1.0)
     n_samples = model.config.interval_samples
     counts = stream.poisson(n_hist * span, n_samples)
     locs = stream.uniform(1.0, 1.0 + span, int(counts.sum()))
     mags = stream.laplace(0.0, laplace_scale, len(locs))
-    owner = np.repeat(np.arange(n_samples), counts)
-    row = np.searchsorted(t, locs, side="left")
-    cp_start = np.concatenate(([0], np.cumsum(counts)))
+    cell = np.searchsorted(t, locs, side="left") * n_samples
+    cell += np.repeat(np.arange(n_samples), counts)
+
+    def active_sum(weights):
+        per_cell = np.bincount(cell, weights=weights, minlength=(len(t) + 1) * n_samples)
+        return np.cumsum(per_cell.reshape(len(t) + 1, n_samples)[: len(t)], axis=0)
 
     parts = evaluation.parts
-    rate = parts.rate[first:, np.newaxis]
-    offset = parts.offset[first:, np.newaxis]
-    g = parts.trend[first:, np.newaxis]
-    t_col = t[:, np.newaxis]
-    trend = model.scaled_trend
-    n_rows = len(t)
-    block = forecast._SAMPLE_BLOCK
-    for lo in range(0, n_samples, block):
-        hi = min(lo + block, n_samples)
-        width = hi - lo
-        cps = slice(cp_start[lo], cp_start[hi])
-        cell = row[cps] * width + (owner[cps] - lo)
-
-        def active_sum(weights):
-            per_cell = np.bincount(cell, weights=weights, minlength=(n_rows + 1) * width)
-            return np.cumsum(per_cell.reshape(n_rows + 1, width)[:n_rows], axis=0)
-
-        new_rate = rate + active_sum(mags[cps])
-        new_offset = offset - active_sum(locs[cps] * mags[cps])
-        # each row's sampled rate and offset, with no further changepoints
-        g_new = trend_oracle(t_col, new_rate, new_offset, [], [], trend)
-        yield slice(lo, hi), g_new - g
+    new_rate = parts.rate[first:, np.newaxis] + active_sum(mags)
+    new_offset = parts.offset[first:, np.newaxis] - active_sum(locs * mags)
+    # each row's sampled rate and offset, with no further changepoints
+    g_new = trend_oracle(t[:, np.newaxis], new_rate, new_offset, [], [], model.scaled_trend)
+    return g_new - parts.trend[first:, np.newaxis]
 
 
 def oracle_bounds(model, grid, seed):
@@ -90,10 +79,10 @@ def oracle_bounds(model, grid, seed):
         block *= model.sigma
         block += yhat[:, np.newaxis]
 
-    seasonal_factor = (1.0 + evaluation.parts.s_mul[first:])[:, np.newaxis]
-    for columns, deviation in _oracle_trend_deviations(model, evaluation, first, trend_stream):
-        deviation *= seasonal_factor
-        future[:, columns] += deviation
+    deviation = _oracle_trend_deviations(model, evaluation, first, trend_stream)
+    if deviation is not None:
+        deviation *= (1.0 + evaluation.parts.s_mul[first:])[:, np.newaxis]
+        future += deviation
 
     levels = model.config.interval_levels
     qs = [q for level in levels for q in ((1.0 - level) / 2.0, (1.0 + level) / 2.0)]
@@ -164,12 +153,18 @@ class TestFullMatrixOracle:
                 assert_same_bits(got, oracle_bounds(model, grid, 11))
 
     def test_one_history_row_per_block(self, model, monkeypatch):
+        # 1 and 7 cells give blocks of one row, 20 cells of two, and 7 * 65
+        # one block of all history rows; all of them split the future rows,
+        # whether their noise is drawn block by block or read from a shared
+        # draw
         model = with_samples(model, 7)
-        grid = grid_of(model, 65, 5)
+        grid = grid_of(model, 65, 90)
         expected = oracle_bounds(model, grid, 11)
         for cells in (1, 7, 20, 7 * 65):
-            monkeypatch.setattr(forecast, "_HISTORY_CELLS", cells)
+            monkeypatch.setattr(forecast, "_BLOCK_CELLS", cells)
             assert_same_bits(simulate_intervals(model, predict(model, grid), 11), expected)
+            with forecast.shared_future_noise():
+                assert_same_bits(simulate_intervals(model, predict(model, grid), 11), expected)
 
     def test_no_interval_levels(self, model):
         config = replace(model.config, interval_levels=())
