@@ -1,8 +1,9 @@
 """Command-line surface: fit, predict, cross-validate, evaluate, compare and
 DM-test, all deterministic given (inputs, flags, seed).
 
-Exit codes: 0 success, 2 usage error, 1 any domain error or an allocation
-that runs out of memory (with a machine-readable JSON line on stderr).
+Exit codes: 0 success, 2 usage error, 1 any domain error, an allocation
+that runs out of memory or a stdout whose reader has gone (with a
+machine-readable JSON line on stderr).
 """
 
 from __future__ import annotations
@@ -362,7 +363,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed stdout is reported here, not at exit
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        return code
     except (AddcastError, OSError, json.JSONDecodeError, MemoryError) as exc:
         # numpy's failed allocations raise a private subclass of MemoryError
         kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__

@@ -198,8 +198,15 @@ def _trend_deviations(model: FittedModel, evaluation: _Evaluation, first: int, s
     key = np.searchsorted(t, locs, side="left") * n_cps + np.arange(n_cps)
     key.sort()
     order = key % n_cps
-    cell = key // n_cps * n_samples + np.repeat(np.arange(n_samples), counts)[order]
     weights = mags[order], np.multiply(locs, mags, out=locs)[order]
+    # the draws go as soon as the weights exist, and cell is built over key,
+    # so at most six changepoint-sized arrays are alive at once
+    del locs, mags
+    cell = key
+    cell //= n_cps
+    cell *= n_samples
+    cell += np.repeat(np.arange(n_samples), counts)[order]
+    del order
 
     parts = evaluation.parts
     trend = model.scaled_trend

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import stat
@@ -369,7 +370,7 @@ class TestPredictCommand:
         # and the future changepoint draws: 25 per sample per 300 days here,
         # 0.84 million at 10000 days. Measured on a 2-core x86-64 Linux VM
         # (numpy 2.4.6) with this 300-day series, 25 changepoints and 1000
-        # samples, 90 periods peak at 37.4 MB and 10000 periods at 83.8 MB.
+        # samples, 90 periods peak at 37.4 MB and 10000 periods at 77.0 MB.
         # A simulator that forms one (rows x samples) future matrix peaks at
         # 259 MB there.
         data = tmp_path / "data.csv"
@@ -1363,6 +1364,41 @@ class TestOutputFiles:
         assert set(written.values()) == {0o640}
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", ["dm", "fit"])
+    def test_a_gone_reader_is_one_error_line_and_exit_1(self, tmp_path, rng, command):
+        data = tmp_path / "data.csv"
+        config = tmp_path / "config.json"
+        model = tmp_path / "model.json"
+        if command == "dm":
+            data.write_text("e\n1.0\n2.0\n0.5\n")
+            argv = ["dm", "--input", str(data), str(data)]
+        else:
+            synthetic_csv(data, rng)
+            small_config(config)
+            argv = ["fit", "--input", str(data), "--config", str(config), "--output", str(model)]
+        # stdout block-buffered: the print reaches the pipe only when flushed
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "addcast", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1, proc.stderr
+        assert [json.loads(line) for line in proc.stderr.splitlines()] == [
+            {"error": "BrokenPipeError", "message": "[Errno 32] Broken pipe"}
+        ]
+        if command == "fit":
+            # the model document, written before the print, is complete
+            written = model.read_bytes()
+            assert main(argv) == 0
+            assert model.read_bytes() == written
+
+
 class TestUsageErrors:
     def test_missing_required_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -1452,10 +1488,38 @@ class TestImports:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         errors = tmp_path / "e.csv"
         errors.write_text("e\n1.0\n2.0\n0.5\n")
-        before = dict(os.environ)
+        before = dict(os.environ), gc.isenabled(), gc.get_freeze_count()
         assert "numpy" in sys.modules
         assert entry_main(["dm", "--input", str(errors), str(errors)]) == 0
-        assert dict(os.environ) == before
+        assert (dict(os.environ), gc.isenabled(), gc.get_freeze_count()) == before
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_cold_entry_runs_no_collection_and_restores_the_collector(self, tmp_path, enabled):
+        errors = tmp_path / "e.csv"
+        errors.write_text("e\n1.0\n2.0\n0.5\n")
+        script = (
+            "import gc, json, sys\n"
+            "from addcast.__main__ import main\n"
+            "if sys.argv[2] == 'False':\n"
+            "    gc.disable()\n"
+            "runs = []\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and runs.append(info))\n"
+            "assert main(['dm', '--input', sys.argv[1], sys.argv[1]]) == 0\n"
+            "print(json.dumps([len(runs), gc.isenabled(), gc.get_freeze_count() > 0]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(errors), str(enabled)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # the heap the command built is frozen, so exit collections skip it
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, enabled, True]
+
+    def test_console_script_runs_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"addcast": "addcast.__main__:main"}
 
     def test_cli_runs_without_scipy(self, tmp_path, rng, capsys):
         data = tmp_path / "data.csv"

@@ -7,6 +7,9 @@ fit raises an AddcastError.
 Configs and documents start from a valid one and get up to three
 mutations: a value anywhere in the tree replaced by an arbitrary JSON value
 (huge integers, NaN and infinities included), a key deleted or a key added.
+Most such configs fail to load, so configs also come with the valid one's
+shape and one to three of its numbers set to edge values, which reach the
+value checks.
 """
 
 import contextlib
@@ -87,6 +90,13 @@ def _paths(tree, prefix=()):
             yield from _paths(value, (*prefix, i))
 
 
+def _leaf(tree, path):
+    """The value at ``path`` in a JSON tree."""
+    for step in path:
+        tree = tree[step]
+    return tree
+
+
 @st.composite
 def mutated(draw, valid):
     """A deep copy of the JSON tree ``valid`` with up to three mutations."""
@@ -97,9 +107,7 @@ def mutated(draw, valid):
             tree = draw(json_values)
             continue
         *parents, key = path
-        node = tree
-        for step in parents:
-            node = node[step]
+        node = _leaf(tree, parents)
         action = draw(st.sampled_from(["replace", "delete", "add"]))
         if action == "replace":
             node[key] = draw(json_values)
@@ -112,8 +120,29 @@ def mutated(draw, valid):
     return tree
 
 
+EDGE_VALUES = [0, -0.0, -1, -0.5, math.inf, -math.inf, math.nan, 1e308, 2**63, True, False]
+
+
+@st.composite
+def edge_valued(draw, valid):
+    """A deep copy of the JSON tree ``valid`` with one to three of its
+    numbers set to edge values: zeros, negatives, infinities, NaN, huge
+    magnitudes, booleans, or a float where an integer stands."""
+    tree = json.loads(json.dumps(valid))
+    numbers = [path for path in _paths(tree) if type(_leaf(tree, path)) in (int, float)]
+    for path in draw(st.lists(st.sampled_from(numbers), min_size=1, max_size=3, unique=True)):
+        *parents, key = path
+        value = _leaf(tree, path)
+        floats = [float(value), value + 0.5] if type(value) is int else []
+        _leaf(tree, parents)[key] = draw(st.sampled_from(EDGE_VALUES + floats))
+    return tree
+
+
+configs = st.one_of(mutated(VALID_CONFIG), edge_valued(VALID_CONFIG))
+
+
 @SETTINGS
-@given(data=mutated(VALID_CONFIG))
+@given(data=configs)
 def test_config_from_dict_returns_a_config_or_raises_an_addcast_error(data):
     try:
         config = config_from_dict(data)
@@ -133,7 +162,7 @@ def with_entry(key, **changes):
 
 
 @SETTINGS
-@given(data=mutated(VALID_CONFIG))
+@given(data=configs)
 # an infinite scale loaded, and its fit's document could not be written
 @example(data=with_entry("trend", changepoint_prior_scale=math.inf))
 @example(data=with_entry("seasonalities", prior_scale=math.inf))
