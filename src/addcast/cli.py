@@ -42,7 +42,6 @@ from .forecast import (
     forecast_with_intervals,
     make_future_grid,
     predict,
-    shared_future_noise,
     write_forecast_csv,
 )
 from .persistence import (  # noqa: F401 -- perfbench/spans.py wraps addcast.cli.dataset_digest
@@ -85,11 +84,11 @@ def _add_preprocessing_flags(parser):
 
 def _preprocess(ts: TimeSeries, args) -> TimeSeries:
     # Mirrors the standard pipeline order: calendar filter, fill, transform.
-    if getattr(args, "weekdays_only", False):
+    if args.weekdays_only:
         ts = filter_weekdays(ts)
-    if getattr(args, "forward_fill", False):
+    if args.forward_fill:
         ts = forward_fill(ts)
-    if getattr(args, "log_offset", None) is not None:
+    if args.log_offset is not None:
         ts = log_transform(ts, args.log_offset)
     return ts
 
@@ -243,7 +242,6 @@ def _run_candidate(spec, train: TimeSeries, test: TimeSeries, seed):
     return yhat, bounds.get(COVERAGE_LEVEL)
 
 
-@shared_future_noise()
 def cmd_compare(args) -> int:
     ts = _preprocess(load_csv(args.input[0]), args)
     cutoff = parse_iso_date(args.cutoff)
@@ -257,7 +255,12 @@ def cmd_compare(args) -> int:
     seed = _compare_seed(args.seed, configs)
     if args.h < 1:
         raise DomainError(f"horizon h must be >= 1, got {args.h}")
-    candidates = [(name, *_run_candidate(spec, train, test, args.seed)) for name, spec in specs]
+    candidates = []
+    for name, spec in specs:
+        try:
+            candidates.append((name, *_run_candidate(spec, train, test, args.seed)))
+        except AddcastError as exc:
+            raise type(exc)(f"candidate {name!r}: {exc}") from exc
 
     y_true = test.values
     models = {}

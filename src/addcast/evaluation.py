@@ -19,10 +19,8 @@ from .errors import (
     TooShort,
 )
 from .estimator import fit
-from .features import shared_day_columns
-from .forecast import (
-    bound_columns, forecast_with_intervals, make_future_grid, shared_future_noise,
-)
+from .features import shared_fold_work
+from .forecast import bound_columns, forecast_with_intervals, make_future_grid
 from .timeseries import TimeSeries, format_epoch_day, write_table
 
 
@@ -163,7 +161,6 @@ class CvFold:
         return len(self.ds)
 
 
-@shared_future_noise()
 def rolling_cv(
     config: ModelConfig, ts: TimeSeries, initial: int, period: int, horizon: int
 ) -> list[CvFold]:
@@ -174,12 +171,12 @@ def rolling_cv(
     Each fold builds, evaluates and simulates only the days after its
     training data. Its point forecast and bounds equal a full-grid
     ``forecast_with_intervals`` at the same days bit for bit. The folds
-    share one future-noise draw (``forecast.shared_future_noise``) and one
-    build of the seasonal and holiday columns of the series' days
-    (``features.shared_day_columns``), so a fold builds only its trend and
-    regressor columns. Both are dropped when the call returns."""
+    share one build of the seasonal and holiday columns of the series' days,
+    so a fold builds only its trend and regressor columns, and one
+    future-noise draw (``features.shared_fold_work``). Both are dropped
+    when the call returns."""
     cutoffs = enumerate_cutoffs(ts, initial, period, horizon)
-    with shared_day_columns(config, ts.timestamps):
+    with shared_fold_work(config, ts.timestamps):
         return [_cv_fold(config, ts, cutoff, horizon) for cutoff in cutoffs]
 
 

@@ -10,8 +10,9 @@ Internal time is affinely rescaled so the training span maps to [0, 1]
 (changepoints and trend parameters live in that scale); seasonal features are
 computed directly on epoch-days so their phase is calendar-anchored. The
 seasonal and holiday columns are therefore a function of the day alone, and
-inside ``shared_day_columns`` every design of a series takes them from one
-build.
+inside ``shared_fold_work``, which ``evaluation.rolling_cv`` opens, every
+design of a series takes them from one build; the same scope keeps the
+folds' shared future-noise draw for ``forecast.simulate_intervals``.
 """
 
 from __future__ import annotations
@@ -310,21 +311,24 @@ def _day_blocks(t: np.ndarray, config: ModelConfig, layout: Layout) -> list[np.n
     return columns
 
 
-# The current thread's open shared_day_columns scope, or no attribute.
-_day_scope = threading.local()
+# The current thread's open shared_fold_work scope, or no attribute.
+_fold_scope = threading.local()
 
 
-class _SharedDayColumns:
-    """The seasonal and holiday columns of a series' days under one config,
-    in layout order, built at the first design that asks. The build has one
-    row per day of the series, however far apart the days are."""
+class _FoldWork:
+    """What the folds of a CV run under one config share: the seasonal and
+    holiday columns of the series' days, in layout order, built at the first
+    design that asks (one row per day of the series, however far apart the
+    days are), and the last future-noise draw of a simulation, kept by
+    ``forecast.simulate_intervals`` as (seed, read-only array)."""
 
     def __init__(self, config: ModelConfig, days: np.ndarray):
         self.config = config
         self.days = days
         self.columns = None
+        self.noise = None
 
-    def take(self, t: np.ndarray, layout: Layout) -> np.ndarray | None:
+    def day_columns(self, t: np.ndarray, layout: Layout) -> np.ndarray | None:
         """The day columns at the days ``t``, a slice of the build, when
         ``t`` is a run of consecutive series days; otherwise None. A CV fit
         design is a prefix of the series, and a CV forecast grid is
@@ -341,23 +345,27 @@ class _SharedDayColumns:
 
 
 @contextmanager
-def shared_day_columns(config: ModelConfig, days: np.ndarray):
-    """Within the block, the current thread's designs under ``config`` (this
-    object) take the seasonal and holiday columns of the series days
-    ``days`` (strictly increasing) from one build, made by the first such
-    design; only the trend and regressor columns are built per design. A
-    design whose days are not a run of consecutive series days is built
-    alone. Every design equals its own build bit for bit. The build is
-    dropped when the block exits, and an enclosing scope is restored."""
-    outer = getattr(_day_scope, "entry", None)
-    _day_scope.entry = _SharedDayColumns(config, np.asarray(days, dtype=np.int64))
+def shared_fold_work(config: ModelConfig, days: np.ndarray):
+    """Within the block, the current thread's designs and simulations under
+    ``config`` (this object) share what the folds of a series with days
+    ``days`` (strictly increasing) have in common: a design of a run of
+    consecutive series days takes its seasonal and holiday columns from one
+    build, and the simulations of a seed share one future-noise draw. Every
+    design and bound equals its own build or draw bit for bit. Everything
+    is dropped when the block exits. ``evaluation.rolling_cv`` opens it;
+    scopes do not nest."""
+    _fold_scope.entry = _FoldWork(config, np.asarray(days, dtype=np.int64))
     try:
         yield
     finally:
-        if outer is None:
-            del _day_scope.entry
-        else:
-            _day_scope.entry = outer
+        del _fold_scope.entry
+
+
+def fold_work(config: ModelConfig) -> _FoldWork | None:
+    """The current thread's open ``shared_fold_work`` scope when ``config``
+    is its config, else None."""
+    scope = getattr(_fold_scope, "entry", None)
+    return scope if scope is not None and scope.config is config else None
 
 
 def design_for_grid(
@@ -372,7 +380,7 @@ def design_for_grid(
     A regressor's values are ``extra_regressors[name]`` ({day: value}) when
     given, else its spec's.
 
-    Inside ``shared_day_columns`` the seasonal and holiday columns of a run
+    Inside ``shared_fold_work`` the seasonal and holiday columns of a run
     of consecutive series days are a slice of the scope's build."""
     t = np.asarray(timestamps, dtype=np.int64)
     t_scaled = scaling.scale(t)
@@ -380,8 +388,8 @@ def design_for_grid(
     layout = model_layout(config, len(cps))
 
     columns = [changepoint_basis(t_scaled, cps)]
-    scope = getattr(_day_scope, "entry", None)
-    day = scope.take(t, layout) if scope is not None and scope.config is config else None
+    scope = fold_work(config)
+    day = None if scope is None else scope.day_columns(t, layout)
     if day is None:
         columns += _day_blocks(t, config, layout)
     else:

@@ -15,15 +15,13 @@ is a pure function of (model, grid, seed).
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DomainError
 from .estimator import FittedModel, ModelParts, _model_parts, row_dot
-from .features import design_for_grid, growth_curve, regressor_column
+from .features import design_for_grid, fold_work, growth_curve, regressor_column
 from .timeseries import MAX_EPOCH_DAY, format_epoch_day, write_table
 
 
@@ -148,10 +146,6 @@ def predict(model: FittedModel, grid: FutureGrid) -> Forecast:
 # the simulation's matrices to about 128 KB each whatever the grid's length.
 _BLOCK_CELLS = 16384
 
-# The current thread's open shared_future_noise scope: its ``entry`` is the
-# last future-noise matrix drawn in it, as ((seed, samples), array), or None.
-_noise_scope = threading.local()
-
 
 def _streams(seed) -> tuple[np.random.Generator, ...]:
     """History-noise, future-noise and trend-change generators of a seed."""
@@ -240,44 +234,24 @@ def _first_future_row(model: FittedModel, grid: FutureGrid | Forecast) -> int:
     return int(np.searchsorted(grid.timestamps, model.last_day, side="right"))
 
 
-@contextmanager
-def shared_future_noise():
-    """Within the block, the current thread's simulations under one (seed,
-    sample count) share a future-noise draw; the draw is dropped when the
-    outermost block exits. ``rolling_cv`` and ``compare`` simulate inside
-    one, so their folds or candidates draw once."""
-    if hasattr(_noise_scope, "entry"):
-        yield
-        return
-    _noise_scope.entry = None
-    try:
-        yield
-    finally:
-        del _noise_scope.entry
-
-
-def _shared_future_noise(seed: int, stream, n_rows: int, n_samples: int):
-    """Inside ``shared_future_noise``, ``(n_rows, n_samples)`` standard
-    normals of a seed's fresh future stream, read only and shared by every
-    simulation under ``(seed, n_samples)``; None outside one.
+def _shared_future_noise(scope, seed: int, stream, n_rows: int, n_samples: int):
+    """``(n_rows, n_samples)`` standard normals of a seed's fresh future
+    stream, kept read only in ``scope`` (``features.shared_fold_work``) for
+    every simulation of the seed under the scope's config.
 
     ``standard_normal`` fills row-major, so the first r rows of a larger
     draw from a fresh stream are exactly an r-row draw: a request for no
     more rows than the scope holds gets a prefix of it. Otherwise ``stream``
-    is drawn from and its matrix replaces the scope's single entry.
+    is drawn from and its matrix replaces the scope's draw.
     """
-    if not hasattr(_noise_scope, "entry"):
-        return None
-    key = (seed, n_samples)
-    cached = _noise_scope.entry
-    if cached is not None and cached[0] == key and len(cached[1]) >= n_rows:
-        return cached[1][:n_rows]
+    if scope.noise is not None and scope.noise[0] == seed and len(scope.noise[1]) >= n_rows:
+        return scope.noise[1][:n_rows]
     # Drop the stale matrix before drawing its successor, so that a miss
     # does not hold two at once.
-    cached = _noise_scope.entry = None
+    scope.noise = None
     noise = stream.standard_normal((n_rows, n_samples))
     noise.setflags(write=False)
-    _noise_scope.entry = (key, noise)
+    scope.noise = (seed, noise)
     return noise
 
 
@@ -301,9 +275,9 @@ def simulate_intervals(model: FittedModel, forecast: Forecast, seed: int) -> dic
     Rows are drawn, sorted and read in blocks of about ``_BLOCK_CELLS``
     cells, history and future rows apart, so no sample matrix grows with
     the grid, and no bound depends on the block size. Inside
-    ``shared_future_noise`` the simulations of a (seed, sample count) share
-    one future-noise draw, and a shorter horizon reads a prefix of a longer
-    one, which is exactly what its own draw would give.
+    ``features.shared_fold_work`` the simulations of a seed under the
+    scope's config share one future-noise draw, and a shorter horizon reads
+    a prefix of a longer one, which is exactly what its own draw would give.
     """
     history_stream, future_stream, trend_stream = _streams(seed)
     levels = model.config.interval_levels
@@ -316,7 +290,10 @@ def simulate_intervals(model: FittedModel, forecast: Forecast, seed: int) -> dic
     bounds = np.empty((len(qs), len(forecast)))
 
     step = max(1, _BLOCK_CELLS // n_samples)
-    shared = _shared_future_noise(int(seed), future_stream, len(forecast) - first, n_samples)
+    scope = fold_work(model.config)
+    shared = None if scope is None else _shared_future_noise(
+        scope, int(seed), future_stream, len(forecast) - first, n_samples
+    )
     deviations = _trend_deviations(model, evaluation, first, trend_stream, step)
     for start, stop, stream in ((0, first, history_stream), (first, len(forecast), future_stream)):
         for lo in range(start, stop, step):

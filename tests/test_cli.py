@@ -1299,6 +1299,51 @@ class TestCompareCommand:
         assert sorted(tmp_path.iterdir()) == sorted([data, cfg])
         assert_one_error_line(capsys, "DomainError", "manifest failed")
 
+    def test_failing_candidate_is_named(self, tmp_path, rng, capsys):
+        data = tmp_path / "data.csv"
+        days = self.seasonal_data(data, rng, n=400)
+        ok, big, naive = (tmp_path / f"{stem}.json" for stem in ("ok", "big", "nv"))
+        small_config(ok)
+        big.write_text(json.dumps(
+            {"seasonalities": [{"name": "yearly", "period": 365.25, "fourier_order": 200}]}
+        ))
+        naive.write_text(json.dumps({"baseline": "naive"}))
+        before = sorted(tmp_path.iterdir())
+        code = main(
+            ["compare", "--input", str(data), "--config", str(ok), str(big), str(naive),
+             "--cutoff", format_epoch_day(int(days[320])), "--output", str(tmp_path / "o.json")]
+        )
+        assert code == 1
+        assert sorted(tmp_path.iterdir()) == before
+        assert_one_error_line(capsys, "UnderdeterminedModel", "candidate 'big': ")
+
+    def test_model_candidates_do_not_interact(self, tmp_path, rng, capsys):
+        """Two models under one seed, horizon and sample count get the
+        entries, in the report and in the manifest, that each gets in a
+        compare of its own."""
+        data = tmp_path / "data.csv"
+        days = self.seasonal_data(data, rng, n=400)
+        a, b, naive = (tmp_path / f"{stem}.json" for stem in ("a", "b", "naive"))
+        small_config(a, n_changepoints=3)
+        small_config(b, n_changepoints=5)
+        naive.write_text(json.dumps({"baseline": "naive"}))
+
+        def compare(*configs):
+            out = tmp_path / ("_".join(p.stem for p in configs) + ".json")
+            assert main(
+                ["compare", "--input", str(data), "--config", *map(str, configs),
+                 "--cutoff", format_epoch_day(int(days[320])), "--output", str(out),
+                 "--seed", "11"]
+            ) == 0
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            return json.loads(out.read_text())["models"], manifest["metrics"]
+
+        together = compare(a, b, naive)
+        for model in (a, b):
+            for got, alone in zip(together, compare(model, naive)):
+                assert got[model.stem] == alone[model.stem]
+        assert together[0]["a"] != together[0]["b"]
+
 
 class TestOutputFiles:
     """Every output is published whole through one writer: a new file gets

@@ -337,14 +337,14 @@ class TestJacobianOracle:
 
     @pytest.mark.parametrize("weekdays", [False, True])
     def test_logistic_holidays_in_shared_scope(self, rng, weekdays):
-        from addcast.features import shared_day_columns
+        from addcast.features import shared_fold_work
         from addcast.timeseries import filter_weekdays
 
         ts, config = logistic_holiday_problem(rng)
         if weekdays:
             ts = filter_weekdays(ts)
         train = ts.slice_mask(ts.timestamps <= ts.timestamps[0] + 500)
-        with shared_day_columns(config, ts.timestamps):
+        with shared_fold_work(config, ts.timestamps):
             design = build_design(train, config)
         y = train.values / np.max(np.abs(train.values))
         self.assert_matches(rng, design, y, TrendSpec(growth="logistic", capacity=1.2))

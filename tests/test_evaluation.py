@@ -229,9 +229,10 @@ class TestRollingCv:
 
 class TestSharedDayColumnsInCv:
     """rolling_cv builds the seasonal and holiday columns of the series once
-    (``features.shared_day_columns``); its folds equal folds whose designs
-    are all built alone, bit for bit, and the build is dropped when it
-    returns, also when a fold fails."""
+    and draws future noise once (``features.shared_fold_work``); its folds
+    equal folds whose designs are all built and whose noise is all drawn
+    alone, bit for bit, and the scope is dropped when it returns, also when
+    a fold fails."""
 
     @staticmethod
     def without_scope(monkeypatch):
@@ -240,7 +241,7 @@ class TestSharedDayColumnsInCv:
         import addcast.evaluation
 
         monkeypatch.setattr(
-            addcast.evaluation, "shared_day_columns", lambda *args: contextlib.nullcontext()
+            addcast.evaluation, "shared_fold_work", lambda *args: contextlib.nullcontext()
         )
 
     @pytest.mark.parametrize("weekdays", [False, True])
@@ -249,7 +250,7 @@ class TestSharedDayColumnsInCv:
                  "interleaved_modes"]
     )
     def test_folds_equal_folds_built_alone(self, monkeypatch, name, weekdays):
-        from addcast.features import _day_scope
+        from addcast.features import _fold_scope
 
         from test_features import scope_configs
 
@@ -262,7 +263,7 @@ class TestSharedDayColumnsInCv:
         if weekdays:
             ts = filter_weekdays(ts)
         shared = rolling_cv(config, ts, 200, 37, 30)
-        assert not hasattr(_day_scope, "entry")
+        assert not hasattr(_fold_scope, "entry")
         self.without_scope(monkeypatch)
         alone = rolling_cv(config, ts, 200, 37, 30)
         assert len(shared) == len(alone) >= 3
@@ -278,23 +279,52 @@ class TestSharedDayColumnsInCv:
     def test_scope_open_during_folds_and_dropped_after(self, rng, monkeypatch):
         import addcast.evaluation
         from addcast.errors import UnderdeterminedModel
-        from addcast.features import _day_scope
+        from addcast.features import _fold_scope
 
         ts, config = small_cv_setup(rng)
         seen = []
         real_fit = addcast.evaluation.fit
 
         def spy(train, fit_config):
-            seen.append(_day_scope.entry.config is fit_config)
+            seen.append(_fold_scope.entry.config is fit_config)
             return real_fit(train, fit_config)
 
         monkeypatch.setattr(addcast.evaluation, "fit", spy)
         folds = rolling_cv(config, ts, 150, 60, 25)
         assert seen == [True] * len(folds)
-        assert not hasattr(_day_scope, "entry")
+        assert not hasattr(_fold_scope, "entry")
         with pytest.raises(UnderdeterminedModel):
             rolling_cv(ModelConfig(), ts, initial=40, period=209, horizon=30)
-        assert not hasattr(_day_scope, "entry")
+        assert not hasattr(_fold_scope, "entry")
+
+    def test_equal_horizon_folds_build_once_and_draw_once(self, rng, monkeypatch):
+        """The share the CV medians rest on: four equal-horizon folds build
+        the series' day columns once and draw future noise once. A fold
+        that lost the scope (say, under a copy of the config) would build
+        and draw its own, with the same bits."""
+        import addcast.features
+        from addcast import forecast
+        from addcast.features import _fold_scope
+
+        ts, config = small_cv_setup(rng)
+        builds, draws = [], []
+        day_blocks, shared_noise = addcast.features._day_blocks, forecast._shared_future_noise
+
+        def count_build(t, *args):
+            builds.append(len(t))
+            return day_blocks(t, *args)
+
+        def keep_draw(*args):
+            draws.append(shared_noise(*args))
+            return draws[-1]
+
+        monkeypatch.setattr(addcast.features, "_day_blocks", count_build)
+        monkeypatch.setattr(forecast, "_shared_future_noise", keep_draw)
+        folds = rolling_cv(config, ts, 120, 40, 30)
+        assert len(folds) == len(draws) == 4
+        assert builds == [len(ts)]
+        assert all(np.shares_memory(draws[0], draw) for draw in draws[1:])
+        assert not hasattr(_fold_scope, "entry")
 
 
 class TestPerformanceByHorizon:

@@ -16,7 +16,7 @@ from addcast.errors import DomainError, DuplicateTimestamp, MissingRegressorValu
 from addcast.estimator import row_dot
 from addcast.features import (
     TimeScaling,
-    _day_scope,
+    _fold_scope,
     build_design,
     changepoint_basis,
     design_for_grid,
@@ -25,7 +25,7 @@ from addcast.features import (
     gamma_from_delta,
     holiday_features,
     place_changepoints,
-    shared_day_columns,
+    shared_fold_work,
 )
 from addcast.timeseries import TimeSeries, filter_weekdays, parse_iso_date
 
@@ -485,7 +485,7 @@ def scope_configs(days):
 
 
 class TestSharedDayColumns:
-    """Inside ``shared_day_columns`` a design takes its seasonal and holiday
+    """Inside ``shared_fold_work`` a design takes its seasonal and holiday
     columns from one build over the series' days, and equals its own build
     bit for bit: X, and the mode columns as ``row_dot`` reads them."""
 
@@ -529,12 +529,12 @@ class TestSharedDayColumns:
             grids_alone = [
                 design_for_grid(g, config, scaling, alone.changepoints_scaled) for g in grids
             ]
-            with shared_day_columns(config, ts.timestamps):
+            with shared_fold_work(config, ts.timestamps):
                 shared = build_design(train, config)
                 grids_shared = [
                     design_for_grid(g, config, scaling, alone.changepoints_scaled) for g in grids
                 ]
-                built = _day_scope.entry.columns
+                built = _fold_scope.entry.columns
             assert built.shape == (
                 len(ts), alone.X.shape[1] - alone.layout.trend.width - len(config.regressors)
             )
@@ -551,9 +551,9 @@ class TestSharedDayColumns:
         days = np.concatenate(([parse_iso_date("1020-01-01")], days))
         ts = TimeSeries(days, rng.normal(5.0, 1.0, len(days)))
         alone = build_design(ts, config)
-        with shared_day_columns(config, ts.timestamps):
+        with shared_fold_work(config, ts.timestamps):
             shared = build_design(ts, config)
-            built = _day_scope.entry.columns
+            built = _fold_scope.entry.columns
         assert built.shape == (len(ts), alone.X.shape[1] - alone.layout.trend.width)
         self.assert_same_design(shared, alone, rng)
 
@@ -562,15 +562,15 @@ class TestSharedDayColumns:
         config = scope_configs(days)["logistic_multiplicative_holidays"]
         ts = TimeSeries(days, rng.normal(5.0, 1.0, len(days)))
         alone = build_design(ts, config)
-        with shared_day_columns(config, days[10:]):
+        with shared_fold_work(config, days[10:]):
             # The first ten days are not in the scope's series.
             self.assert_same_design(build_design(ts, config), alone, rng)
-            assert _day_scope.entry.columns is None
+            assert _fold_scope.entry.columns is None
             other = scope_configs(days)["logistic_multiplicative_holidays"]
             self.assert_same_design(build_design(ts, other), alone, rng)
-            assert _day_scope.entry.columns is None
+            assert _fold_scope.entry.columns is None
             grid = design_for_grid(days[20:40], config, TimeScaling(0.0, 1.0), np.empty(0))
-            assert _day_scope.entry.columns is not None
+            assert _fold_scope.entry.columns is not None
         assert grid.X.shape == (20, alone.X.shape[1] - alone.layout.trend.width)
 
     def test_regressor_error_keeps_its_message(self):
@@ -583,22 +583,18 @@ class TestSharedDayColumns:
         ts = TimeSeries(days, np.arange(30.0))
         with pytest.raises(MissingRegressorValue) as alone:
             build_design(ts, config)
-        with shared_day_columns(config, days):
+        with shared_fold_work(config, days):
             with pytest.raises(MissingRegressorValue) as shared:
                 build_design(ts, config)
         assert str(shared.value) == str(alone.value)
 
-    def test_scope_is_dropped_and_an_enclosing_one_restored(self):
+    def test_scope_is_dropped_on_exit_and_on_error(self):
         config = ModelConfig()
-        assert not hasattr(_day_scope, "entry")
-        with shared_day_columns(config, np.arange(0, 10)):
-            outer = _day_scope.entry
-            with shared_day_columns(config, np.arange(5, 20)):
-                assert _day_scope.entry is not outer
-                assert _day_scope.entry.days[0] == 5
-            assert _day_scope.entry is outer
-        assert not hasattr(_day_scope, "entry")
+        assert not hasattr(_fold_scope, "entry")
+        with shared_fold_work(config, np.arange(0, 10)):
+            assert _fold_scope.entry.config is config
+        assert not hasattr(_fold_scope, "entry")
         with pytest.raises(RuntimeError):
-            with shared_day_columns(config, np.arange(0, 10)):
+            with shared_fold_work(config, np.arange(0, 10)):
                 raise RuntimeError
-        assert not hasattr(_day_scope, "entry")
+        assert not hasattr(_fold_scope, "entry")

@@ -2,8 +2,8 @@
 
 The simulator samples all rows in row blocks, carries the trend deviations'
 running sums from block to block, shares one future-noise draw between the
-simulations of a (seed, sample count) inside ``shared_future_noise``, and
-computes the trend deviations in place. The oracle below is the form it
+simulations of a seed inside ``features.shared_fold_work``, and computes the
+trend deviations in place. The oracle below is the form it
 replaced: one (rows, S) sample matrix per call, filled by one history draw
 and one fresh future draw, with the trend deviations of all future rows and
 samples computed at once and out of place.
@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from addcast import forecast
+from addcast import features, forecast
 from addcast.config import ModelConfig, SeasonalitySpec, TrendSpec
 from addcast.estimator import fit
 from addcast.evaluation import rolling_cv
@@ -98,9 +98,15 @@ def assert_same_bits(got, expected):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def fold_scope(model):
+    """A ``shared_fold_work`` scope for the simulations of ``model``."""
+    return features.shared_fold_work(model.config, model.train_timestamps)
+
+
 def kept_noise():
-    """The shared future-noise entry of this thread's open scope."""
-    return forecast._noise_scope.entry
+    """The shared future-noise entry of this thread's open scope, as (seed,
+    array)."""
+    return features._fold_scope.entry.noise
 
 
 @pytest.fixture(scope="module", params=["linear", "logistic"])
@@ -163,7 +169,7 @@ class TestFullMatrixOracle:
         for cells in (1, 7, 20, 7 * 65):
             monkeypatch.setattr(forecast, "_BLOCK_CELLS", cells)
             assert_same_bits(simulate_intervals(model, predict(model, grid), 11), expected)
-            with forecast.shared_future_noise():
+            with fold_scope(model):
                 assert_same_bits(simulate_intervals(model, predict(model, grid), 11), expected)
 
     def test_no_interval_levels(self, model):
@@ -175,15 +181,15 @@ class TestFullMatrixOracle:
 
     def test_interleaved_seeds(self, model):
         grid = grid_of(model, 10, 90)
-        with forecast.shared_future_noise():
+        with fold_scope(model):
             for seed in (3, 4, 3):
                 got = simulate_intervals(model, predict(model, grid), seed)
                 assert_same_bits(got, oracle_bounds(model, grid, seed))
-            assert kept_noise()[0] == (3, model.config.interval_samples)
+            assert kept_noise()[0] == 3
 
     def test_shorter_horizon_reads_a_prefix(self, model):
         long, short = grid_of(model, 0, 90), grid_of(model, 0, 30)
-        with forecast.shared_future_noise():
+        with fold_scope(model):
             assert_same_bits(
                 simulate_intervals(model, predict(model, long), 5), oracle_bounds(model, long, 5)
             )
@@ -196,7 +202,7 @@ class TestFullMatrixOracle:
 
     def test_longer_horizon_draws_anew(self, model):
         short, long = grid_of(model, 0, 30), grid_of(model, 0, 90)
-        with forecast.shared_future_noise():
+        with fold_scope(model):
             assert_same_bits(
                 simulate_intervals(model, predict(model, short), 5), oracle_bounds(model, short, 5)
             )
@@ -206,7 +212,7 @@ class TestFullMatrixOracle:
             assert len(kept_noise()[1]) == 90
 
     def test_kept_noise_is_read_only(self, model):
-        with forecast.shared_future_noise():
+        with fold_scope(model):
             simulate_intervals(model, predict(model, grid_of(model, 0, 20)), 5)
             noise = kept_noise()[1]
         assert not noise.flags.writeable
@@ -216,14 +222,15 @@ class TestFullMatrixOracle:
     def test_nothing_is_kept_outside_a_scope(self, model):
         grid = grid_of(model, 0, 20)
         simulate_intervals(model, predict(model, grid), 5)
-        assert not hasattr(forecast._noise_scope, "entry")
-        with forecast.shared_future_noise():
+        assert not hasattr(features._fold_scope, "entry")
+        # a scope under another config keeps nothing either
+        with features.shared_fold_work(replace(model.config), model.train_timestamps):
             simulate_intervals(model, predict(model, grid), 5)
-            with forecast.shared_future_noise():
-                noise = kept_noise()[1]
-            # an inner scope leaves the outer one's draw in place
-            assert kept_noise()[1] is noise
-        assert not hasattr(forecast._noise_scope, "entry")
+            assert kept_noise() is None
+        with fold_scope(model):
+            simulate_intervals(model, predict(model, grid), 5)
+            assert kept_noise() is not None
+        assert not hasattr(features._fold_scope, "entry")
 
     def test_threads_with_different_seeds_match_serial(self, model):
         grids = [grid_of(model, 5, 90), grid_of(model, 0, 40)]
@@ -237,7 +244,7 @@ class TestFullMatrixOracle:
 
         def work(seed):
             try:
-                with forecast.shared_future_noise():
+                with fold_scope(model):
                     for _ in range(15):
                         for i, grid in enumerate(grids):
                             got = simulate_intervals(model, predict(model, grid), seed)
@@ -257,7 +264,7 @@ class TestFullMatrixOracle:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        assert not hasattr(forecast._noise_scope, "entry")
+        assert not hasattr(features._fold_scope, "entry")
 
 
 def test_rolling_cv_on_weekdays_equals_folds_simulated_alone():
@@ -285,4 +292,4 @@ def test_rolling_cv_on_weekdays_equals_folds_simulated_alone():
             assert np.array_equal(fold.bounds[level][0].view(np.int64), lo[idx].view(np.int64))
             assert np.array_equal(fold.bounds[level][1].view(np.int64), hi[idx].view(np.int64))
     assert len(folds) >= 4 and len(periods) > 1
-    assert not hasattr(forecast._noise_scope, "entry")
+    assert not hasattr(features._fold_scope, "entry")
