@@ -93,6 +93,13 @@ def _preprocess(ts: TimeSeries, args) -> TimeSeries:
     return ts
 
 
+def _refuse_missing(ts: TimeSeries, path, what="value", hint="; pass --forward-fill to fill it"):
+    """A DomainError naming the first day of ``ts`` whose value is missing."""
+    if ts.has_missing:
+        day = format_epoch_day(int(ts.timestamps[np.isnan(ts.values)][0]))
+        raise DomainError(f"{path}: missing {what} on {day}{hint}")
+
+
 def _effective_config(path, seed) -> ModelConfig:
     config = load_config(path)
     if seed is not None:
@@ -146,6 +153,7 @@ def cmd_predict(args) -> int:
 def cmd_cv(args) -> int:
     config = _effective_config(args.config, args.seed)
     ts = _preprocess(load_csv(args.input[0]), args)
+    _refuse_missing(ts, args.input[0])  # before any fold is fit
     require_fold_export_level(config.interval_levels)  # before any fold is fit
     folds = rolling_cv(config, ts, args.initial_days, args.period_days, args.horizon_days)
     metrics = {str(day): report for day, report in performance_by_horizon(folds).items()}
@@ -157,9 +165,7 @@ def cmd_cv(args) -> int:
 
 def cmd_evaluate(args) -> int:
     truth = load_csv(args.input[0])
-    if truth.has_missing:
-        day = truth.timestamps[np.isnan(truth.values)][0]
-        raise DomainError(f"{args.input[0]}: missing truth value on {format_epoch_day(int(day))}")
+    _refuse_missing(truth, args.input[0], "truth value", "")
     bounds = bound_columns(COVERAGE_LEVEL)
     days, table = read_columns(args.input[1], ("yhat",), optional=[bounds])
     if not np.array_equal(days, truth.timestamps):
@@ -237,13 +243,14 @@ def _run_candidate(spec, train: TimeSeries, test: TimeSeries, seed):
             return naive_forecast(train.values, len(test)), None
         return seasonal_naive(train.values, len(test), spec.get("period", 7)), None
 
-    config = spec if seed is None else spec.with_seed(seed)
+    config = spec.with_seed(seed)
     yhat, bounds = holdout_forecast(config, train, test.timestamps, int(test.timestamps[-1]))
     return yhat, bounds.get(COVERAGE_LEVEL)
 
 
 def cmd_compare(args) -> int:
     ts = _preprocess(load_csv(args.input[0]), args)
+    _refuse_missing(ts, args.input[0])  # before any candidate is fit
     cutoff = parse_iso_date(args.cutoff)
     train, test = chronological_split(ts, cutoff)
 
@@ -258,7 +265,7 @@ def cmd_compare(args) -> int:
     candidates = []
     for name, spec in specs:
         try:
-            candidates.append((name, *_run_candidate(spec, train, test, args.seed)))
+            candidates.append((name, *_run_candidate(spec, train, test, seed)))
         except AddcastError as exc:
             raise type(exc)(f"candidate {name!r}: {exc}") from exc
 
@@ -371,7 +378,7 @@ def main(argv=None) -> int:
         if sys.stdout is not None:
             sys.stdout.flush()
         return code
-    except (AddcastError, OSError, json.JSONDecodeError, MemoryError) as exc:
+    except (AddcastError, OSError, MemoryError) as exc:
         # numpy's failed allocations raise a private subclass of MemoryError
         kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         line = json.dumps({"error": kind, "message": str(exc)})

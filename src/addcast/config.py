@@ -43,8 +43,7 @@ class TrendSpec:
             raise DomainError("n_changepoints must be >= 0")
         if not (0 < self.changepoint_range <= 1):
             raise DomainError("changepoint_range must be in (0, 1]")
-        if not 0 < self.changepoint_prior_scale < math.inf:
-            raise DomainError("changepoint_prior_scale must be positive and finite")
+        _check_prior_scale("", self.changepoint_prior_scale, "changepoint_prior_scale")
         if self.growth == "logistic":
             if self.capacity is None:
                 raise DomainError("logistic growth requires a capacity")
@@ -54,17 +53,19 @@ class TrendSpec:
             raise DomainError("capacity is only meaningful for logistic growth")
 
 
-def _check_prior_scale(owner: str, scale: float) -> None:
-    """A scale must be finite, and a coefficient's Gaussian prior has
-    precision 1 / scale**2, which must be finite too: a positive scale whose
-    square underflows to 0, or whose inverse square overflows, is rejected."""
+def _check_prior_scale(owner: str, scale: float, name: str = "prior_scale") -> None:
+    """A scale must be finite, and so must 1 / scale**2: a positive scale
+    whose square underflows to 0, or whose inverse square overflows, is
+    rejected. That is the precision of a coefficient's Gaussian prior. The
+    changepoint prior's Laplace penalty has curvature up to
+    1 / (softabs(0) * scale) = 1e5 / scale in the solver's Hessian, which
+    overflows below a scale of ~5.6e-304; the same bound keeps it far from
+    that."""
     if not 0 < scale < math.inf:
-        raise DomainError(f"{owner}: prior_scale must be positive and finite")
+        raise DomainError(f"{owner}{name} must be positive and finite")
     square = scale * scale
     if square == 0.0 or math.isinf(1.0 / square):
-        raise DomainError(
-            f"{owner}: prior_scale {scale!r} is too small: 1 / prior_scale**2 overflows"
-        )
+        raise DomainError(f"{owner}{name} {scale!r} is too small: 1 / {name}**2 overflows")
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class SeasonalitySpec:
             raise DomainError(f"seasonality {self.name!r}: period must be positive and finite")
         if self.fourier_order < 1:
             raise DomainError(f"seasonality {self.name!r}: fourier_order must be >= 1")
-        _check_prior_scale(f"seasonality {self.name!r}", self.prior_scale)
+        _check_prior_scale(f"seasonality {self.name!r}: ", self.prior_scale)
         if self.mode not in ("additive", "multiplicative"):
             raise DomainError(f"seasonality {self.name!r}: unknown mode {self.mode!r}")
 
@@ -115,7 +116,7 @@ class HolidaySpec:
                 f"holiday {self.name!r}: windows must be <= {MAX_HOLIDAY_WINDOW} days,"
                 " the span of representable dates"
             )
-        _check_prior_scale(f"holiday {self.name!r}", self.prior_scale)
+        _check_prior_scale(f"holiday {self.name!r}: ", self.prior_scale)
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ class RegressorSpec:
     values: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_prior_scale(f"regressor {self.name!r}", self.prior_scale)
+        _check_prior_scale(f"regressor {self.name!r}: ", self.prior_scale)
         values = {int(k): float(v) for k, v in self.values.items()}
         if not all(map(math.isfinite, values.values())):
             raise DomainError(f"regressor {self.name!r}: values must be finite")

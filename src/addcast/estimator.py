@@ -225,15 +225,21 @@ class _Derivatives:
             J[:, columns] = W[rows].T
         return J
 
-    def __call__(self, parts: ModelParts, r: np.ndarray):
+    def __call__(self, evaluation):
         """Exact gradient, and the Gauss-Newton Hessian J^T J plus the exact
-        curvature of the penalties. J^T J is the exact Hessian of the data
-        term for linear growth with additive seasonality."""
+        curvature of the penalties, at an ``_objective`` evaluation; J^T J is
+        the exact Hessian of the data term for linear growth with additive
+        seasonality. A value or gradient that is not finite raises."""
+        value, parts, r = evaluation
+        if not np.isfinite(value):
+            raise NonFiniteObjective(f"objective evaluated to {value}")
         tau = self.design.layout.trend.prior_scales
         sa = softabs(parts.delta)
         J = self.jacobian(parts)
         gradient = -(J.T @ r)
         gradient[2:] += np.concatenate((parts.delta / (sa * tau), parts.beta * self.inv_var))
+        if not np.all(np.isfinite(gradient)):
+            raise NonFiniteGradient("gradient contains non-finite entries")
         hessian = self.gram.copy() if self.gram is not None else _gram(J)
         curvature = np.concatenate(([0.0, 0.0], SOFTABS_EPS / (sa**3 * tau), self.inv_var))
         hessian.flat[self.diagonal] += curvature
@@ -255,11 +261,9 @@ def map_objective(params, design: DesignMatrix, y: np.ndarray, trend: TrendSpec)
 
 def map_gradient(params, design: DesignMatrix, y: np.ndarray, trend: TrendSpec) -> np.ndarray:
     """Exact gradient of map_objective under the same parameter packing."""
-    _, parts, r = _objective(np.asarray(params, dtype=np.float64), design, y, trend)
-    grad, _ = _Derivatives(design, trend.growth)(parts, r)
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteGradient("gradient contains non-finite entries")
-    return grad
+    evaluation = _objective(np.asarray(params, dtype=np.float64), design, y, trend)
+    gradient, _ = _Derivatives(design, trend.growth)(evaluation)
+    return gradient
 
 
 def estimate_sigma(residuals) -> float:
@@ -351,24 +355,26 @@ class FittedModel:
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Where the solver stopped: the parameters, the objective there, the
-    accepted steps taken and the objective evaluations made."""
+    """Where the solver stopped: the parameters, the evaluation and objective
+    there, the accepted steps taken and the objective evaluations made."""
 
     x: np.ndarray
     fun: float
     nit: int
     nfev: int
+    evaluation: tuple
 
 
-def minimize(objective, derivatives, x0, callback=None) -> MinimizeResult:
+def minimize(evaluate, derivatives, x0, callback=None) -> MinimizeResult:
     """Damped Gauss-Newton (Levenberg-Marquardt) minimization.
 
-    ``objective(x)`` returns the objective value; ``derivatives(x)`` returns
-    its gradient g and a positive-semidefinite Hessian approximation H. Each
-    step solves (H + lam * diag(H)) p = -g by Cholesky and is accepted only
-    if it does not raise the objective; lam shrinks after an accepted step
-    and grows after a rejected one, so a rejected step is retried shorter
-    until it is accepted. ``callback(x)`` runs after every accepted step.
+    ``evaluate(x)`` returns an evaluation whose first item is the objective
+    value; ``derivatives(evaluation)`` returns the gradient g and a
+    positive-semidefinite Hessian approximation H at an accepted evaluation.
+    Each step solves (H + lam * diag(H)) p = -g by Cholesky and is accepted
+    only if it does not raise the objective; lam shrinks after an accepted
+    step and grows after a rejected one, so a rejected step is retried
+    shorter until it is accepted. ``callback(x)`` runs after each accepted step.
 
     Stops when max|g| <= GRADIENT_TOLERANCE, or when an accepted step lowers
     the objective by at most OBJECTIVE_TOLERANCE * max(|f|, 1), which
@@ -376,12 +382,12 @@ def minimize(objective, derivatives, x0, callback=None) -> MinimizeResult:
     MAX_ITERATIONS accepted steps did not get there.
     """
     x = np.array(x0, dtype=np.float64)
-    f = objective(x)
+    evaluation = evaluate(x)
     nfev = 1
     nit = 0
     damping = INITIAL_DAMPING
     while True:
-        gradient, hessian = derivatives(x)
+        gradient, hessian = derivatives(evaluation)
         if np.max(np.abs(gradient)) <= GRADIENT_TOLERANCE:
             break
         if nit >= MAX_ITERATIONS:
@@ -391,6 +397,7 @@ def minimize(objective, derivatives, x0, callback=None) -> MinimizeResult:
         # matrix stays positive definite.
         diagonal = np.diag(hessian)
         scale = np.maximum(diagonal, np.finfo(np.float64).eps * np.max(diagonal))
+        f = evaluation[0]
         while True:
             try:
                 lower = np.linalg.cholesky(hessian + np.diag(damping * scale))
@@ -398,22 +405,20 @@ def minimize(objective, derivatives, x0, callback=None) -> MinimizeResult:
                 damping *= DAMPING_FACTOR
                 continue
             step = np.linalg.solve(lower.T, np.linalg.solve(lower, -gradient))
-            trial = objective(x + step)
+            evaluation = evaluate(x + step)
             nfev += 1
-            if trial <= f:
+            if evaluation[0] <= f:
                 break
             damping *= DAMPING_FACTOR
         x = x + step
-        decrease = f - trial
-        f = trial
         nit += 1
         if callback is not None:
             callback(x)
-        if decrease <= OBJECTIVE_TOLERANCE * max(abs(f), 1.0):
+        if f - evaluation[0] <= OBJECTIVE_TOLERANCE * max(abs(evaluation[0]), 1.0):
             break
         # Floored so that a long run of accepted steps cannot drive it to zero.
         damping = max(damping / DAMPING_FACTOR, np.finfo(np.float64).eps)
-    return MinimizeResult(x, f, nit, nfev)
+    return MinimizeResult(x, evaluation[0], nit, nfev, evaluation)
 
 
 def _initial_parameters(
@@ -444,8 +449,8 @@ def _initial_parameters(
 
 
 def fit(ts: TimeSeries, config: ModelConfig) -> FittedModel:
-    """Estimate all model parameters on a dense series.
-
+    """Estimate all model parameters on a dense series; sigma comes from the
+    residuals of the ``_objective`` evaluation that ``minimize`` stopped at.
     Deterministic: no randomness enters point estimation, so identical inputs
     give bit-identical models.
     """
@@ -469,34 +474,13 @@ def fit(ts: TimeSeries, config: ModelConfig) -> FittedModel:
         )
 
     trend = _scaled_trend(config.trend, y_scale)
-
-    # The last parameters evaluated and their (value, parts, residuals): the
-    # solver asks for derivatives at the point its accepted step just
-    # evaluated, and sigma is estimated where it stopped.
-    last = [None, None]
-    gradient_and_hessian = _Derivatives(design, trend.growth)
-
-    def evaluate(params):
-        if last[0] is None or not np.array_equal(params, last[0]):
-            last[:] = params, _objective(params, design, y_scaled, trend)
-        return last[1]
-
-    def objective(params):
-        return evaluate(params)[0]
-
-    def derivatives(params):
-        value, parts, r = evaluate(params)
-        if not np.isfinite(value):
-            raise NonFiniteObjective(f"objective evaluated to {value}")
-        gradient, hessian = gradient_and_hessian(parts, r)
-        if not np.all(np.isfinite(gradient)):
-            raise NonFiniteGradient("gradient contains non-finite entries")
-        return gradient, hessian
-
-    result = minimize(objective, derivatives, _initial_parameters(design, y_scaled, trend))
-    params = result.x
-    k, m, delta, beta = _split_params(params, design)
-    sigma = estimate_sigma(evaluate(params)[2])
+    result = minimize(
+        lambda params: _objective(params, design, y_scaled, trend),
+        _Derivatives(design, trend.growth),
+        _initial_parameters(design, y_scaled, trend),
+    )
+    k, m, delta, beta = _split_params(result.x, design)
+    sigma = estimate_sigma(result.evaluation[2])
 
     return FittedModel(
         config=config,

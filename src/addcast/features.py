@@ -83,16 +83,15 @@ def expit(x):
     return 0.5 * np.square(1.0 + u) / (1.0 + np.square(u))
 
 
-def growth_curve(rate, offset, t, trend: TrendSpec, scratch: bool = False) -> np.ndarray:
+def growth_curve(rate, offset, t, trend: TrendSpec) -> np.ndarray:
     """The growth curve g at times ``t`` from its per-row growth ``rate`` and
     ``offset``. Both growths share the trend line rate * t + offset: linear
     growth is the line itself and logistic growth is capacity * expit(line),
     so a continuous line (Taylor & Letham 2018, section 2.1) gives a
     continuous trend in both. ``trend``'s capacity is in the units of g.
     ``rate`` and ``offset`` have the shape of g, and ``t`` broadcasts
-    against them. With ``scratch`` they are the caller's temporaries, and
-    the line is formed in place over ``rate``; the bits are the same."""
-    g = np.multiply(rate, t, out=rate if scratch else None)
+    against them."""
+    g = rate * t
     g += offset
     if trend.growth == "logistic":
         g = expit(g)

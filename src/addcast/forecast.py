@@ -224,7 +224,7 @@ def _trend_deviations(model: FittedModel, evaluation: _Evaluation, first: int, s
         rows = slice(first + lo, first + hi)
         new_rate += parts.rate[rows, np.newaxis]
         np.subtract(parts.offset[rows, np.newaxis], new_offset, out=new_offset)
-        deviation = growth_curve(new_rate, new_offset, t[lo:hi, np.newaxis], trend, scratch=True)
+        deviation = growth_curve(new_rate, new_offset, t[lo:hi, np.newaxis], trend)
         deviation -= parts.trend[rows, np.newaxis]
         yield deviation
 

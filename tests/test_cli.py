@@ -53,6 +53,14 @@ def small_config(path, n_changepoints=3, seed=42):
     )
 
 
+def blank_day(path, day):
+    """Empty the value of ``day``'s row in a ds,y CSV."""
+    date = format_epoch_day(int(day))
+    lines = [f"{date}," if line.startswith(date + ",") else line
+             for line in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def assert_one_error_line(capsys, error, fragment):
     """stderr holds exactly one JSON error line of the given type, naming
     ``fragment``, and no traceback."""
@@ -234,6 +242,14 @@ class TestFitCommand:
                 {"trend": {"changepoint_prior_scale": INF}},
                 "DomainError",
                 "changepoint_prior_scale must be positive and finite",
+            ),
+            # the start point's penalty softabs(0) / scale overflowed, a
+            # RuntimeWarning that escaped main under -W error
+            (
+                {"trend": {"changepoint_prior_scale": 5e-324}},
+                "DomainError",
+                "changepoint_prior_scale 5e-324 is too small: "
+                "1 / changepoint_prior_scale**2 overflows",
             ),
         ],
     )
@@ -835,6 +851,34 @@ class TestCvCommand:
         assert sorted(tmp_path.iterdir()) == sorted([data, config])
         assert_one_error_line(capsys, "DomainError", "horizon_1d: a metric overflowed")
 
+    def test_missing_value_fails_before_fitting_and_writes_nothing(
+        self, tmp_path, rng, capsys, monkeypatch
+    ):
+        # every fold used to be fit, and then the NaN read as an overflowed
+        # horizon metric
+        import addcast.evaluation
+
+        data = tmp_path / "data.csv"
+        days, _ = synthetic_csv(data, rng, n=400)
+        blank_day(data, days[-1])
+        config = tmp_path / "config.json"
+        small_config(config)
+        monkeypatch.setattr(
+            addcast.evaluation, "fit", lambda *args: pytest.fail("a fold was fit")
+        )
+        code = main(
+            ["cv", "--input", str(data), "--config", str(config),
+             "--initial-days", "200", "--period-days", "60", "--horizon-days", "30",
+             "--output", str(tmp_path / "folds.csv")]
+        )
+        assert code == 1
+        assert sorted(tmp_path.iterdir()) == sorted([data, config])
+        assert_one_error_line(
+            capsys, "DomainError",
+            f"{data}: missing value on {format_epoch_day(int(days[-1]))};"
+            " pass --forward-fill to fill it",
+        )
+
     def test_fold_export_checks_every_fold_before_opening(self, tmp_path, rng):
         from addcast.errors import DomainError
         from addcast.evaluation import CvFold, write_cv_folds_csv
@@ -1277,6 +1321,35 @@ class TestCompareCommand:
         assert code == 1
         assert sorted(tmp_path.iterdir()) == before
         assert_one_error_line(capsys, error, fragment)
+
+    # A test row and the last train row were read by a baseline and gave "a
+    # metric overflowed"; an early row no baseline reads gave a report.
+    @pytest.mark.parametrize("row", [330, 320, 10], ids=["test", "last_train", "early"])
+    def test_missing_value_fails_before_any_candidate_runs(
+        self, tmp_path, rng, capsys, monkeypatch, row
+    ):
+        import addcast.cli
+
+        monkeypatch.setattr(
+            addcast.cli, "_run_candidate", lambda *args: pytest.fail("a candidate ran")
+        )
+        data = tmp_path / "data.csv"
+        days = self.seasonal_data(data, rng, n=400)
+        blank_day(data, days[row])
+        paths = [tmp_path / "naive.json", tmp_path / "seasonal.json"]
+        paths[0].write_text(json.dumps({"baseline": "naive"}))
+        paths[1].write_text(json.dumps({"baseline": "seasonal_naive"}))
+        code = main(
+            ["compare", "--input", str(data), "--config", *map(str, paths),
+             "--cutoff", format_epoch_day(int(days[320])), "--output", str(tmp_path / "o.json")]
+        )
+        assert code == 1
+        assert sorted(tmp_path.iterdir()) == sorted([data, *paths])
+        assert_one_error_line(
+            capsys, "DomainError",
+            f"{data}: missing value on {format_epoch_day(int(days[row]))};"
+            " pass --forward-fill to fill it",
+        )
 
     def test_failing_manifest_writes_nothing(self, tmp_path, rng, capsys, monkeypatch):
         # the report used to be written before the manifest was built

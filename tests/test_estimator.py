@@ -208,8 +208,7 @@ class TestHessian:
         worst = 0.0
         for _ in range(5):
             params = rng.normal(0, 0.5, n_params)
-            _, parts, r = _objective(params, design, y, trend)
-            _, analytic = _Derivatives(design, trend.growth)(parts, r)
+            _, analytic = _Derivatives(design, trend.growth)(_objective(params, design, y, trend))
             numeric = np.empty_like(analytic)
             for i in range(n_params):
                 hi = params.copy()
@@ -385,8 +384,9 @@ class TestDerivativesWorkspace:
         derivatives = _Derivatives(design, trend.growth)
         for _ in range(4):
             params = rng.normal(0, 0.5, 2 + design.X.shape[1])
-            _, parts, r = _objective(params, design, y, trend)
-            gradient, hessian = derivatives(parts, r)
+            evaluation = _objective(params, design, y, trend)
+            _, parts, r = evaluation
+            gradient, hessian = derivatives(evaluation)
             expected_gradient, expected_hessian = rebuilt_gradient_and_hessian(parts, r, design)
             assert gradient.tobytes() == expected_gradient.tobytes()
             assert hessian.tobytes() == expected_hessian.tobytes()
@@ -404,9 +404,9 @@ class TestDerivativesWorkspace:
             grams.append(1)
             return real_gram(J)
 
-        def counted_call(self, parts, r):
+        def counted_call(self, evaluation):
             calls.append(1)
-            return real_call(self, parts, r)
+            return real_call(self, evaluation)
 
         monkeypatch.setattr(est, "_gram", counted_gram)
         monkeypatch.setattr(est._Derivatives, "__call__", counted_call)
@@ -641,6 +641,29 @@ class TestFit:
         fit(TimeSeries(days, y), config)
         assert len(results) == 1 and results[0].nit >= 2
         assert len(parts_calls) == results[0].nfev
+
+    @pytest.mark.parametrize("logistic", [False, True])
+    def test_result_carries_the_evaluation_it_stopped_at(self, rng, monkeypatch, logistic):
+        if logistic:
+            ts, config = logistic_holiday_problem(rng)
+        else:
+            n = 300
+            days = daily_days("2020-01-01", n)
+            y = 3.0 + np.arange(n) / n + 0.3 * np.sin(2 * np.pi * days / 7.0)
+            ts = TimeSeries(days, y + rng.normal(0, 0.1, n))
+            config = ModelConfig(
+                seasonalities=(SeasonalitySpec(name="weekly", period=7.0, fourier_order=3),),
+            )
+        results = recorded_minimize(monkeypatch)
+        model = fit(ts, config)
+        (result,) = results
+        assert result.nit >= 1
+        assert result.evaluation[0] == result.fun
+        _, _, r = _objective(
+            result.x, build_design(ts, config), ts.values / model.y_scale, model.scaled_trend
+        )
+        assert result.evaluation[2].tobytes() == r.tobytes()
+        assert model.sigma == estimate_sigma(r)
 
     def test_sigma_matches_residual_std(self, rng):
         n = 200

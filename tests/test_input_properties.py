@@ -120,14 +120,16 @@ def mutated(draw, valid):
     return tree
 
 
-EDGE_VALUES = [0, -0.0, -1, -0.5, math.inf, -math.inf, math.nan, 1e308, 2**63, True, False]
+EDGE_VALUES = [
+    0, -0.0, -1, -0.5, math.inf, -math.inf, math.nan, 1e308, 5e-324, 2**63, True, False,
+]
 
 
 @st.composite
 def edge_valued(draw, valid):
     """A deep copy of the JSON tree ``valid`` with one to three of its
-    numbers set to edge values: zeros, negatives, infinities, NaN, huge
-    magnitudes, booleans, or a float where an integer stands."""
+    numbers set to edge values: zeros, negatives, infinities, NaN, huge and
+    subnormal magnitudes, booleans, or a float where an integer stands."""
     tree = json.loads(json.dumps(valid))
     numbers = [path for path in _paths(tree) if type(_leaf(tree, path)) in (int, float)]
     for path in draw(st.lists(st.sampled_from(numbers), min_size=1, max_size=3, unique=True)):
