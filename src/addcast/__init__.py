@@ -33,9 +33,8 @@ _EXPORTS = {
         "errors": ("AddcastError",),
         "estimator": ("FittedModel", "estimate_sigma", "fit", "map_gradient", "map_objective"),
         "evaluation": (
-            "CvFold", "coverage", "dm_test", "enumerate_cutoffs", "evaluate_forecast",
-            "mae", "mape", "performance_by_horizon", "rmse", "rolling_cv",
-            "write_cv_folds_csv",
+            "coverage", "dm_test", "enumerate_cutoffs", "evaluate_forecast", "mae",
+            "mape", "performance_by_horizon", "rmse", "rolling_cv", "write_cv_folds_csv",
         ),
         "features": (
             "DesignMatrix", "build_design", "changepoint_basis", "fourier_features",

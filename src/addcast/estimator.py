@@ -4,14 +4,16 @@ The objective is a Gaussian data misfit plus a (smoothed) Laplace penalty on
 changepoint rate adjustments and Gaussian penalties on all other coefficient
 blocks:
 
-    0.5 * sum(r_t^2) + sum_j softabs(delta_j) / tau + sum_c beta_c^2 / (2 * scale_c^2)
+    0.5 * sum(r_t^2) + sum_j (softabs(delta_j) - softabs(0)) / tau
+        + sum_c beta_c^2 / (2 * scale_c^2)
 
 with softabs(x) = sqrt(x^2 + SOFTABS_EPS) keeping the objective C^2, so the
-penalty has exact curvature. ``minimize`` is a damped Gauss-Newton
-(Levenberg-Marquardt) solver: it builds the Jacobian of the prediction from
-the model parts, adds the exact penalty curvature to J^T J, and converges in
-a handful of steps on these problems of at most ~100 parameters. Estimation
-operates on scaled time (training span mapped to [0, 1]) and scaled values
+penalty has exact curvature. Every penalty is zero at zero, so a small tau
+adds no constant that would swamp the data term in the solver's stop tests.
+``minimize`` is a damped Gauss-Newton (Levenberg-Marquardt) solver: it
+builds the Jacobian of the prediction from the model parts, adds the exact
+penalty curvature to J^T J, and converges in a handful of steps on these
+problems of at most ~100 parameters. Estimation operates on scaled time (training span mapped to [0, 1]) and scaled values
 (divided by the training max-abs), so prior scales mean the same thing
 across datasets.
 """
@@ -135,7 +137,7 @@ def _objective(params, design, y, trend):
     layout = design.layout
     value = (
         0.5 * float(r @ r)
-        + float(np.sum(softabs(parts.delta) / layout.trend.prior_scales))
+        + float(np.sum((softabs(parts.delta) - softabs(0.0)) / layout.trend.prior_scales))
         + 0.5 * float(np.sum(np.square(parts.beta) / layout.prior_variances))
     )
     return value, parts, r
@@ -247,7 +249,9 @@ class _Derivatives:
 
 
 def map_objective(params, design: DesignMatrix, y: np.ndarray, trend: TrendSpec) -> float:
-    """Penalized misfit of the packed parameter vector (lower is better).
+    """Penalized misfit of the packed parameter vector (lower is better), the
+    value the solver minimizes: 0.5 * sum(r^2) plus penalties that are each
+    zero at zero, so zero parameters on zero data give 0.
 
     ``params`` packs (k, m, delta over changepoints, then the coefficients of
     every non-trend block in design order). ``y`` is in scaled units; for
@@ -394,9 +398,10 @@ def minimize(evaluate, derivatives, x0, callback=None) -> MinimizeResult:
             raise ConvergenceFailure(f"no convergence within {MAX_ITERATIONS} iterations")
         # A zero diagonal entry (a parameter the data does not move, such as
         # the offset of a flat logistic trend) is floored so that the damped
-        # matrix stays positive definite.
+        # matrix stays positive definite. Only those are: a floor on every
+        # entry would freeze k, m and beta under a huge changepoint curvature.
         diagonal = np.diag(hessian)
-        scale = np.maximum(diagonal, np.finfo(np.float64).eps * np.max(diagonal))
+        scale = np.where(diagonal > 0, diagonal, np.finfo(np.float64).eps * np.max(diagonal))
         f = evaluation[0]
         while True:
             try:

@@ -4,7 +4,6 @@ summaries, and the Diebold-Mariano comparison test."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +26,12 @@ from .timeseries import TimeSeries, format_epoch_day, write_table
 # The interval level whose coverage every report states: the per-horizon CV
 # metrics, the fold export and compare's candidate reports.
 COVERAGE_LEVEL = 0.95
+
+# The fold export's columns, which are a fold's keys. Folds report coverage,
+# and can be exported, only when every one of them carries the
+# COVERAGE_LEVEL bounds.
+_COVERAGE_COLUMNS = bound_columns(COVERAGE_LEVEL)
+_EXPORT_COLUMNS = ("cutoff", "ds", "y", "yhat", *_COVERAGE_COLUMNS)
 
 
 def _paired(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
@@ -147,26 +152,17 @@ def enumerate_cutoffs(ts: TimeSeries, initial: int, period: int, horizon: int) -
     return cutoffs[::-1]
 
 
-@dataclass(frozen=True)
-class CvFold:
-    """Held-out rows for one cutoff: every ds is inside (cutoff, cutoff+horizon]."""
-
-    cutoff: int
-    ds: np.ndarray
-    y_true: np.ndarray
-    yhat: np.ndarray
-    bounds: dict
-
-    def __len__(self) -> int:
-        return len(self.ds)
-
-
 def rolling_cv(
     config: ModelConfig, ts: TimeSeries, initial: int, period: int, horizon: int
-) -> list[CvFold]:
+) -> list[dict]:
     """Fit at each cutoff on data <= cutoff, forecast the next ``horizon``
-    days, and join with the held-out actuals. Folds are independent and
-    deterministic; fit errors are annotated with their cutoff.
+    days, and join with the held-out actuals: one fold per cutoff, in
+    ascending order. A fold is the dict of the fold export's columns:
+    ``"cutoff"`` (an epoch day), then the arrays ``"ds"`` (every day in
+    (cutoff, cutoff + horizon] that the series holds), ``"y"``, ``"yhat"``
+    and ``forecast.bound_columns(level)`` for each interval level. Folds are
+    independent and deterministic; fit errors are annotated with their
+    cutoff.
 
     Each fold builds, evaluates and simulates only the days after its
     training data. Its point forecast and bounds equal a full-grid
@@ -197,7 +193,7 @@ def holdout_forecast(
     return fc.yhat[idx], {level: (lo[idx], hi[idx]) for level, (lo, hi) in fc.bounds.items()}
 
 
-def _cv_fold(config: ModelConfig, ts: TimeSeries, cutoff: int, horizon: int) -> CvFold:
+def _cv_fold(config: ModelConfig, ts: TimeSeries, cutoff: int, horizon: int) -> dict:
     test_mask = (ts.timestamps > cutoff) & (ts.timestamps <= cutoff + horizon)
     test_days = ts.timestamps[test_mask]
     try:
@@ -208,41 +204,38 @@ def _cv_fold(config: ModelConfig, ts: TimeSeries, cutoff: int, horizon: int) -> 
         raise type(exc)(
             f"cutoff {format_epoch_day(cutoff)}: {exc}"
         ) from exc
-    return CvFold(
-        cutoff=cutoff,
-        ds=test_days,
-        y_true=ts.values[test_mask],
-        yhat=yhat,
-        bounds=bounds,
-    )
+    fold = {"cutoff": cutoff, "ds": test_days, "y": ts.values[test_mask], "yhat": yhat}
+    for level, pair in bounds.items():
+        fold.update(zip(bound_columns(level), pair))
+    return fold
 
 
-def performance_by_horizon(folds: list[CvFold]) -> dict[int, dict]:
+def _bounded(folds: list[dict]) -> bool:
+    return all(column in fold for fold in folds for column in _COVERAGE_COLUMNS)
+
+
+def performance_by_horizon(folds: list[dict]) -> dict[int, dict]:
     """Metrics grouped by lead time (ds - cutoff) in days, across folds.
 
     Each lead's report equals ``evaluate_forecast`` on its rows in fold
-    order, bit for bit, with the COVERAGE_LEVEL bounds; coverage is None for
-    a lead with a row from a fold without them. Leads are checked
+    order, bit for bit, with the COVERAGE_LEVEL bounds when every fold
+    carries them; otherwise every lead's coverage is None. Leads are checked
     in ascending order, so the first one with inverted bounds or an
     overflowing metric raises."""
     if not folds:
         raise EmptyInput("no cross-validation folds")
-    leads = np.concatenate([np.asarray(f.ds, dtype=np.int64) - f.cutoff for f in folds])
+    leads = np.concatenate([np.asarray(f["ds"], dtype=np.int64) - f["cutoff"] for f in folds])
     # A stable sort keeps each lead's rows in fold order.
     order = np.argsort(leads, kind="stable")
 
-    def pooled(columns):
-        return np.concatenate([np.asarray(c, dtype=np.float64) for c in columns])[order]
+    def pooled(column):
+        return np.concatenate([np.asarray(f[column], dtype=np.float64) for f in folds])[order]
 
-    reported = [
-        f.bounds.get(COVERAGE_LEVEL) or (np.full(len(f), np.nan),) * 2 for f in folds
-    ]
-    has_level = [COVERAGE_LEVEL in f.bounds for f in folds]
-    y = pooled(f.y_true for f in folds)
-    pred = pooled(f.yhat for f in folds)
-    lower = pooled(b[0] for b in reported)
-    upper = pooled(b[1] for b in reported)
-    bounded = np.repeat(has_level, [len(f) for f in folds])[order]
+    y = pooled("y")
+    pred = pooled("yhat")
+    bounded = _bounded(folds)
+    if bounded:
+        lower, upper = map(pooled, _COVERAGE_COLUMNS)
     # Each lead's rows are the run starts[i]:starts[i] + counts[i] of the
     # sorted leads (np.unique would give the same but loads numpy.ma).
     leads = leads[order]
@@ -268,10 +261,10 @@ def performance_by_horizon(folds: list[CvFold]) -> dict[int, dict]:
             nonzero = (a != 0).all(axis=1)
             mape_[group[nonzero]] = _ape_rows(a[nonzero], b[nonzero]).tolist()
             mape_[group[~nonzero]] = [mape(x, p) for x, p in zip(a[~nonzero], b[~nonzero])]
-            has = bounded[rows].all(axis=1)
-            lo, hi = lower[rows[has]], upper[rows[has]]
-            inverted[group[has]] = (lo > hi).any(axis=1)
-            coverage_[group[has]] = _coverage_rows(a[has], lo, hi).tolist()
+            if bounded:
+                lo, hi = lower[rows], upper[rows]
+                inverted[group] = (lo > hi).any(axis=1)
+                coverage_[group] = _coverage_rows(a, lo, hi).tolist()
 
     out = {}
     for lead, *metrics, bad in zip(
@@ -290,21 +283,22 @@ def require_fold_export_level(levels) -> None:
         raise DomainError(f"fold export requires {COVERAGE_LEVEL:.0%} interval bounds")
 
 
-def write_cv_folds_csv(folds: list[CvFold], path) -> None:
-    """Fold export: cutoff,ds,y,yhat,yhat_lower_95,yhat_upper_95. Every
-    fold must carry 95% bounds; the table is formed before it is written,
-    so a fold without them leaves no file behind."""
+def write_cv_folds_csv(folds: list[dict], path) -> None:
+    """Fold export: cutoff,ds,y,yhat,yhat_lower_95,yhat_upper_95, those keys
+    of each fold, one row per held-out day. Every fold must carry 95% bounds;
+    that is checked before anything is written, so a fold without them
+    leaves no file behind."""
+    if not _bounded(folds):
+        raise DomainError(f"fold export requires {COVERAGE_LEVEL:.0%} interval bounds")
     rows = []
     for fold in folds:
-        require_fold_export_level(fold.bounds)
-        lo, hi = fold.bounds[COVERAGE_LEVEL]
         rows += zip(
-            [format_epoch_day(fold.cutoff)] * len(fold),
-            map(format_epoch_day, fold.ds.tolist()),
-            *(np.asarray(col, dtype=np.float64).tolist()
-              for col in (fold.y_true, fold.yhat, lo, hi)),
+            [format_epoch_day(fold["cutoff"])] * len(fold["ds"]),
+            map(format_epoch_day, fold["ds"].tolist()),
+            *(np.asarray(fold[column], dtype=np.float64).tolist()
+              for column in _EXPORT_COLUMNS[2:]),
         )
-    write_table(path, ["cutoff", "ds", "y", "yhat", *bound_columns(COVERAGE_LEVEL)], rows)
+    write_table(path, list(_EXPORT_COLUMNS), rows)
 
 
 # --- Diebold-Mariano test -----------------------------------------------------

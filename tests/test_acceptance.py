@@ -246,7 +246,7 @@ def test_criterion_08_cv_enumeration_and_leakage():
         folds = rolling_cv(config, ts, 730, 90, 90)
         assert len(folds) == 12
         for fold in folds:
-            assert np.all(fold.ds > fold.cutoff)
+            assert np.all(fold["ds"] > fold["cutoff"])
 
 
 def test_criterion_09_serialization_roundtrip(tmp_path):

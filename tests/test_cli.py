@@ -243,7 +243,7 @@ class TestFitCommand:
                 "DomainError",
                 "changepoint_prior_scale must be positive and finite",
             ),
-            # the start point's penalty softabs(0) / scale overflowed, a
+            # the changepoint penalty's curvature 1e5 / scale overflowed, a
             # RuntimeWarning that escaped main under -W error
             (
                 {"trend": {"changepoint_prior_scale": 5e-324}},
@@ -881,11 +881,13 @@ class TestCvCommand:
 
     def test_fold_export_checks_every_fold_before_opening(self, tmp_path, rng):
         from addcast.errors import DomainError
-        from addcast.evaluation import CvFold, write_cv_folds_csv
+        from addcast.evaluation import write_cv_folds_csv
 
         days = daily_days("2021-01-01", 4)
-        with_95 = CvFold(0, days[:2], np.ones(2), np.ones(2), {0.95: (np.zeros(2), np.ones(2))})
-        without = CvFold(0, days[2:], np.ones(2), np.ones(2), {0.8: (np.zeros(2), np.ones(2))})
+        with_95 = {"cutoff": 0, "ds": days[:2], "y": np.ones(2), "yhat": np.ones(2),
+                   "yhat_lower_95": np.zeros(2), "yhat_upper_95": np.ones(2)}
+        without = {"cutoff": 0, "ds": days[2:], "y": np.ones(2), "yhat": np.ones(2),
+                   "yhat_lower_80": np.zeros(2), "yhat_upper_80": np.ones(2)}
         out = tmp_path / "folds.csv"
         with pytest.raises(DomainError, match="fold export requires 95% interval bounds"):
             write_cv_folds_csv([with_95, without], out)

@@ -104,19 +104,21 @@ class TestMapObjective:
         assert n_cp == 4
         params = np.zeros(2 + design.X.shape[1])
         value = map_objective(params, design, ts.values, config.trend)
-        # residuals vanish; only the smoothed-Laplace floor remains
-        assert value == 4 * (math.sqrt(SOFTABS_EPS) / config.trend.changepoint_prior_scale)
+        # residuals vanish, and every penalty is zero at zero
+        assert value == 0.0
 
     def test_perfect_fit_penalty_floor(self):
+        # the smoothed-Laplace penalty is measured from softabs(0), so its
+        # floor is 0 and not 4 * softabs(0) / tau, whatever the scale
         days = daily_days("2020-01-01", 50)
-        config = ModelConfig(trend=TrendSpec(n_changepoints=4), seasonalities=())
         t_scaled = (days - days[0]) / (days[-1] - days[0])
         y = 0.3 * t_scaled + (-0.1)
         ts = TimeSeries(days, y)
-        design = build_design(ts, config)
         params = pack(0.3, -0.1, np.zeros(4), [])
-        value = map_objective(params, design, ts.values, config.trend)
-        assert value == 4 * (math.sqrt(SOFTABS_EPS) / 0.05)
+        for tau in (0.05, 1e-100):
+            trend = TrendSpec(n_changepoints=4, changepoint_prior_scale=tau)
+            design = build_design(ts, ModelConfig(trend=trend, seasonalities=()))
+            assert map_objective(params, design, ts.values, trend) == 0.0
 
     def test_doubling_tau_halves_changepoint_penalty(self, rng):
         days = daily_days("2020-01-01", 60)
@@ -145,7 +147,6 @@ class TestMapObjective:
                 )
             )
             values[tau] = map_objective(params, design, y, config.trend) - data_term
-        floor = 5 * math.sqrt(SOFTABS_EPS)
         assert values[0.10] == pytest.approx(values[0.05] / 2, rel=1e-9)
 
 
@@ -866,3 +867,34 @@ class TestLogisticConvergence:
         model = fit(ts, config)
         assert results[0].nit <= 10
         assert stationarity(model, ts, config) <= 1e-5
+
+
+class TestTinyChangepointPriorScale:
+    """A tiny changepoint_prior_scale pins every delta at 0, so the fit is
+    the fit without changepoints. The penalty used to carry the constant
+    n_cp * softabs(0) / tau, which swamped the data term in both of the
+    solver's tests, and the damping floor eps * max(diag H) froze k, m and
+    beta under the changepoint curvature 1e5 / tau; either stopped the
+    solver after one step, short of the optimum."""
+
+    @pytest.mark.parametrize("growth", ["linear", "logistic"])
+    @pytest.mark.parametrize("tau", [1e-10, 1e-20, 1e-100, 1e-150])
+    def test_reaches_the_fit_without_changepoints(self, tau, growth):
+        rng = np.random.default_rng(300)
+        days = daily_days("2020-01-01", 300)
+        y = (5.0 + 3.0 * np.arange(300) / 300 + 0.5 * np.sin(2 * np.pi * days / 7.0)
+             + rng.normal(0, 0.3, 300))
+        ts = TimeSeries(days, y)
+
+        def config(n_changepoints, scale):
+            trend = TrendSpec(
+                growth=growth, n_changepoints=n_changepoints, changepoint_prior_scale=scale,
+                capacity=20.0 if growth == "logistic" else None,
+            )
+            weekly = SeasonalitySpec(name="weekly", period=7.0, fourier_order=3)
+            return ModelConfig(trend=trend, seasonalities=(weekly,))
+
+        pinned = config(25, tau)
+        model = fit(ts, pinned)
+        assert stationarity(model, ts, pinned) <= GRADIENT_TOLERANCE
+        assert model.sigma == pytest.approx(fit(ts, config(0, 0.05)).sigma, rel=1e-9)

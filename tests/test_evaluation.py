@@ -16,7 +16,6 @@ from addcast.errors import (
 )
 from addcast.estimator import fit
 from addcast.evaluation import (
-    CvFold,
     coverage,
     dm_test,
     enumerate_cutoffs,
@@ -28,7 +27,7 @@ from addcast.evaluation import (
     rolling_cv,
     write_cv_folds_csv,
 )
-from addcast.forecast import forecast_with_intervals, make_future_grid
+from addcast.forecast import bound_columns, forecast_with_intervals, make_future_grid
 from addcast.timeseries import TimeSeries, chronological_split, filter_weekdays, parse_iso_date
 
 from conftest import daily_days, make_series
@@ -170,17 +169,17 @@ class TestRollingCv:
         folds = rolling_cv(config, ts, initial=120, period=40, horizon=30)
         assert len(folds) == len(enumerate_cutoffs(ts, 120, 40, 30))
         for fold in folds:
-            assert np.all(fold.ds > fold.cutoff)
-            assert np.all(fold.ds <= fold.cutoff + 30)
+            assert np.all(fold["ds"] > fold["cutoff"])
+            assert np.all(fold["ds"] <= fold["cutoff"] + 30)
 
     def test_deterministic(self, rng):
         ts, config = small_cv_setup(rng)
         a = rolling_cv(config, ts, 150, 60, 25)
         b = rolling_cv(config, ts, 150, 60, 25)
         for fa, fb in zip(a, b):
-            assert fa.cutoff == fb.cutoff
-            assert np.array_equal(fa.yhat, fb.yhat)
-            assert np.array_equal(fa.bounds[0.95][0], fb.bounds[0.95][0])
+            assert fa["cutoff"] == fb["cutoff"]
+            assert np.array_equal(fa["yhat"], fb["yhat"])
+            assert np.array_equal(fa["yhat_lower_95"], fb["yhat_lower_95"])
 
     def test_single_cutoff_matches_manual_pipeline(self, rng):
         ts, config = small_cv_setup(rng)
@@ -190,19 +189,22 @@ class TestRollingCv:
         folds = rolling_cv(config, ts, initial, 60, horizon)
         assert len(folds) == 1
         fold = folds[0]
-        train, test = chronological_split(ts, fold.cutoff)
+        train, test = chronological_split(ts, fold["cutoff"])
         model = fit(train, config)
         grid = make_future_grid(model, horizon)
         fc = forecast_with_intervals(model, grid)
-        idx = np.searchsorted(grid.timestamps, fold.ds)
-        assert np.array_equal(fold.yhat, fc.yhat[idx])
-        assert np.array_equal(fold.y_true, test.values)
+        idx = np.searchsorted(grid.timestamps, fold["ds"])
+        assert np.array_equal(fold["yhat"], fc.yhat[idx])
+        assert np.array_equal(fold["y"], test.values)
         # the fold simulates only its horizon, yet its bounds are the
         # full-grid forecast's bounds at the same days, bit for bit
-        assert sorted(fold.bounds) == [0.80, 0.95]
-        for level, (lo, hi) in fold.bounds.items():
-            assert np.array_equal(lo, fc.bounds[level][0][idx])
-            assert np.array_equal(hi, fc.bounds[level][1][idx])
+        assert list(fold) == [
+            "cutoff", "ds", "y", "yhat", *bound_columns(0.80), *bound_columns(0.95)
+        ]
+        for level in (0.80, 0.95):
+            lo, hi = bound_columns(level)
+            assert np.array_equal(fold[lo], fc.bounds[level][0][idx])
+            assert np.array_equal(fold[hi], fc.bounds[level][1][idx])
 
     def test_fold_errors_annotated_with_cutoff(self, rng):
         from addcast.errors import UnderdeterminedModel
@@ -224,7 +226,7 @@ class TestRollingCv:
         write_cv_folds_csv(folds, out)
         lines = out.read_text().splitlines()
         assert lines[0] == "cutoff,ds,y,yhat,yhat_lower_95,yhat_upper_95"
-        assert len(lines) == 1 + sum(len(f) for f in folds)
+        assert len(lines) == 1 + sum(len(f["ds"]) for f in folds)
 
 
 class TestSharedDayColumnsInCv:
@@ -268,13 +270,10 @@ class TestSharedDayColumnsInCv:
         alone = rolling_cv(config, ts, 200, 37, 30)
         assert len(shared) == len(alone) >= 3
         for a, b in zip(shared, alone):
-            assert a.cutoff == b.cutoff
-            assert a.ds.tobytes() == b.ds.tobytes()
-            assert a.yhat.tobytes() == b.yhat.tobytes()
-            assert sorted(a.bounds) == sorted(b.bounds)
-            for level in a.bounds:
-                for x, z in zip(a.bounds[level], b.bounds[level]):
-                    assert x.tobytes() == z.tobytes()
+            assert a["cutoff"] == b["cutoff"]
+            assert list(a) == list(b)
+            for column in list(a)[1:]:
+                assert a[column].tobytes() == b[column].tobytes()
 
     def test_scope_open_during_folds_and_dropped_after(self, rng, monkeypatch):
         import addcast.evaluation
@@ -335,38 +334,29 @@ class TestPerformanceByHorizon:
         assert sorted(table) == [1, 2, 3]
 
     def test_perfect_forecast_zero_rmse(self):
-        from addcast.evaluation import CvFold
-
-        fold = CvFold(
-            cutoff=0,
-            ds=np.array([1, 2, 3]),
-            y_true=np.array([1.0, 2.0, 3.0]),
-            yhat=np.array([1.0, 2.0, 3.0]),
-            bounds={},
-        )
+        fold = {
+            "cutoff": 0,
+            "ds": np.array([1, 2, 3]),
+            "y": np.array([1.0, 2.0, 3.0]),
+            "yhat": np.array([1.0, 2.0, 3.0]),
+        }
         table = performance_by_horizon([fold])
         assert all(r["rmse"] == 0.0 for r in table.values())
 
     def test_matches_regroup_oracle(self, rng):
-        from addcast.evaluation import CvFold
-
         folds = []
         for cutoff in (100, 130, 160):
-            ds = np.arange(cutoff + 1, cutoff + 8)
-            folds.append(
-                CvFold(
-                    cutoff=cutoff,
-                    ds=ds,
-                    y_true=rng.normal(0, 1, 7) + 5,
-                    yhat=rng.normal(0, 1, 7) + 5,
-                    bounds={},
-                )
-            )
+            folds.append({
+                "cutoff": cutoff,
+                "ds": np.arange(cutoff + 1, cutoff + 8),
+                "y": rng.normal(0, 1, 7) + 5,
+                "yhat": rng.normal(0, 1, 7) + 5,
+            })
         table = performance_by_horizon(folds)
         # brute-force regroup: pool rows with equal lead across folds
         for lead in range(1, 8):
-            y = np.concatenate([[f.y_true[lead - 1]] for f in folds])
-            p = np.concatenate([[f.yhat[lead - 1]] for f in folds])
+            y = np.concatenate([[f["y"][lead - 1]] for f in folds])
+            p = np.concatenate([[f["yhat"][lead - 1]] for f in folds])
             assert table[lead]["rmse"] == rmse(y, p)
             assert table[lead]["mae"] == mae(y, p)
 
@@ -377,22 +367,22 @@ class TestPerformanceByHorizon:
 
 def by_horizon_oracle(folds):
     """The per-lead definition: pool each lead's rows in fold order and call
-    evaluate_forecast on them, with the 95% bounds when every row has them."""
+    evaluate_forecast on them, with the 95% bounds when every fold has them."""
+    bounded = all("yhat_lower_95" in f and "yhat_upper_95" in f for f in folds)
     groups = {}
     for fold in folds:
-        reported = fold.bounds.get(0.95)
-        for j in range(len(fold)):
+        for j in range(len(fold["ds"])):
             row = (
-                fold.y_true[j],
-                fold.yhat[j],
-                None if reported is None else reported[0][j],
-                None if reported is None else reported[1][j],
+                fold["y"][j],
+                fold["yhat"][j],
+                fold["yhat_lower_95"][j] if bounded else None,
+                fold["yhat_upper_95"][j] if bounded else None,
             )
-            groups.setdefault(int(fold.ds[j]) - fold.cutoff, []).append(row)
+            groups.setdefault(int(fold["ds"][j]) - fold["cutoff"], []).append(row)
     out = {}
     for lead in sorted(groups):
         y, pred, lo, hi = zip(*groups[lead])
-        if any(v is None for v in lo):
+        if not bounded:
             lo = hi = None
         out[lead] = evaluate_forecast(f"horizon_{lead}d", np.array(y), np.array(pred), lo, hi)
     return out
@@ -426,16 +416,11 @@ class TestPerformanceByHorizonOracle:
             y = ts.values[keep]
             pred = y + rng.normal(0, 5, len(y))
             half = np.abs(rng.normal(10, 3, len(y)))
-            out.append(
-                CvFold(
-                    cutoff=cutoff,
-                    ds=ts.timestamps[keep],
-                    y_true=y,
-                    yhat=pred,
-                    bounds={0.8: (pred - half / 2, pred + half / 2), 0.95: (pred - half, pred + half)}
-                    if bounds else {},
-                )
-            )
+            fold = {"cutoff": cutoff, "ds": ts.timestamps[keep], "y": y, "yhat": pred}
+            if bounds:
+                fold.update(yhat_lower_80=pred - half / 2, yhat_upper_80=pred + half / 2,
+                            yhat_lower_95=pred - half, yhat_upper_95=pred + half)
+            out.append(fold)
         return out
 
     def assert_same(self, folds):
@@ -448,16 +433,16 @@ class TestPerformanceByHorizonOracle:
         folds = self.folds(rng, n_folds)
         kind, rows = self.assert_same(folds)
         assert kind == "ok"
-        leads = np.concatenate([f.ds - f.cutoff for f in folds])
+        leads = np.concatenate([f["ds"] - f["cutoff"] for f in folds])
         row_counts = np.unique(np.unique(leads, return_counts=True)[1])
         assert len(row_counts) > 1 or n_folds == 1
 
     def test_zero_truths(self, rng):
         folds = self.folds(rng, 12)
         for i, fold in enumerate(folds):
-            fold.y_true[::3] = 0.0
+            fold["y"][::3] = 0.0
             if i % 2:
-                fold.y_true[:] = 0.0
+                fold["y"][:] = 0.0
         kind, rows = self.assert_same(folds)
         assert kind == "ok"
         assert any(r[3] is None for r in rows) and any(r[3] is not None for r in rows)
@@ -465,7 +450,7 @@ class TestPerformanceByHorizonOracle:
     def test_coverage_is_of_the_95_percent_bounds(self, rng):
         # a 99% level that covers every row used to be the one reported
         folds = [
-            replace(f, bounds={**f.bounds, 0.99: (f.yhat - 1e6, f.yhat + 1e6)})
+            {**f, "yhat_lower_99": f["yhat"] - 1e6, "yhat_upper_99": f["yhat"] + 1e6}
             for f in self.folds(rng, 9)
         ]
         kind, rows = self.assert_same(folds)
@@ -473,16 +458,19 @@ class TestPerformanceByHorizonOracle:
         assert min(float.fromhex(r[4]) for r in rows) < 100.0
 
     def test_folds_without_bounds(self, rng):
+        # one fold without the 95% bounds leaves every lead without coverage
         folds = self.folds(rng, 9)
-        folds[4] = replace(folds[4], bounds={})
+        del folds[4]["yhat_lower_95"], folds[4]["yhat_upper_95"]
         kind, rows = self.assert_same(folds)
         assert kind == "ok"
-        assert any(r[4] is None for r in rows) and any(r[4] is not None for r in rows)
-        assert outcome(performance_by_horizon, self.folds(rng, 9, bounds=False))[0] == "ok"
+        assert all(r[4] is None for r in rows)
+        kind, rows = self.assert_same(self.folds(rng, 9, bounds=False))
+        assert kind == "ok"
+        assert all(r[4] is None for r in rows)
 
     def test_inverted_bounds(self, rng):
         folds = self.folds(rng, 10)
-        lo, hi = folds[6].bounds[0.95]
+        lo, hi = folds[6]["yhat_lower_95"], folds[6]["yhat_upper_95"]
         lo[3] = hi[3] + 1.0
         assert self.assert_same(folds)[0] == "InvertedBounds"
 
@@ -491,12 +479,12 @@ class TestPerformanceByHorizonOracle:
         folds = self.folds(rng, 10)
         # The lower lead decides which error a table with both raises.
         overflow, inverted = (folds[2], folds[7]) if not inverted_first else (folds[7], folds[2])
-        overflow.y_true[5] = 1e300
-        overflow.yhat[5] = -1e300
-        lo, hi = inverted.bounds[0.95]
+        overflow["y"][5] = 1e300
+        overflow["yhat"][5] = -1e300
+        lo, hi = inverted["yhat_lower_95"], inverted["yhat_upper_95"]
         lo[1] = hi[1] + 1.0
-        lead_overflow = int(overflow.ds[5]) - overflow.cutoff
-        lead_inverted = int(inverted.ds[1]) - inverted.cutoff
+        lead_overflow = int(overflow["ds"][5]) - overflow["cutoff"]
+        lead_inverted = int(inverted["ds"][1]) - inverted["cutoff"]
         expected = "InvertedBounds" if lead_inverted <= lead_overflow else "DomainError"
         assert self.assert_same(folds)[0] == expected
 

@@ -26,6 +26,7 @@ from addcast.forecast import (
     _first_future_row,
     _row_quantiles,
     _streams,
+    bound_columns,
     forecast_with_intervals,
     make_future_grid,
     predict,
@@ -281,15 +282,15 @@ def test_rolling_cv_on_weekdays_equals_folds_simulated_alone():
     folds = rolling_cv(config, ts, initial=200, period=11, horizon=30)
     periods = set()
     for fold in folds:
-        train = ts.slice_mask(ts.timestamps <= fold.cutoff)
+        train = ts.slice_mask(ts.timestamps <= fold["cutoff"])
         model = fit(train, config)
-        grid = make_future_grid(model, fold.cutoff + 30 - model.last_day)
+        grid = make_future_grid(model, fold["cutoff"] + 30 - model.last_day)
         periods.add(len(grid) - len(train))
         alone = forecast_with_intervals(model, grid, history=False)
-        idx = np.searchsorted(alone.timestamps, fold.ds)
-        assert np.array_equal(fold.yhat, alone.yhat[idx])
-        for level, (lo, hi) in alone.bounds.items():
-            assert np.array_equal(fold.bounds[level][0].view(np.int64), lo[idx].view(np.int64))
-            assert np.array_equal(fold.bounds[level][1].view(np.int64), hi[idx].view(np.int64))
+        idx = np.searchsorted(alone.timestamps, fold["ds"])
+        assert np.array_equal(fold["yhat"], alone.yhat[idx])
+        for level, bounds in alone.bounds.items():
+            for column, bound in zip(bound_columns(level), bounds):
+                assert np.array_equal(fold[column].view(np.int64), bound[idx].view(np.int64))
     assert len(folds) >= 4 and len(periods) > 1
     assert not hasattr(features._fold_scope, "entry")
