@@ -37,8 +37,8 @@ _EXPORTS = {
             "mape", "performance_by_horizon", "rmse", "rolling_cv", "write_cv_folds_csv",
         ),
         "features": (
-            "DesignMatrix", "build_design", "changepoint_basis", "fourier_features",
-            "gamma_from_delta", "holiday_features", "place_changepoints",
+            "DesignMatrix", "TimeScaling", "build_design", "changepoint_basis",
+            "fourier_features", "gamma_from_delta", "holiday_features", "place_changepoints",
         ),
         "forecast": (
             "Forecast", "FutureGrid", "forecast_with_intervals", "make_future_grid",

@@ -13,12 +13,18 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from datetime import date
 
 from .errors import DomainError, SchemaError
-from .timeseries import format_epoch_day, open_text, parse_iso_date
+from .timeseries import MAX_EPOCH_DAY, format_epoch_day, open_text, parse_iso_date
 
 DEFAULT_SEED = 42
 # Days from 0001-01-01 to 9999-12-31. A wider holiday window covers no more
 # representable dates, and the bound keeps t +- window inside int64.
 MAX_HOLIDAY_WINDOW = date.max.toordinal() - date.min.toordinal()
+# The largest fourier_order and interval_samples. A grid or series holds at
+# most ~3.7e6 < 2**22 days, so a float64 matrix of one row per day and up to
+# 2 * MAX_COUNT columns stays below numpy's 2**63-byte limit: a count within
+# the bound that memory cannot hold fails as an allocation (MemoryError),
+# never as an array numpy cannot describe.
+MAX_COUNT = 2**32
 
 
 @dataclass(frozen=True)
@@ -81,8 +87,17 @@ class SeasonalitySpec:
     def __post_init__(self):
         if not 0 < self.period < math.inf:
             raise DomainError(f"seasonality {self.name!r}: period must be positive and finite")
-        if self.fourier_order < 1:
-            raise DomainError(f"seasonality {self.name!r}: fourier_order must be >= 1")
+        if not 1 <= self.fourier_order <= MAX_COUNT:
+            raise DomainError(
+                f"seasonality {self.name!r}: fourier_order must be in [1, {MAX_COUNT}]"
+            )
+        # The largest harmonic angle, computed in features.fourier_features'
+        # order: every angle at a representable day is then finite.
+        if math.isinf(2.0 * math.pi / self.period * MAX_EPOCH_DAY * self.fourier_order):
+            raise DomainError(
+                f"seasonality {self.name!r}: period {self.period!r} is too small for"
+                f" fourier_order {self.fourier_order}: the harmonic angles overflow"
+            )
         _check_prior_scale(f"seasonality {self.name!r}: ", self.prior_scale)
         if self.mode not in ("additive", "multiplicative"):
             raise DomainError(f"seasonality {self.name!r}: unknown mode {self.mode!r}")
@@ -168,8 +183,8 @@ class ModelConfig:
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise DomainError("interval levels must be strictly increasing")
         object.__setattr__(self, "interval_levels", levels)
-        if self.interval_samples < 100:
-            raise DomainError("interval_samples must be >= 100")
+        if not 100 <= self.interval_samples <= MAX_COUNT:
+            raise DomainError(f"interval_samples must be in [100, {MAX_COUNT}]")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         names = [s.name for s in self.seasonalities]

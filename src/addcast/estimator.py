@@ -21,6 +21,7 @@ across datasets.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,8 +82,7 @@ def _scaled_trend(trend: TrendSpec, y_scale: float) -> TrendSpec:
     return trend
 
 
-@dataclass(frozen=True)
-class ModelParts:
+class ModelParts(NamedTuple):
     """The prediction on a design and the intermediates the gradient and the
     forecast reuse, in scaled units. ``trend`` is g(t), a function of the
     trend line rate * t + offset with per-row ``rate`` and ``offset``;
@@ -133,13 +133,15 @@ def _model_parts(params, design: DesignMatrix, trend: TrendSpec) -> ModelParts:
 def _objective(params, design, y, trend):
     """The objective value, with the model parts and residuals behind it."""
     parts = _model_parts(params, design, trend)
-    r = y - parts.yhat
     layout = design.layout
-    value = (
-        0.5 * float(r @ r)
-        + float(np.sum((softabs(parts.delta) - softabs(0.0)) / layout.trend.prior_scales))
-        + 0.5 * float(np.sum(np.square(parts.beta) / layout.prior_variances))
-    )
+    # A trial step may overflow to inf, which minimize rejects.
+    with np.errstate(over="ignore"):
+        r = y - parts.yhat
+        value = (
+            0.5 * float(r @ r)
+            + float(np.sum((softabs(parts.delta) - softabs(0.0)) / layout.trend.prior_scales))
+            + 0.5 * float(np.sum(np.square(parts.beta) / layout.prior_variances))
+        )
     return value, parts, r
 
 
@@ -296,8 +298,7 @@ class FittedModel:
     delta: np.ndarray
     beta: np.ndarray
     sigma: float
-    t_start: float
-    t_span: float
+    scaling: TimeScaling
     y_scale: float
     changepoints_scaled: np.ndarray
     train_timestamps: np.ndarray
@@ -311,14 +312,13 @@ class FittedModel:
         tt.setflags(write=False)
         object.__setattr__(self, "train_timestamps", tt)
         for name in (
-            "k", "m", "delta", "beta", "sigma", "t_start", "t_span", "y_scale",
-            "changepoints_scaled",
+            "k", "m", "delta", "beta", "sigma", "scaling", "y_scale", "changepoints_scaled",
         ):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise DomainError(f"{name} must be finite")
         if self.sigma < 0:
             raise DomainError("sigma must be nonnegative")
-        if self.t_span <= 0 or self.y_scale <= 0:
+        if self.scaling.t_span <= 0 or self.y_scale <= 0:
             raise DomainError("scaling spans must be positive")
 
     @property
@@ -339,10 +339,6 @@ class FittedModel:
         return int(self.train_timestamps[-1])
 
     @property
-    def time_scaling(self) -> TimeScaling:
-        return TimeScaling(t_start=self.t_start, t_span=self.t_span)
-
-    @property
     def sigma_rescaled(self) -> float:
         """Residual standard deviation in original value units."""
         return self.sigma * self.y_scale
@@ -357,13 +353,11 @@ class FittedModel:
         return _scaled_trend(self.config.trend, self.y_scale)
 
 
-@dataclass(frozen=True)
-class MinimizeResult:
-    """Where the solver stopped: the parameters, the evaluation and objective
-    there, the accepted steps taken and the objective evaluations made."""
+class MinimizeResult(NamedTuple):
+    """Where the solver stopped: the parameters, the evaluation there (the
+    objective value first), the accepted steps and objective evaluations."""
 
     x: np.ndarray
-    fun: float
     nit: int
     nfev: int
     evaluation: tuple
@@ -423,7 +417,7 @@ def minimize(evaluate, derivatives, x0, callback=None) -> MinimizeResult:
             break
         # Floored so that a long run of accepted steps cannot drive it to zero.
         damping = max(damping / DAMPING_FACTOR, np.finfo(np.float64).eps)
-    return MinimizeResult(x, evaluation[0], nit, nfev, evaluation)
+    return MinimizeResult(x, nit, nfev, evaluation)
 
 
 def _initial_parameters(
@@ -494,8 +488,7 @@ def fit(ts: TimeSeries, config: ModelConfig) -> FittedModel:
         delta=np.array(delta),
         beta=np.array(beta),
         sigma=sigma,
-        t_start=design.scaling.t_start,
-        t_span=design.scaling.t_span,
+        scaling=design.scaling,
         y_scale=y_scale,
         changepoints_scaled=np.array(design.changepoints_scaled),
         train_timestamps=ts.timestamps,

@@ -21,6 +21,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,8 @@ def place_changepoints(
     if n == 0:
         return np.empty(0, dtype=np.int64)
     eligible = int(np.floor(range_fraction * len(t)))
+    # every n >= eligible - 1 places all of t[1:eligible]
+    n = min(n, eligible)
     idx = (np.arange(1, n + 1, dtype=np.int64) * eligible) // (n + 1)
     # idx is non-decreasing: dropping adjacent repeats leaves unique indices.
     idx = idx[idx >= 1]
@@ -137,8 +140,7 @@ def holiday_features(timestamps, specs) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """Column range [start, stop) of one feature group, with per-column prior
     scales. kind is one of trend / seasonal / holidays / regressors."""
 
@@ -232,8 +234,7 @@ def model_layout(config: ModelConfig, n_changepoints: int) -> Layout:
     return Layout(tuple(blocks))
 
 
-@dataclass(frozen=True)
-class TimeScaling:
+class TimeScaling(NamedTuple):
     """Affine map from epoch-days to model time: (day - t_start) / t_span."""
 
     t_start: float

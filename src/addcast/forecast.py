@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,8 +94,7 @@ def make_future_grid(model: FittedModel, periods: int, extra_regressors=None) ->
     return FutureGrid(timestamps=timestamps, regressor_values=merged)
 
 
-@dataclass(frozen=True)
-class _Evaluation:
+class _Evaluation(NamedTuple):
     """The model evaluated on a grid, in scaled units: the model parts, the
     reported components and their sum."""
 
@@ -109,7 +109,7 @@ def _evaluate(model: FittedModel, grid: FutureGrid) -> _Evaluation:
     design = design_for_grid(
         grid.timestamps,
         model.config,
-        model.time_scaling,
+        model.scaling,
         model.changepoints_scaled,
         extra_regressors=grid.regressor_values,
     )

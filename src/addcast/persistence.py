@@ -19,7 +19,7 @@ from . import __version__
 from .config import ModelConfig, config_from_dict, config_to_dict, read_json
 from .errors import SchemaError, UnsupportedVersion
 from .estimator import FittedModel
-from .features import model_layout
+from .features import TimeScaling, model_layout
 from .timeseries import TimeSeries, format_epoch_day, write_output
 
 # Version 2: m is the value at t = 0 of the trend line k * t + m for both
@@ -54,7 +54,8 @@ def config_digest(config) -> str:
 def dataset_digest(ts: TimeSeries) -> str:
     values = [None if math.isnan(v) else float(v) for v in ts.values]
     payload = {
-        "name": ts.name,
+        # a constant, so that the digests equal those of earlier versions
+        "name": "y",
         "timestamps": [int(t) for t in ts.timestamps],
         "values": values,
     }
@@ -81,8 +82,8 @@ def model_to_document(model: FittedModel) -> dict:
             "sigma": model.sigma,
         },
         "scaling": {
-            "t_start": model.t_start,
-            "t_span": model.t_span,
+            "t_start": model.scaling.t_start,
+            "t_span": model.scaling.t_span,
             "y_scale": model.y_scale,
         },
         "train_summary": {
@@ -125,8 +126,7 @@ def model_from_document(data) -> FittedModel:
             delta=np.array(params["delta"], dtype=np.float64),
             beta=beta,
             sigma=float(params["sigma"]),
-            t_start=float(scaling["t_start"]),
-            t_span=float(scaling["t_span"]),
+            scaling=TimeScaling(float(scaling["t_start"]), float(scaling["t_span"])),
             y_scale=float(scaling["y_scale"]),
             changepoints_scaled=np.array(params["changepoints"], dtype=np.float64),
             train_timestamps=np.array(data["train_summary"]["timestamps"], dtype=np.int64),

@@ -127,7 +127,6 @@ class TimeSeries:
 
     timestamps: np.ndarray
     values: np.ndarray
-    name: str = "y"
 
     def __post_init__(self):
         t = np.ascontiguousarray(self.timestamps, dtype=np.int64)
@@ -165,7 +164,7 @@ class TimeSeries:
     def slice_mask(self, mask: np.ndarray) -> "TimeSeries":
         if not np.any(mask):
             raise EmptySeries("selection left no observations")
-        return TimeSeries(self.timestamps[mask], self.values[mask], self.name)
+        return TimeSeries(self.timestamps[mask], self.values[mask])
 
 
 def load_csv(path) -> TimeSeries:
@@ -178,7 +177,7 @@ def load_csv(path) -> TimeSeries:
     days, columns = read_columns(path, ("y",), missing=True)
     if len(days) == 0:
         raise EmptySeries(f"{path}: no data rows")
-    return TimeSeries(days, columns["y"], name="y")
+    return TimeSeries(days, columns["y"])
 
 
 def read_columns(path, required, optional=(), date_column="ds", missing=False):
@@ -338,7 +337,7 @@ def log_transform(ts: TimeSeries, offset: float = 0.0) -> TimeSeries:
         raise DomainError(
             f"log transform undefined: value {bad} + offset {offset} <= 0"
         )
-    return TimeSeries(ts.timestamps, np.log(shifted), ts.name)
+    return TimeSeries(ts.timestamps, np.log(shifted))
 
 
 def forward_fill(ts: TimeSeries) -> TimeSeries:
@@ -351,7 +350,7 @@ def forward_fill(ts: TimeSeries) -> TimeSeries:
         raise LeadingMissing("first observation is missing; cannot forward fill")
     idx = np.where(~missing, np.arange(len(v)), 0)
     np.maximum.accumulate(idx, out=idx)
-    return TimeSeries(ts.timestamps, v[idx], ts.name)
+    return TimeSeries(ts.timestamps, v[idx])
 
 
 def filter_weekdays(ts: TimeSeries) -> TimeSeries:

@@ -322,6 +322,21 @@ class TestFitCommand:
         )
 
 
+    def test_huge_changepoint_count_places_every_eligible_day(self, tmp_path, rng, capsys):
+        # 10**21 changepoints ended in a numpy ValueError traceback, and
+        # 10**9 in an out-of-memory kill
+        data = tmp_path / "data.csv"
+        synthetic_csv(data, rng, n=500)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"trend": {"n_changepoints": 10**21}}))
+        model = tmp_path / "model.json"
+        code = main(["fit", "--input", str(data), "--config", str(config), "--output", str(model)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        # the first 0.8 * 500 days but the first
+        assert len(load_model(model).changepoints_scaled) == 399
+
+
 class TestPredictCommand:
     def fit_once(self, tmp_path, rng):
         data = tmp_path / "data.csv"
@@ -551,6 +566,20 @@ class TestPredictCommand:
         assert code == 1
         assert not out.exists()
         assert_one_error_line(capsys, "DomainError", "must be finite")
+
+    @pytest.mark.parametrize("samples", [10**20, 2**63 - 1])
+    def test_model_document_with_huge_sample_count_rejected(self, tmp_path, rng, capsys, samples):
+        # these counts ended in numpy ValueError tracebacks
+        model = self.fit_once(tmp_path, rng)
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        doc["config"]["interval_samples"] = samples
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "forecast.csv"
+        code = main(["predict", "--input", str(model), "--periods", "5", "--output", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert_one_error_line(capsys, "DomainError", "interval_samples must be in [100, ")
 
     def test_model_document_with_non_finite_coefficient_rejected(self, tmp_path, rng, capsys):
         model = self.fit_once(tmp_path, rng)

@@ -1,10 +1,14 @@
 import json
+import math
+import sys
 from dataclasses import fields, is_dataclass
 
+import numpy as np
 import pytest
 
 from addcast.config import (
     _READERS,
+    MAX_COUNT,
     HolidaySpec,
     ModelConfig,
     RegressorSpec,
@@ -14,6 +18,8 @@ from addcast.config import (
     config_to_dict,
 )
 from addcast.errors import DomainError, ParseError, SchemaError
+from addcast.features import fourier_features
+from addcast.timeseries import MAX_EPOCH_DAY, parse_iso_date
 
 
 class TestTrendSpec:
@@ -36,6 +42,30 @@ class TestTrendSpec:
             TrendSpec(changepoint_prior_scale=0.0)
 
 
+class TestSeasonalitySpec:
+    @pytest.mark.parametrize("period, order", [(5e-324, 1), (1e-320, 3), (1e-300, 2000)])
+    def test_period_too_small_for_its_harmonics_rejected(self, period, order):
+        # these fits printed numpy overflow or invalid-value warnings
+        with pytest.raises(DomainError, match=f"too small for fourier_order {order}"):
+            SeasonalitySpec(name="w", period=period, fourier_order=order)
+        # the smallest period accepted gives finite features at the extreme days
+        smallest = 2.0 * math.pi * MAX_EPOCH_DAY * order / sys.float_info.max
+        while True:
+            try:
+                SeasonalitySpec(name="w", period=smallest, fourier_order=order)
+                break
+            except DomainError:
+                smallest = math.nextafter(smallest, math.inf)
+        days = [parse_iso_date("0001-01-01"), 0, MAX_EPOCH_DAY]
+        assert np.all(np.isfinite(fourier_features(days, smallest, order)))
+
+    def test_fourier_order_above_max_count_rejected(self):
+        SeasonalitySpec(name="w", period=7.0, fourier_order=MAX_COUNT)
+        for order in (MAX_COUNT + 1, 2**63):
+            with pytest.raises(DomainError, match="fourier_order must be in"):
+                SeasonalitySpec(name="w", period=7.0, fourier_order=order)
+
+
 class TestModelConfig:
     def test_interval_levels_must_increase(self):
         with pytest.raises(DomainError):
@@ -48,6 +78,11 @@ class TestModelConfig:
     def test_minimum_samples(self):
         with pytest.raises(DomainError):
             ModelConfig(interval_samples=99)
+
+    def test_samples_above_max_count_rejected(self):
+        assert ModelConfig(interval_samples=MAX_COUNT).interval_samples == MAX_COUNT
+        with pytest.raises(DomainError, match="interval_samples must be in"):
+            ModelConfig(interval_samples=MAX_COUNT + 1)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError, match="seed"):

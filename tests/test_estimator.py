@@ -440,6 +440,22 @@ class TestNonFiniteGuards:
         ):
             map_gradient(params, design, y, trend)
 
+    @staticmethod
+    def zero_series_fit(capacity):
+        days = daily_days("2020-01-01", 400)
+        config = ModelConfig(trend=TrendSpec(growth="logistic", capacity=capacity))
+        return fit(TimeSeries(days, np.zeros(400)), config)
+
+    def test_overflowing_trial_steps_are_rejected_silently(self):
+        # 23 trial steps overflow the objective here; each printed a numpy
+        # overflow warning, which this suite turns into an error
+        model = self.zero_series_fit(1e153)
+        assert np.isfinite(model.sigma)
+
+    def test_overflowing_start_is_a_non_finite_objective(self):
+        with pytest.raises(NonFiniteObjective, match="objective evaluated to inf"):
+            self.zero_series_fit(1e200)
+
 
 class TestEstimateSigma:
     def test_hand_computed(self):
@@ -659,10 +675,10 @@ class TestFit:
         model = fit(ts, config)
         (result,) = results
         assert result.nit >= 1
-        assert result.evaluation[0] == result.fun
-        _, _, r = _objective(
+        value, _, r = _objective(
             result.x, build_design(ts, config), ts.values / model.y_scale, model.scaled_trend
         )
+        assert result.evaluation[0] == value
         assert result.evaluation[2].tobytes() == r.tobytes()
         assert model.sigma == estimate_sigma(r)
 

@@ -81,6 +81,17 @@ class TestPlaceChangepoints:
                 assert np.array_equal(out, expected)
 
 
+    @pytest.mark.parametrize("range_fraction", [0.5, 0.8, 1.0])
+    def test_huge_count_places_every_eligible_day(self, range_fraction):
+        # every count >= eligible - 1 places days[1:eligible]; a huge one
+        # used to size an array of its own length first
+        days = daily_days("2020-01-01", 500)
+        eligible = int(np.floor(range_fraction * 500))
+        out = place_changepoints(days, 10**18, range_fraction)
+        assert np.array_equal(out, place_changepoints(days, eligible, range_fraction))
+        assert np.array_equal(out, days[1:eligible])
+
+
 class TestChangepointBasis:
     def test_before_all(self):
         assert list(changepoint_basis(0.1, [0.3, 0.6])) == [0.0, 0.0]
@@ -443,7 +454,7 @@ class TestBuildDesign:
         design = build_design(ts, ModelConfig())
         assert design.scaling == TimeScaling(float(ts.timestamps[0]), 79.0)
         assert np.array_equal(design.t_scaled, design.scaling.scale(ts.timestamps))
-        assert fit(ts, ModelConfig()).time_scaling == design.scaling
+        assert fit(ts, ModelConfig()).scaling == design.scaling
 
 
 def scope_configs(days):

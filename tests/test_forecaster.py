@@ -6,6 +6,7 @@ import pytest
 from addcast.config import HolidaySpec, ModelConfig, RegressorSpec, SeasonalitySpec, TrendSpec
 from addcast.errors import DomainError, MissingRegressorValue
 from addcast.estimator import FittedModel, fit
+from addcast.features import TimeScaling
 from addcast.forecast import (
     FutureGrid,
     bound_columns,
@@ -41,8 +42,7 @@ def flat_model(sigma=0.0, n_train=100, level=2.0, seasonalities=()):
         delta=np.empty(0),
         beta=np.zeros(width),
         sigma=sigma,
-        t_start=float(days[0]),
-        t_span=float(days[-1] - days[0]),
+        scaling=TimeScaling(float(days[0]), float(days[-1] - days[0])),
         y_scale=1.0,
         changepoints_scaled=np.empty(0),
         train_timestamps=days,
@@ -191,8 +191,7 @@ class TestPredict:
             delta=model.delta,
             beta=beta,
             sigma=0.0,
-            t_start=model.t_start,
-            t_span=model.t_span,
+            scaling=model.scaling,
             y_scale=model.y_scale,
             changepoints_scaled=model.changepoints_scaled,
             train_timestamps=model.train_timestamps,
@@ -277,8 +276,7 @@ class TestSimulateIntervals:
             delta=np.array([0.5, -0.5]),
             beta=np.empty(0),
             sigma=0.0,
-            t_start=float(days[0]),
-            t_span=float(days[-1] - days[0]),
+            scaling=TimeScaling(float(days[0]), float(days[-1] - days[0])),
             y_scale=1.0,
             changepoints_scaled=np.array([0.3, 0.6]),
             train_timestamps=days,

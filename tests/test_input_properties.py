@@ -170,6 +170,10 @@ def with_entry(key, **changes):
 @example(data=with_entry("seasonalities", prior_scale=math.inf))
 @example(data=with_entry("holidays", prior_scale=math.inf))
 @example(data=with_entry("regressors", prior_scale=math.inf))
+# a numpy ValueError: the harmonic matrix's shape was too large to describe
+@example(data=with_entry("seasonalities", fourier_order=2**63))
+# numpy warnings: the harmonic angles were not finite
+@example(data=with_entry("seasonalities", period=5e-324))
 def test_accepted_configs_fit_save_and_reload_or_raise_an_addcast_error(data):
     try:
         config = config_from_dict(data)

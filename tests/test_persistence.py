@@ -6,6 +6,7 @@ import pytest
 from addcast.config import ModelConfig, SeasonalitySpec, TrendSpec, load_config
 from addcast.errors import SchemaError, UnsupportedVersion
 from addcast.estimator import FittedModel, fit
+from addcast.features import TimeScaling
 from addcast.forecast import forecast_with_intervals, make_future_grid, predict
 from addcast.persistence import (
     canonical_json_bytes,
@@ -97,7 +98,7 @@ class TestModelDocument:
         model = FittedModel(
             config=ModelConfig(),  # yearly (20 values) and weekly (8 values)
             k=0.1, m=1.0, delta=[], beta=np.arange(28.0), sigma=0.1,
-            t_start=float(days[0]), t_span=59.0, y_scale=1.0,
+            scaling=TimeScaling(float(days[0]), 59.0), y_scale=1.0,
             changepoints_scaled=[], train_timestamps=days,
         )
         data = model_to_document(model)
