@@ -61,6 +61,7 @@ from .timeseries import (
     load_csv,
     log_transform,
     parse_iso_date,
+    published_together,
     read_columns,
     write_output,
 )
@@ -138,14 +139,13 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.input[0])
-    seed = args.seed if args.seed is not None else model.config.seed
     extra = None
     if len(args.input) > 1:
         names = [(spec.name,) for spec in model.config.regressors]
         days, columns = read_columns(args.input[1], (), optional=names)
         extra = {name: dict(zip(days.tolist(), col.tolist())) for name, col in columns.items()}
     grid = make_future_grid(model, args.periods, extra_regressors=extra)
-    fc = forecast_with_intervals(model, grid, seed=seed)
+    fc = forecast_with_intervals(model, grid, seed=args.seed)
     write_forecast_csv(fc, model, args.output)
     return 0
 
@@ -157,9 +157,11 @@ def cmd_cv(args) -> int:
     require_fold_export_level(config.interval_levels)  # before any fold is fit
     folds = rolling_cv(config, ts, args.initial_days, args.period_days, args.horizon_days)
     metrics = {str(day): report for day, report in performance_by_horizon(folds).items()}
-    write_cv_folds_csv(folds, args.output)
-    metrics_path = str(args.output) + ".metrics.json"
-    print(_dump_json({"n_folds": len(folds), "metrics": metrics}, metrics_path))
+    with published_together(args.output, f"{args.output}.metrics.json") as paths:
+        folds_path, metrics_path = paths
+        write_cv_folds_csv(folds, folds_path)
+        text = _dump_json({"n_folds": len(folds), "metrics": metrics}, metrics_path)
+    print(text)
     return 0
 
 
@@ -288,8 +290,10 @@ def cmd_compare(args) -> int:
         "dm_tests": dm_rows,
     }
     manifest = make_manifest(seed, configs, ts, models)
-    text = _dump_json(payload, args.output)
-    write_manifest(manifest, str(args.output) + ".manifest.json")
+    with published_together(args.output, f"{args.output}.manifest.json") as paths:
+        report_path, manifest_path = paths
+        text = _dump_json(payload, report_path)
+        write_manifest(manifest, manifest_path)
     print(text)
     return 0
 

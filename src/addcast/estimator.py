@@ -43,7 +43,7 @@ from .features import (
     growth_curve,
     model_layout,
 )
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, frozen
 
 # Smoothing constant for the Laplace penalty; bias is far below every stated
 # tolerance (softabs(0) = 1e-5).
@@ -305,12 +305,8 @@ class FittedModel:
 
     def __post_init__(self):
         for name in ("delta", "beta", "changepoints_scaled"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        tt = np.ascontiguousarray(self.train_timestamps, dtype=np.int64)
-        tt.setflags(write=False)
-        object.__setattr__(self, "train_timestamps", tt)
+            object.__setattr__(self, name, frozen(getattr(self, name), np.float64))
+        object.__setattr__(self, "train_timestamps", frozen(self.train_timestamps, np.int64))
         for name in (
             "k", "m", "delta", "beta", "sigma", "scaling", "y_scale", "changepoints_scaled",
         ):
@@ -485,11 +481,11 @@ def fit(ts: TimeSeries, config: ModelConfig) -> FittedModel:
         config=config,
         k=k,
         m=m,
-        delta=np.array(delta),
-        beta=np.array(beta),
+        delta=delta,
+        beta=beta,
         sigma=sigma,
         scaling=design.scaling,
         y_scale=y_scale,
-        changepoints_scaled=np.array(design.changepoints_scaled),
+        changepoints_scaled=design.changepoints_scaled,
         train_timestamps=ts.timestamps,
     )

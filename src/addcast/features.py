@@ -44,17 +44,11 @@ def place_changepoints(
         raise DomainError("changepoint placement needs at least 2 observations")
     if n < 0:
         raise DomainError("changepoint count must be >= 0")
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
     eligible = int(np.floor(range_fraction * len(t)))
-    # every n >= eligible - 1 places all of t[1:eligible]
-    n = min(n, eligible)
+    # Every n >= eligible - 1 places all of t[1:eligible]. Capped there, the
+    # step eligible / (n + 1) is at least 1, so idx rises strictly from 1.
+    n = min(n, eligible - 1)
     idx = (np.arange(1, n + 1, dtype=np.int64) * eligible) // (n + 1)
-    # idx is non-decreasing: dropping adjacent repeats leaves unique indices.
-    idx = idx[idx >= 1]
-    keep = np.ones(len(idx), dtype=bool)
-    keep[1:] = idx[1:] != idx[:-1]
-    idx = idx[keep]
     return t[idx]
 
 

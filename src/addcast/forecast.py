@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError
 from .estimator import FittedModel, ModelParts, _model_parts, row_dot
 from .features import design_for_grid, fold_work, growth_curve, regressor_column
-from .timeseries import MAX_EPOCH_DAY, format_epoch_day, write_table
+from .timeseries import MAX_EPOCH_DAY, format_epoch_day, frozen, write_table
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,9 @@ class FutureGrid:
     regressor_values: dict
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.timestamps, dtype=np.int64)
+        t = frozen(self.timestamps, np.int64)
         if np.any(np.diff(t) <= 0):
             raise DomainError("grid timestamps must be strictly increasing")
-        t.setflags(write=False)
         object.__setattr__(self, "timestamps", t)
 
     def __len__(self) -> int:
@@ -131,15 +130,31 @@ def _evaluate(model: FittedModel, grid: FutureGrid) -> _Evaluation:
 
 def predict(model: FittedModel, grid: FutureGrid) -> Forecast:
     """Point forecast with additive component decomposition, original units,
-    from one build of the grid's design."""
-    evaluation = _evaluate(model, grid)
+    from one build of the grid's design. A forecast that overflows is a
+    DomainError."""
+    # A finite model can still overflow, in scaled or in original units;
+    # _require_finite turns that into a DomainError, and not a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        evaluation = _evaluate(model, grid)
+        yhat = evaluation.yhat * model.y_scale
+        components = {k: v * model.y_scale for k, v in evaluation.components.items()}
+    _require_finite(grid.timestamps, [yhat, *components.values()])
     return Forecast(
         timestamps=grid.timestamps,
-        yhat=evaluation.yhat * model.y_scale,
-        components={k: v * model.y_scale for k, v in evaluation.components.items()},
+        yhat=yhat,
+        components=components,
         bounds={},
         evaluation=evaluation,
     )
+
+
+def _require_finite(timestamps: np.ndarray, columns) -> None:
+    """A DomainError naming the first day on which a forecast column (a
+    row of ``columns``) is not finite."""
+    finite = np.isfinite(columns).all(axis=0)
+    if not finite.all():
+        day = format_epoch_day(int(timestamps[np.argmin(finite)]))
+        raise DomainError(f"the forecast overflows on {day}")
 
 
 # Sample cells (rows x samples) per block of rows, at least one row; bounds
@@ -278,6 +293,7 @@ def simulate_intervals(model: FittedModel, forecast: Forecast, seed: int) -> dic
     ``features.shared_fold_work`` the simulations of a seed under the
     scope's config share one future-noise draw, and a shorter horizon reads
     a prefix of a longer one, which is exactly what its own draw would give.
+    A bound that overflows is a DomainError.
     """
     history_stream, future_stream, trend_stream = _streams(seed)
     levels = model.config.interval_levels
@@ -295,22 +311,25 @@ def simulate_intervals(model: FittedModel, forecast: Forecast, seed: int) -> dic
         scope, int(seed), future_stream, len(forecast) - first, n_samples
     )
     deviations = _trend_deviations(model, evaluation, first, trend_stream, step)
-    for start, stop, stream in ((0, first, history_stream), (first, len(forecast), future_stream)):
-        for lo in range(start, stop, step):
-            hi = min(lo + step, stop)
-            if lo < first or shared is None:
-                block = stream.standard_normal((hi - lo, n_samples))
-                block *= model.sigma
-            else:
-                block = shared[lo - first : hi - first] * model.sigma
-            block += evaluation.yhat[lo:hi, np.newaxis]
-            deviation = next(deviations, None) if lo >= first else None
-            if deviation is not None:
-                deviation *= 1.0 + evaluation.parts.s_mul[lo:hi, np.newaxis]
-                block += deviation
-            bounds[:, lo:hi] = _row_quantiles(block, qs)
-
-    bounds *= model.y_scale
+    row_ranges = (0, first, history_stream), (first, len(forecast), future_stream)
+    # as in predict: a bound that overflows is raised below, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, stop, stream in row_ranges:
+            for lo in range(start, stop, step):
+                hi = min(lo + step, stop)
+                if lo < first or shared is None:
+                    block = stream.standard_normal((hi - lo, n_samples))
+                    block *= model.sigma
+                else:
+                    block = shared[lo - first : hi - first] * model.sigma
+                block += evaluation.yhat[lo:hi, np.newaxis]
+                deviation = next(deviations, None) if lo >= first else None
+                if deviation is not None:
+                    deviation *= 1.0 + evaluation.parts.s_mul[lo:hi, np.newaxis]
+                    block += deviation
+                bounds[:, lo:hi] = _row_quantiles(block, qs)
+        bounds *= model.y_scale
+    _require_finite(forecast.timestamps, bounds)
     return {level: (bounds[2 * i], bounds[2 * i + 1]) for i, level in enumerate(levels)}
 
 

@@ -13,8 +13,6 @@ import json
 import math
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
 from .config import ModelConfig, config_from_dict, config_to_dict, read_json
 from .errors import SchemaError, UnsupportedVersion
@@ -117,19 +115,17 @@ def model_from_document(data) -> FittedModel:
             raise SchemaError(
                 f"coefficient blocks (kind, name, width) are {found}, expected {expected}"
             )
-        beta_parts = [np.array(b["values"], dtype=np.float64) for b in params["blocks"]]
-        beta = np.concatenate(beta_parts) if beta_parts else np.empty(0)
         model = FittedModel(
             config=config,
             k=float(params["k"]),
             m=float(params["m"]),
-            delta=np.array(params["delta"], dtype=np.float64),
-            beta=beta,
+            delta=params["delta"],
+            beta=[v for b in params["blocks"] for v in b["values"]],
             sigma=float(params["sigma"]),
             scaling=TimeScaling(float(scaling["t_start"]), float(scaling["t_span"])),
             y_scale=float(scaling["y_scale"]),
-            changepoints_scaled=np.array(params["changepoints"], dtype=np.float64),
-            train_timestamps=np.array(data["train_summary"]["timestamps"], dtype=np.int64),
+            changepoints_scaled=params["changepoints"],
+            train_timestamps=data["train_summary"]["timestamps"],
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed model document: {exc}") from None

@@ -14,7 +14,7 @@ import io
 import math
 import os
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from datetime import date
 
@@ -117,6 +117,15 @@ def weekday_of(days: np.ndarray) -> np.ndarray:
     return (np.asarray(days, dtype=np.int64) + 3) % 7
 
 
+def frozen(values, dtype) -> np.ndarray:
+    """A read-only, C-contiguous copy of ``values`` as ``dtype``, with at
+    least one dimension: what a record stores, so that neither the record
+    nor the caller can change the other's array."""
+    arr = np.array(values, dtype=dtype, order="C", ndmin=1)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Immutable timestamped series of real-valued observations.
@@ -129,8 +138,8 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.timestamps, dtype=np.int64)
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
+        t = frozen(self.timestamps, np.int64)
+        v = frozen(self.values, np.float64)
         if t.ndim != 1 or v.ndim != 1:
             raise DomainError("timestamps and values must be 1-dimensional")
         if len(t) != len(v):
@@ -149,8 +158,6 @@ class TimeSeries:
             raise DomainError("timestamps must be strictly increasing")
         if np.any(np.isinf(v)):
             raise ParseError("values must be finite (or NaN for missing)")
-        t.setflags(write=False)
-        v.setflags(write=False)
         object.__setattr__(self, "timestamps", t)
         object.__setattr__(self, "values", v)
 
@@ -288,30 +295,49 @@ def _parse_rows(path, rows: list, date_index, value_indexes: list, missing: bool
     )
 
 
-def write_output(path, data: bytes) -> None:
-    """Publish ``data`` as the whole content of the file at ``path``.
-
-    The bytes go to a temporary file beside the target, which then replaces
-    it, so a failure leaves the target as it was and no temporary file
-    behind. A symbolic link is followed, and a target that exists but is
-    not a regular file (a FIFO, a device) is written in place. A new file
-    gets mode ``0o666 & ~umask``.
-    """
+def _staging(path) -> tuple[str, str]:
+    """``(target, written)``: the real path of ``path``, and the path to
+    write it through, a temporary file beside it, or the target itself when
+    it exists but is not a regular file (a FIFO, a device)."""
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
-        with open(target, "wb") as fh:
-            fh.write(data)
-        return
+        return target, target
     directory, name = os.path.split(target)
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    fh = open(tmp, "wb")
+    return target, os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+
+
+@contextmanager
+def published_together(*paths):
+    """Yield the list of paths to write, one for each of ``paths``, and
+    publish every file when the block ends without error.
+
+    Each written path is a temporary file beside its target, and the files
+    replace their targets in order after the block. So an error in the
+    block leaves every target as it was, and no temporary file behind. A
+    symbolic link is followed, and a target that exists but is not a
+    regular file is written in place: its own path is yielded. A new file
+    gets mode ``0o666 & ~umask``.
+    """
+    staged = [_staging(path) for path in paths]
     try:
-        with fh:
-            fh.write(data)
-        os.replace(tmp, target)
+        yield [written for _, written in staged]
+        for target, written in staged:
+            if written != target:
+                os.replace(written, target)
     except BaseException:
-        os.unlink(tmp)
+        for target, written in staged:
+            if written != target:
+                with suppress(FileNotFoundError):
+                    os.unlink(written)
         raise
+
+
+def write_output(path, data: bytes) -> None:
+    """Publish ``data`` as the whole content of the file at ``path``, the
+    one-file case of ``published_together``."""
+    with published_together(path) as (written,):
+        with open(written, "wb") as fh:
+            fh.write(data)
 
 
 def write_table(path, header: list, rows) -> None:

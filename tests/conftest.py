@@ -28,6 +28,20 @@ def make_series(start_iso: str, values) -> TimeSeries:
     return TimeSeries(daily_days(start_iso, len(values)), values)
 
 
+def assert_keeps_its_own_copy(build, array) -> None:
+    """``build(view)``, given a view of ``array``, builds a record and
+    returns the array it stores: that must be a read-only copy, so writing
+    ``array`` afterwards leaves the record as built, and the caller's view
+    stays writable."""
+    view = array[:]
+    stored = build(view)
+    built = array.copy()
+    array[:] = 0
+    assert view.flags.writeable
+    assert not stored.flags.writeable
+    assert np.array_equal(stored, built)
+
+
 def epoch_date(day) -> date:
     """The calendar date of an epoch-day (days since 1970-01-01)."""
     return date.fromordinal(date(1970, 1, 1).toordinal() + int(day))

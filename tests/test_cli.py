@@ -251,6 +251,24 @@ class TestFitCommand:
                 "changepoint_prior_scale 5e-324 is too small: "
                 "1 / changepoint_prior_scale**2 overflows",
             ),
+            (
+                {"seasonalities": [{"name": "w", "period": 7.0, "fourier_order": 2,
+                                    "mode": "both"}]},
+                "DomainError",
+                "seasonality 'w': unknown mode 'both'",
+            ),
+            (
+                {"holidays": [{"name": "h", "dates": ["2021-01-01"]},
+                              {"name": "h", "dates": ["2021-02-01"]}]},
+                "DomainError",
+                "holiday names must be unique",
+            ),
+            (
+                {"regressors": [{"name": "x", "prior_scale": 1.0},
+                                {"name": "x", "prior_scale": 2.0}]},
+                "DomainError",
+                "regressor names must be unique",
+            ),
         ],
     )
     def test_malformed_config_entries_exit_1(self, tmp_path, rng, capsys, extra, error, fragment):
@@ -566,6 +584,63 @@ class TestPredictCommand:
         assert code == 1
         assert not out.exists()
         assert_one_error_line(capsys, "DomainError", "must be finite")
+
+    @pytest.mark.parametrize(
+        "y_scale, k, m, sigma, row",
+        [
+            # the point forecast overflows in original units
+            (1.7e308, 0.0, 5.0, 0.0, 0),
+            # the point forecast is finite, the upper bound is not
+            (1e308, 0.0, 1.0, 1.0, 0),
+            # the trend line overflows in scaled units after its first day
+            (1.0, 1.7e308, 1.797e308, 0.0, 1),
+            # the noise overflows in scaled units
+            (1.0, 0.0, 1.0, 1e308, 0),
+        ],
+        ids=["point", "bounds", "scaled", "noise"],
+    )
+    def test_model_document_whose_forecast_overflows_rejected(
+        self, tmp_path, rng, capsys, y_scale, k, m, sigma, row
+    ):
+        # such a forecast was written as inf with exit 0, after numpy
+        # overflow warnings
+        model = self.fit_once(tmp_path, rng)
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        params = doc["parameters"]
+        params.update(k=k, m=m, sigma=sigma, delta=[0.0] * len(params["delta"]))
+        for block in params["blocks"]:
+            block["values"] = [0.0] * len(block["values"])
+        doc["scaling"]["y_scale"] = y_scale
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "forecast.csv"
+        code = main(["predict", "--input", str(model), "--periods", "3", "--output", str(out)])
+        assert code == 1
+        assert not out.exists()
+        day = format_epoch_day(doc["train_summary"]["timestamps"][row])
+        assert_one_error_line(capsys, "DomainError", f"the forecast overflows on {day}")
+
+    @pytest.mark.parametrize(
+        "section, key, value, fragment",
+        [
+            ("parameters", "sigma", -1.0, "sigma must be nonnegative"),
+            ("scaling", "t_span", 0.0, "scaling spans must be positive"),
+            ("scaling", "y_scale", 0.0, "scaling spans must be positive"),
+        ],
+    )
+    def test_model_document_with_out_of_range_value_rejected(
+        self, tmp_path, rng, capsys, section, key, value, fragment
+    ):
+        model = self.fit_once(tmp_path, rng)
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        doc[section][key] = value
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "forecast.csv"
+        code = main(["predict", "--input", str(model), "--periods", "5", "--output", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert_one_error_line(capsys, "DomainError", fragment)
 
     @pytest.mark.parametrize("samples", [10**20, 2**63 - 1])
     def test_model_document_with_huge_sample_count_rejected(self, tmp_path, rng, capsys, samples):
@@ -907,6 +982,57 @@ class TestCvCommand:
             f"{data}: missing value on {format_epoch_day(int(days[-1]))};"
             " pass --forward-fill to fill it",
         )
+
+    @pytest.mark.parametrize("old_folds", [None, b"cutoff,ds\r\n"], ids=["new", "existing"])
+    def test_failing_metrics_write_leaves_the_folds_file_as_it_was(
+        self, tmp_path, rng, capsys, old_folds
+    ):
+        # the folds CSV used to be published before the metrics write failed
+        data = tmp_path / "data.csv"
+        config = tmp_path / "config.json"
+        synthetic_csv(data, rng, n=320)
+        small_config(config)
+        folds_csv = tmp_path / "folds.csv"
+        if old_folds is not None:
+            folds_csv.write_bytes(old_folds)
+        (tmp_path / "folds.csv.metrics.json").mkdir()
+        before = sorted(tmp_path.iterdir())
+        code = main(
+            ["cv", "--input", str(data), "--config", str(config),
+             "--initial-days", "150", "--period-days", "60", "--horizon-days", "30",
+             "--output", str(folds_csv)]
+        )
+        assert code == 1
+        assert_one_error_line(capsys, "IsADirectoryError", "folds.csv.metrics.json")
+        assert sorted(tmp_path.iterdir()) == before
+        if old_folds is None:
+            assert not folds_csv.exists()
+        else:
+            assert folds_csv.read_bytes() == old_folds
+
+    @pytest.mark.parametrize(
+        "days, fragment",
+        [
+            (("150", "0", "30"), "period must be >= 1 day"),
+            (("-1", "60", "30"), "initial must be >= 0 and horizon >= 1"),
+            (("150", "60", "0"), "initial must be >= 0 and horizon >= 1"),
+        ],
+        ids=["period_0", "initial_-1", "horizon_0"],
+    )
+    def test_out_of_range_day_counts_exit_1(self, tmp_path, rng, capsys, days, fragment):
+        data = tmp_path / "data.csv"
+        config = tmp_path / "config.json"
+        synthetic_csv(data, rng, n=320)
+        small_config(config)
+        initial, period, horizon = days
+        code = main(
+            ["cv", "--input", str(data), "--config", str(config),
+             "--initial-days", initial, "--period-days", period, "--horizon-days", horizon,
+             "--output", str(tmp_path / "folds.csv")]
+        )
+        assert code == 1
+        assert sorted(tmp_path.iterdir()) == sorted([data, config])
+        assert_one_error_line(capsys, "DomainError", fragment)
 
     def test_fold_export_checks_every_fold_before_opening(self, tmp_path, rng):
         from addcast.errors import DomainError
@@ -1402,6 +1528,32 @@ class TestCompareCommand:
         assert code == 1
         assert sorted(tmp_path.iterdir()) == sorted([data, cfg])
         assert_one_error_line(capsys, "DomainError", "manifest failed")
+
+    @pytest.mark.parametrize("old_report", [None, b"{}\n"], ids=["new", "existing"])
+    def test_failing_manifest_write_leaves_the_report_as_it_was(
+        self, tmp_path, rng, capsys, old_report
+    ):
+        # the report used to be published before the manifest write failed
+        data = tmp_path / "data.csv"
+        days = self.seasonal_data(data, rng, n=400)
+        cfg = tmp_path / "naive.json"
+        cfg.write_text(json.dumps({"baseline": "naive"}))
+        out = tmp_path / "o.json"
+        if old_report is not None:
+            out.write_bytes(old_report)
+        (tmp_path / "o.json.manifest.json").mkdir()
+        before = sorted(tmp_path.iterdir())
+        code = main(
+            ["compare", "--input", str(data), "--config", str(cfg),
+             "--cutoff", format_epoch_day(int(days[320])), "--output", str(out)]
+        )
+        assert code == 1
+        assert_one_error_line(capsys, "IsADirectoryError", "o.json.manifest.json")
+        assert sorted(tmp_path.iterdir()) == before
+        if old_report is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == old_report
 
     def test_failing_candidate_is_named(self, tmp_path, rng, capsys):
         data = tmp_path / "data.csv"

@@ -23,7 +23,7 @@ from addcast.forecast import (
 )
 from addcast.timeseries import TimeSeries, parse_iso_date
 
-from conftest import daily_days, trend_oracle
+from conftest import assert_keeps_its_own_copy, daily_days, trend_oracle
 
 
 def flat_model(sigma=0.0, n_train=100, level=2.0, seasonalities=()):
@@ -47,6 +47,26 @@ def flat_model(sigma=0.0, n_train=100, level=2.0, seasonalities=()):
         changepoints_scaled=np.empty(0),
         train_timestamps=days,
     )
+
+
+class TestRecordArrays:
+    @pytest.mark.parametrize("name", ["delta", "beta", "changepoints_scaled", "train_timestamps"])
+    def test_model_keeps_its_own_copy(self, name):
+        model = replace(
+            flat_model(seasonalities=(SeasonalitySpec("weekly", 7.0, 1),)),
+            delta=np.array([0.1]),
+            beta=np.array([0.2, -0.3]),
+            changepoints_scaled=np.array([0.5]),
+        )
+        assert_keeps_its_own_copy(
+            lambda view: getattr(replace(model, **{name: view}), name),
+            np.array(getattr(model, name)),
+        )
+
+    def test_grid_keeps_its_own_copy(self):
+        assert_keeps_its_own_copy(
+            lambda view: FutureGrid(view, {}).timestamps, daily_days("2021-01-01", 5)
+        )
 
 
 class TestMakeFutureGrid:

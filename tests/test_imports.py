@@ -1,9 +1,10 @@
-"""Imports of the package: every name a module imports is used in that
-module, and ``import addcast`` is lazy.
+"""Imports and names of the package: every name a module imports is used in
+that module, every private module-level name is read somewhere in the
+package, and ``import addcast`` is lazy.
 
-No linter runs on the package, so the first test stands in for the
-unused-import check. An import statement marked ``# noqa: F401`` is exempt:
-it binds a name for code outside the module. ``__init__.py`` imports no
+No linter runs on the package, so the first tests stand in for the
+unused-import and dead-helper checks. An import statement marked
+``# noqa: F401`` is exempt: it binds a name for code outside the module. ``__init__.py`` imports no
 public name: its ``__getattr__`` imports a name's submodule on first use,
 so a bare ``import addcast`` loads neither numpy nor any submodule.
 """
@@ -59,6 +60,56 @@ def test_checker_finds_an_unused_import():
         "    return np.sum(x)\n"
     )
     assert unused_imports(source) == ["os", "unused"]
+
+
+def unread_private_names(sources: dict) -> list[str]:
+    """``module:name`` of each module-level ``_name`` (a function, a class
+    or an assigned name) defined in ``sources`` ({module: text}) that no
+    code in them reads, as a name or an attribute. A definition that refers
+    to its own name does not count as a reader of it."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = []
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = [node.name]
+            elif isinstance(node, ast.Assign):
+                own = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                own = [node.target.id]
+            defined += [(module, n) for n in own if n.startswith("_") and not n.endswith("__")]
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    name = sub.attr
+                else:
+                    continue
+                if name not in own:
+                    read.add(name)
+    return [f"{module}:{name}" for module, name in defined if name not in read]
+
+
+def test_every_private_module_level_name_is_read():
+    sources = {module: (PACKAGE / module).read_text() for module in MODULES}
+    assert unread_private_names(sources) == []
+
+
+def test_checker_finds_an_unread_private_name():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n"
+            "_UNUSED = 4\n"
+            "def _helper(x):\n"
+            "    return _helper(x - 1) if x else _LIMIT\n"
+            "def _used():\n"
+            "    return 1\n"
+            "class _Record:\n"
+            "    pass\n"
+        ),
+        "b.py": "import a\nvalue = a._used() + a._Record.__name__.count('R')\n",
+    }
+    assert unread_private_names(sources) == ["a.py:_UNUSED", "a.py:_helper"]
 
 
 def test_import_loads_no_numpy_and_no_submodule():

@@ -113,6 +113,25 @@ class TestModelDocument:
         with pytest.raises(SchemaError, match="coefficient blocks"):
             model_from_document(data)
 
+    def test_all_zero_deltas_forecast_as_no_changepoints(self, fitted):
+        # the simulator returns early on a zero changepoint rate scale
+        _, _, model = fitted
+        zero = model_to_document(model)
+        zero["parameters"]["delta"] = [0.0] * len(zero["parameters"]["delta"])
+        none = model_to_document(model)
+        none["parameters"]["delta"] = none["parameters"]["changepoints"] = []
+        fc_zero, fc_none = (
+            forecast_with_intervals(m, make_future_grid(m, 30), seed=5)
+            for m in map(model_from_document, (zero, none))
+        )
+        assert np.array_equal(fc_zero.yhat, fc_none.yhat)
+        assert fc_zero.components.keys() == fc_none.components.keys()
+        for name in fc_zero.components:
+            assert np.array_equal(fc_zero.components[name], fc_none.components[name])
+        assert fc_zero.bounds.keys() == fc_none.bounds.keys()
+        for level in fc_zero.bounds:
+            assert np.array_equal(fc_zero.bounds[level], fc_none.bounds[level])
+
     def test_tampering_is_digest_evident(self, fitted):
         _, _, model = fitted
         doc_bytes = canonical_json_bytes(model_to_document(model))

@@ -1,6 +1,7 @@
 import math
 import os
 import stat
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,13 @@ from addcast.timeseries import (
     write_output,
 )
 
-from conftest import daily_days, epoch_date, make_series, write_series_csv
+from conftest import (
+    assert_keeps_its_own_copy,
+    daily_days,
+    epoch_date,
+    make_series,
+    write_series_csv,
+)
 
 
 class TestLoadCsv:
@@ -356,3 +363,10 @@ class TestTimeSeriesInvariants:
         ts = make_series("2020-01-01", [1.0, 2.0])
         with pytest.raises(ValueError):
             ts.values[0] = 99.0
+
+    @pytest.mark.parametrize("name", ["timestamps", "values"])
+    def test_keeps_its_own_copy(self, name):
+        ts = make_series("2020-01-01", [1.0, 2.0, 3.0])
+        assert_keeps_its_own_copy(
+            lambda view: getattr(replace(ts, **{name: view}), name), np.array(getattr(ts, name))
+        )
