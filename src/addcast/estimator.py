@@ -43,7 +43,7 @@ from .features import (
     growth_curve,
     model_layout,
 )
-from .timeseries import TimeSeries, frozen
+from .timeseries import TimeSeries, frozen, increasing_days
 
 # Smoothing constant for the Laplace penalty; bias is far below every stated
 # tolerance (softabs(0) = 1e-5).
@@ -289,7 +289,10 @@ class FittedModel:
     the line is k * t + m before the first changepoint, for both growths.
     sigma is in scaled-value units. gamma is always derived
     from (changepoints, delta), never stored. Every parameter and scaling
-    must be finite, or construction raises DomainError.
+    must be finite, its arrays one-dimensional, delta and changepoints of
+    equal length, its training days at least 2 ``increasing_days``, and its
+    scaling ``TimeScaling.of`` those days, or construction raises
+    DomainError (DuplicateTimestamp for a repeated day).
     """
 
     config: ModelConfig
@@ -305,8 +308,13 @@ class FittedModel:
 
     def __post_init__(self):
         for name in ("delta", "beta", "changepoints_scaled"):
-            object.__setattr__(self, name, frozen(getattr(self, name), np.float64))
-        object.__setattr__(self, "train_timestamps", frozen(self.train_timestamps, np.int64))
+            object.__setattr__(self, name, frozen(getattr(self, name), np.float64, name))
+        t = increasing_days(self.train_timestamps, "train_timestamps")
+        object.__setattr__(self, "train_timestamps", t)
+        if len(self.delta) != len(self.changepoints_scaled):
+            raise DomainError("delta and changepoints length mismatch")
+        if len(t) < 2:
+            raise DomainError("a model needs at least 2 training days")
         for name in (
             "k", "m", "delta", "beta", "sigma", "scaling", "y_scale", "changepoints_scaled",
         ):
@@ -316,6 +324,9 @@ class FittedModel:
             raise DomainError("sigma must be nonnegative")
         if self.scaling.t_span <= 0 or self.y_scale <= 0:
             raise DomainError("scaling spans must be positive")
+        expected = TimeScaling.of(t)
+        if self.scaling != expected:
+            raise DomainError(f"scaling must be {expected}, the one the training days give")
 
     @property
     def params(self) -> np.ndarray:

@@ -19,7 +19,7 @@ from .errors import (
 )
 from .estimator import fit
 from .features import shared_fold_work
-from .forecast import bound_columns, forecast_with_intervals, make_future_grid
+from .forecast import FutureGrid, bound_columns, forecast_with_intervals, make_future_grid
 from .timeseries import TimeSeries, format_epoch_day, write_table
 
 
@@ -184,11 +184,12 @@ def holdout_forecast(
     ``days``, bounds mapping each interval level to (lower, upper).
 
     The grid runs through ``last_day``, which a future day's bounds depend
-    on, and only its days after the training data are built, evaluated and
-    simulated (``history=False``)."""
+    on, and only its days after the training data, the ``n_obs`` days that
+    ``make_future_grid`` puts first, are built, evaluated and simulated."""
     model = fit(train, config)
     grid = make_future_grid(model, last_day - model.last_day)
-    fc = forecast_with_intervals(model, grid, history=False)
+    horizon = FutureGrid(grid.timestamps[model.n_obs :], grid.regressor_values)
+    fc = forecast_with_intervals(model, horizon)
     idx = np.searchsorted(fc.timestamps, days)
     return fc.yhat[idx], {level: (lo[idx], hi[idx]) for level, (lo, hi) in fc.bounds.items()}
 

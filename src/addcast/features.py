@@ -234,6 +234,12 @@ class TimeScaling(NamedTuple):
     t_start: float
     t_span: float
 
+    @classmethod
+    def of(cls, days) -> "TimeScaling":
+        """The scaling of a model trained on ``days``: its first day maps to
+        0 and its last day to 1."""
+        return cls(t_start=float(days[0]), t_span=float(days[-1] - days[0]))
+
     def scale(self, days) -> np.ndarray:
         return (np.asarray(days, dtype=np.float64) - self.t_start) / self.t_span
 
@@ -408,7 +414,7 @@ def build_design(ts: TimeSeries, config: ModelConfig) -> DesignMatrix:
     if len(ts) < 2:
         raise DomainError("design construction needs at least 2 observations")
     t = ts.timestamps
-    scaling = TimeScaling(t_start=float(t[0]), t_span=float(t[-1] - t[0]))
+    scaling = TimeScaling.of(t)
     cp_days = place_changepoints(
         t, config.trend.n_changepoints, config.trend.changepoint_range
     )

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError
 from .estimator import FittedModel, ModelParts, _model_parts, row_dot
 from .features import design_for_grid, fold_work, growth_curve, regressor_column
-from .timeseries import MAX_EPOCH_DAY, format_epoch_day, frozen, write_table
+from .timeseries import MAX_EPOCH_DAY, format_epoch_day, increasing_days, write_table
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,7 @@ class FutureGrid:
     regressor_values: dict
 
     def __post_init__(self):
-        t = frozen(self.timestamps, np.int64)
-        if np.any(np.diff(t) <= 0):
-            raise DomainError("grid timestamps must be strictly increasing")
-        object.__setattr__(self, "timestamps", t)
+        object.__setattr__(self, "timestamps", increasing_days(self.timestamps, "grid timestamps"))
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -360,20 +357,11 @@ def _row_quantiles(samples: np.ndarray, qs) -> list[np.ndarray]:
     return bounds
 
 
-def forecast_with_intervals(
-    model: FittedModel, grid: FutureGrid, seed=None, history: bool = True
-) -> Forecast:
-    """predict plus simulate_intervals under the model's (or given) seed.
-
-    With ``history=False`` only the grid's days after the model's last
-    training day are built, evaluated and simulated. A day's point forecast
-    is a function of (model, day), and on ``make_future_grid``'s consecutive
+def forecast_with_intervals(model: FittedModel, grid: FutureGrid, seed=None) -> Forecast:
+    """predict plus simulate_intervals on exactly the days of ``grid``,
+    under the model's (or given) seed. On ``make_future_grid``'s consecutive
     days a future day's bounds are a function of (model, day, seed, last
-    grid day), so both equal the full forecast's rows bit for bit.
-    """
-    if not history:
-        future = grid.timestamps[_first_future_row(model, grid) :]
-        grid = FutureGrid(future, grid.regressor_values)
+    grid day), so its future days alone give its future rows bit for bit."""
     fc = predict(model, grid)
     bounds = simulate_intervals(model, fc, model.config.seed if seed is None else seed)
     return replace(fc, bounds=bounds)

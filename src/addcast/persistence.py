@@ -115,7 +115,7 @@ def model_from_document(data) -> FittedModel:
             raise SchemaError(
                 f"coefficient blocks (kind, name, width) are {found}, expected {expected}"
             )
-        model = FittedModel(
+        return FittedModel(
             config=config,
             k=float(params["k"]),
             m=float(params["m"]),
@@ -129,9 +129,6 @@ def model_from_document(data) -> FittedModel:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed model document: {exc}") from None
-    if len(model.delta) != len(model.changepoints_scaled):
-        raise SchemaError("delta and changepoints length mismatch")
-    return model
 
 
 def save_model(model: FittedModel, path) -> None:

@@ -117,45 +117,55 @@ def weekday_of(days: np.ndarray) -> np.ndarray:
     return (np.asarray(days, dtype=np.int64) + 3) % 7
 
 
-def frozen(values, dtype) -> np.ndarray:
-    """A read-only, C-contiguous copy of ``values`` as ``dtype``, with at
-    least one dimension: what a record stores, so that neither the record
-    nor the caller can change the other's array."""
+def frozen(values, dtype, name: str) -> np.ndarray:
+    """A read-only, C-contiguous, one-dimensional copy of ``values`` as
+    ``dtype``, or a DomainError naming the array: what a record stores, so
+    that neither the record nor the caller can change the other's array."""
     arr = np.array(values, dtype=dtype, order="C", ndmin=1)
+    if arr.ndim != 1:
+        raise DomainError(f"{name} must be 1-dimensional")
     arr.setflags(write=False)
     return arr
+
+
+def increasing_days(values, name: str = "timestamps") -> np.ndarray:
+    """``frozen`` int64 epoch-days that strictly increase, each between
+    0001-01-01 and 9999-12-31: the days of every record. A repeated day is
+    a DuplicateTimestamp naming it; a day out of range or a decrease is a
+    DomainError."""
+    days = frozen(values, np.int64, name)
+    if np.any((days < _MIN_EPOCH_DAY) | (days > MAX_EPOCH_DAY)):
+        raise DomainError(f"{name} must lie between 0001-01-01 and 9999-12-31")
+    diffs = np.diff(days)
+    repeats = np.flatnonzero(diffs == 0)
+    if len(repeats):
+        raise DuplicateTimestamp(f"duplicate timestamp {format_epoch_day(int(days[repeats[0]]))}")
+    if np.any(diffs < 0):
+        raise DomainError(f"{name} must be strictly increasing")
+    return days
 
 
 @dataclass(frozen=True)
 class TimeSeries:
     """Immutable timestamped series of real-valued observations.
 
-    Invariants: timestamps strictly increasing with no duplicates; values may
-    contain NaN (missing markers) only before preprocessing resolves them.
+    Invariants: one-dimensional arrays of equal length; timestamps as
+    ``increasing_days`` requires them; values may contain NaN (missing
+    markers) only before preprocessing resolves them.
     """
 
     timestamps: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        t = frozen(self.timestamps, np.int64)
-        v = frozen(self.values, np.float64)
-        if t.ndim != 1 or v.ndim != 1:
-            raise DomainError("timestamps and values must be 1-dimensional")
+        t = increasing_days(self.timestamps)
+        v = frozen(self.values, np.float64, "values")
         if len(t) != len(v):
             raise LengthMismatch(
                 f"length mismatch: {len(t)} timestamps vs {len(v)} values"
             )
         if len(t) == 0:
             raise EmptySeries("series must contain at least one observation")
-        diffs = np.diff(t)
-        if np.any(diffs == 0):
-            dup = int(t[np.argmin(diffs)]) if len(diffs) else 0
-            raise DuplicateTimestamp(
-                f"duplicate timestamp {format_epoch_day(dup)}"
-            )
-        if np.any(diffs < 0):
-            raise DomainError("timestamps must be strictly increasing")
         if np.any(np.isinf(v)):
             raise ParseError("values must be finite (or NaN for missing)")
         object.__setattr__(self, "timestamps", t)

@@ -42,6 +42,54 @@ def assert_keeps_its_own_copy(build, array) -> None:
     assert np.array_equal(stored, built)
 
 
+def _edit_days(change):
+    """A model document edit that maps its training days with ``change``."""
+
+    def edit(doc):
+        summary = doc["train_summary"]
+        summary["timestamps"] = change(summary["timestamps"])
+
+    return edit
+
+
+def _nest_delta_and_changepoints(doc):
+    params = doc["parameters"]
+    for key in ("delta", "changepoints"):
+        params[key] = [[value] for value in params[key]]
+
+
+def _set_scaling(**values):
+    return lambda doc: doc["scaling"].update(values)
+
+
+def _start_after_last_day(doc):
+    doc["scaling"]["t_start"] = doc["train_summary"]["timestamps"][-1] + 1.0
+
+
+_OUT_OF_RANGE = "train_timestamps must lie between 0001-01-01 and 9999-12-31"
+_NOT_ITS_SCALING = "the one the training days give"
+# In-place edits of a model document, each with the fragment of the
+# DomainError that loading the edited document raises. Each such document
+# used to load and then fail to forecast with an exception that is not an
+# AddcastError, or to ask for GiBs of simulation (t_span 1e-3 and 1e-6).
+UNFORECASTABLE_DOCUMENTS = {
+    "no_days": (_edit_days(lambda days: []), "at least 2 training days"),
+    "one_day": (_edit_days(lambda days: days[:1]), "at least 2 training days"),
+    "nested_days": (
+        _edit_days(lambda days: [[day] for day in days]), "train_timestamps must be 1-dimensional"
+    ),
+    "nested_delta": (_nest_delta_and_changepoints, "delta must be 1-dimensional"),
+    "days_plus_1e9": (_edit_days(lambda days: [day + 10**9 for day in days]), _OUT_OF_RANGE),
+    "days_minus_1e9": (_edit_days(lambda days: [day - 10**9 for day in days]), _OUT_OF_RANGE),
+    "last_day_2**62": (_edit_days(lambda days: [*days[:-1], 2**62]), _OUT_OF_RANGE),
+    "days_plus_1": (_edit_days(lambda days: [day + 1 for day in days]), _NOT_ITS_SCALING),
+    "t_start_after_last_day": (_start_after_last_day, _NOT_ITS_SCALING),
+    "t_span_1e300": (_set_scaling(t_span=1e300), _NOT_ITS_SCALING),
+    "t_span_1e-3": (_set_scaling(t_span=1e-3), _NOT_ITS_SCALING),
+    "t_span_1e-6": (_set_scaling(t_span=1e-6), _NOT_ITS_SCALING),
+}
+
+
 def epoch_date(day) -> date:
     """The calendar date of an epoch-day (days since 1970-01-01)."""
     return date.fromordinal(date(1970, 1, 1).toordinal() + int(day))

@@ -17,7 +17,7 @@ from addcast.errors import ParseError, SchemaError
 from addcast.persistence import load_model
 from addcast.timeseries import format_epoch_day, load_csv, read_columns
 
-from conftest import daily_days
+from conftest import UNFORECASTABLE_DOCUMENTS, daily_days
 
 NAN = float("nan")
 INF = float("inf")
@@ -667,6 +667,24 @@ class TestPredictCommand:
         assert code == 1
         assert not out.exists()
         assert_one_error_line(capsys, "DomainError", "beta must be finite")
+
+    @pytest.mark.parametrize("case", list(UNFORECASTABLE_DOCUMENTS))
+    def test_model_document_that_cannot_be_forecast_rejected(
+        self, tmp_path, rng, capsys, recwarn, case
+    ):
+        edit, fragment = UNFORECASTABLE_DOCUMENTS[case]
+        model = self.fit_once(tmp_path, rng)
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        edit(doc)
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "forecast.csv"
+        code = main(["predict", "--input", str(model), "--periods", "3", "--output", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert_one_error_line(capsys, "DomainError", fragment)
+        assert not recwarn.list
+
 
 class TestNonUtf8Input:
     """A file that is not UTF-8 text is a ParseError in every reader the CLI

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from addcast.config import HolidaySpec, ModelConfig, RegressorSpec, SeasonalitySpec, TrendSpec
-from addcast.errors import DomainError, MissingRegressorValue
+from addcast.errors import DomainError, DuplicateTimestamp, MissingRegressorValue
 from addcast.estimator import FittedModel, fit
 from addcast.features import TimeScaling
 from addcast.forecast import (
@@ -67,6 +67,36 @@ class TestRecordArrays:
         assert_keeps_its_own_copy(
             lambda view: FutureGrid(view, {}).timestamps, daily_days("2021-01-01", 5)
         )
+
+    @pytest.mark.parametrize(
+        "changes, error, fragment",
+        [
+            ({"delta": [[0.1]]}, DomainError, "delta must be 1-dimensional"),
+            ({"beta": [[0.2, -0.3]]}, DomainError, "beta must be 1-dimensional"),
+            ({"delta": [0.1, 0.2]}, DomainError, "delta and changepoints length mismatch"),
+            ({"train_timestamps": [18628]}, DomainError, "at least 2 training days"),
+            ({"train_timestamps": [18628, 18628]}, DuplicateTimestamp, "2021-01-01"),
+            ({"train_timestamps": [-719163, 0]}, DomainError, "must lie between"),
+            ({"scaling": TimeScaling(18628.0, 98.0)}, DomainError, "the one the training days"),
+        ],
+        ids=[
+            "nested_delta", "nested_beta", "lengths", "one_day", "repeated_day",
+            "day_before_year_1", "scaling",
+        ],
+    )
+    def test_model_refuses_what_breaks_its_rules(self, changes, error, fragment):
+        model = replace(
+            flat_model(seasonalities=(SeasonalitySpec("weekly", 7.0, 1),)),
+            delta=np.array([0.1]),
+            beta=np.array([0.2, -0.3]),
+            changepoints_scaled=np.array([0.5]),
+        )
+        with pytest.raises(error, match=fragment):
+            replace(model, **changes)
+
+    def test_grid_names_the_day_that_repeats(self):
+        with pytest.raises(DuplicateTimestamp, match="^duplicate timestamp 1970-01-03$"):
+            FutureGrid([1, 2, 2, 3], {})
 
 
 class TestMakeFutureGrid:
@@ -345,7 +375,10 @@ class TestSimulateIntervals:
         for lo, hi in fc.bounds.values():
             assert lo.shape == hi.shape == (120,)
             assert np.all(lo <= fc.yhat) and np.all(fc.yhat <= hi)
-        horizon = forecast_with_intervals(model, make_future_grid(model, 0), history=False)
+        grid = make_future_grid(model, 0)
+        horizon = forecast_with_intervals(
+            model, FutureGrid(grid.timestamps[model.n_obs :], grid.regressor_values)
+        )
         assert len(horizon) == 0
         assert all(lo.shape == hi.shape == (0,) for lo, hi in horizon.bounds.values())
 
@@ -406,7 +439,8 @@ class TestRowLocality:
             return original(timestamps, *args, **kwargs)
 
         monkeypatch.setattr(addcast.forecast, "design_for_grid", counted)
-        horizon = forecast_with_intervals(model, grid, seed=4, history=False)
+        horizon_grid = FutureGrid(grid.timestamps[n:], grid.regressor_values)
+        horizon = forecast_with_intervals(model, horizon_grid, seed=4)
         assert rows == [33]
         assert np.array_equal(horizon.timestamps, grid.timestamps[n:])
         assert np.array_equal(horizon.yhat, full.yhat[n:])

@@ -1,6 +1,7 @@
 """Imports and names of the package: every name a module imports is used in
 that module, every private module-level name is read somewhere in the
-package, and ``import addcast`` is lazy.
+package, every ``raise`` raises an AddcastError subclass, and ``import
+addcast`` is lazy.
 
 No linter runs on the package, so the first tests stand in for the
 unused-import and dead-helper checks. An import statement marked
@@ -110,6 +111,76 @@ def test_checker_finds_an_unread_private_name():
         "b.py": "import a\nvalue = a._used() + a._Record.__name__.count('R')\n",
     }
     assert unread_private_names(sources) == ["a.py:_UNUSED", "a.py:_helper"]
+
+
+ERROR_NAMES = {
+    name for name, value in vars(addcast.errors).items()
+    if isinstance(value, type) and issubclass(value, addcast.errors.AddcastError)
+}
+# (module, function, raised) of the raises that are not of an AddcastError;
+# each must still exist, so that the list cannot go stale
+ALLOWED_RAISES = {
+    # the module protocol: a name a module lacks is an AttributeError
+    ("__init__.py", "__getattr__", "AttributeError"),
+    # config_from_dict turns it into a SchemaError naming the missing key
+    ("config.py", "_spec", "KeyError"),
+    # re-raise a caught AddcastError as its own type, with context in front
+    ("cli.py", "cmd_compare", "type(exc)"),
+    ("evaluation.py", "_cv_fold", "type(exc)"),
+}
+
+
+def foreign_raises(sources: dict, error_names) -> list[str]:
+    """``module:function:raised`` of each ``raise`` in ``sources`` ({module:
+    text}) whose exception, or the callable that makes it, is not one of
+    ``error_names``; ``function`` is the innermost one around the raise, or
+    ``<module>``. A bare ``raise`` re-raises what its handler caught and is
+    not counted."""
+    found = []
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if ast.unparse(exc) not in error_names:
+                    found.append(f"{module}:{function}:{ast.unparse(exc)}")
+            visit(child, module, function)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "<module>")
+    return found
+
+
+def test_every_raise_raises_an_addcast_error():
+    sources = {module: (PACKAGE / module).read_text() for module in MODULES}
+    allowed = {":".join(triple) for triple in ALLOWED_RAISES}
+    assert sorted(set(foreign_raises(sources, ERROR_NAMES))) == sorted(allowed)
+
+
+def test_checker_finds_a_foreign_raise():
+    source = (
+        "from .errors import DomainError\n"
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise DomainError('x')\n"
+        "    try:\n"
+        "        return 1 / x\n"
+        "    except ZeroDivisionError as exc:\n"
+        "        raise type(exc)('zero') from exc\n"
+        "    except OverflowError:\n"
+        "        raise\n"
+        "def g():\n"
+        "    def inner():\n"
+        "        raise ValueError\n"
+        "    return inner\n"
+        "raise KeyError('k')\n"
+    )
+    assert foreign_raises({"a.py": source}, {"DomainError"}) == [
+        "a.py:f:type(exc)", "a.py:inner:ValueError", "a.py:<module>:KeyError",
+    ]
 
 
 def test_import_loads_no_numpy_and_no_submodule():

@@ -2,7 +2,8 @@
 call returns or raises an AddcastError, never another exception, and every
 ``addcast compare`` exits 0, 1 or 2 without a traceback. A config that loads
 also fits and its model document round-trips through canonical JSON, or the
-fit raises an AddcastError.
+fit raises an AddcastError; a model document that loads also forecasts and
+its forecast is written, or the forecast raises an AddcastError.
 
 Configs and documents start from a valid one and get up to three
 mutations: a value anywhere in the tree replaced by an arbitrary JSON value
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from addcast import errors
@@ -30,10 +31,11 @@ from addcast.cli import main
 from addcast.config import ModelConfig, config_from_dict, config_to_dict
 from addcast.errors import AddcastError
 from addcast.estimator import FittedModel, fit
+from addcast.forecast import forecast_with_intervals, make_future_grid, write_forecast_csv
 from addcast.persistence import canonical_json_bytes, model_from_document, model_to_document
 from addcast.timeseries import TimeSeries, format_epoch_day
 
-from conftest import daily_days
+from conftest import UNFORECASTABLE_DOCUMENTS, daily_days
 
 SETTINGS = settings(
     derandomize=True,
@@ -205,14 +207,42 @@ def _valid_document():
 VALID_DOCUMENT = _valid_document()
 
 
+def edited(case):
+    """A copy of VALID_DOCUMENT with an UNFORECASTABLE_DOCUMENTS edit made."""
+    document = json.loads(json.dumps(VALID_DOCUMENT))
+    UNFORECASTABLE_DOCUMENTS[case][0](document)
+    return document
+
+
 @SETTINGS
 @given(data=mutated(VALID_DOCUMENT))
+# each loaded, and its forecast ended in an exception that is not an
+# AddcastError or asked for GiBs of simulation
+@example(data=edited("no_days"))
+@example(data=edited("one_day"))
+@example(data=edited("nested_days"))
+@example(data=edited("nested_delta"))
+@example(data=edited("days_plus_1e9"))
+@example(data=edited("days_minus_1e9"))
+@example(data=edited("last_day_2**62"))
+@example(data=edited("t_start_after_last_day"))
+@example(data=edited("t_span_1e300"))
+@example(data=edited("t_span_1e-3"))
+@example(data=edited("t_span_1e-6"))
 def test_model_documents_load_or_raise_an_addcast_error(data):
     try:
         model = model_from_document(data)
     except AddcastError:
         return
     assert isinstance(model, FittedModel)
+    # a mutated sample count may ask for more memory than a test may take
+    assume(model.config.interval_samples <= 10_000)
+    try:
+        forecast = forecast_with_intervals(model, make_future_grid(model, 3))
+    except AddcastError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        write_forecast_csv(forecast, model, Path(tmp) / "forecast.csv")
 
 
 N_DAYS = 400

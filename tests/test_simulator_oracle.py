@@ -286,7 +286,8 @@ def test_rolling_cv_on_weekdays_equals_folds_simulated_alone():
         model = fit(train, config)
         grid = make_future_grid(model, fold["cutoff"] + 30 - model.last_day)
         periods.add(len(grid) - len(train))
-        alone = forecast_with_intervals(model, grid, history=False)
+        horizon = FutureGrid(grid.timestamps[model.n_obs :], grid.regressor_values)
+        alone = forecast_with_intervals(model, horizon)
         idx = np.searchsorted(alone.timestamps, fold["ds"])
         assert np.array_equal(fold["yhat"], alone.yhat[idx])
         for level, bounds in alone.bounds.items():

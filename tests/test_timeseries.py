@@ -338,6 +338,9 @@ class TestTimeSeriesInvariants:
     def test_duplicate_timestamps_rejected(self):
         with pytest.raises(DuplicateTimestamp):
             TimeSeries(np.array([1, 1, 2]), np.array([1.0, 2.0, 3.0]))
+        # the day that repeats is named, not the one before the largest drop
+        with pytest.raises(DuplicateTimestamp, match="^duplicate timestamp 1970-01-03$"):
+            TimeSeries(np.array([5, 1, 2, 2]), np.zeros(4))
 
     def test_unsorted_rejected(self):
         with pytest.raises(DomainError):
