@@ -24,7 +24,15 @@ from .baselines import (
     seasonal_naive,
     walk_forward_forecast,
 )
-from .config import DEFAULT_SEED, ModelConfig, _integer, config_from_dict, load_config, read_json
+from .config import (
+    DEFAULT_SEED,
+    ModelConfig,
+    _integer,
+    checked_seed,
+    config_from_dict,
+    load_config,
+    read_json,
+)
 from .errors import AddcastError, DomainError, EmptyInput, LengthMismatch, SchemaError
 from .estimator import fit
 from .evaluation import (
@@ -220,12 +228,9 @@ def _load_candidate(path):
 def _compare_seed(seed, configs) -> int:
     """The seed a compare run records: ``--seed`` when given, else the model
     candidates' shared seed, else DEFAULT_SEED when all are baselines. A
-    negative ``--seed`` is a DomainError."""
+    ``--seed`` is checked by ``config.checked_seed``."""
     if seed is not None:
-        seed = int(seed)
-        if seed < 0:
-            raise DomainError(f"seed must be >= 0, got {seed}")
-        return seed
+        return checked_seed(seed)
     seeds = sorted({c.seed for c in configs if isinstance(c, ModelConfig)})
     if len(seeds) > 1:
         raise DomainError(f"model configs have different seeds {seeds}; pass --seed")

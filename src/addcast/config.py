@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from datetime import date
 
@@ -25,6 +26,17 @@ MAX_HOLIDAY_WINDOW = date.max.toordinal() - date.min.toordinal()
 # the bound that memory cannot hold fails as an allocation (MemoryError),
 # never as an array numpy cannot describe.
 MAX_COUNT = 2**32
+
+
+def checked_seed(seed) -> int:
+    """``seed`` as an int, the one rule every seed obeys: a seed that is not
+    an integer (a bool, a float, also 7.0) or is negative is a
+    DomainError."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return int(seed)
 
 
 @dataclass(frozen=True)
@@ -185,8 +197,7 @@ class ModelConfig:
         object.__setattr__(self, "interval_levels", levels)
         if not 100 <= self.interval_samples <= MAX_COUNT:
             raise DomainError(f"interval_samples must be in [100, {MAX_COUNT}]")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", checked_seed(self.seed))
         names = [s.name for s in self.seasonalities]
         if len(set(names)) != len(names):
             raise DomainError("seasonality names must be unique")
@@ -201,7 +212,7 @@ class ModelConfig:
             raise DomainError("regressor names must be unique")
 
     def with_seed(self, seed: int) -> "ModelConfig":
-        return replace(self, seed=int(seed))
+        return replace(self, seed=seed)
 
 
 # --- canonical dict form ----------------------------------------------------

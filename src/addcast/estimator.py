@@ -370,7 +370,7 @@ class MinimizeResult(NamedTuple):
     evaluation: tuple
 
 
-def minimize(evaluate, derivatives, x0, callback=None) -> MinimizeResult:
+def minimize(evaluate, derivatives, x0) -> MinimizeResult:
     """Damped Gauss-Newton (Levenberg-Marquardt) minimization.
 
     ``evaluate(x)`` returns an evaluation whose first item is the objective
@@ -379,7 +379,7 @@ def minimize(evaluate, derivatives, x0, callback=None) -> MinimizeResult:
     Each step solves (H + lam * diag(H)) p = -g by Cholesky and is accepted
     only if it does not raise the objective; lam shrinks after an accepted
     step and grows after a rejected one, so a rejected step is retried
-    shorter until it is accepted. ``callback(x)`` runs after each accepted step.
+    shorter until it is accepted.
 
     Stops when max|g| <= GRADIENT_TOLERANCE, or when an accepted step lowers
     the objective by at most OBJECTIVE_TOLERANCE * max(|f|, 1), which
@@ -418,8 +418,6 @@ def minimize(evaluate, derivatives, x0, callback=None) -> MinimizeResult:
             damping *= DAMPING_FACTOR
         x = x + step
         nit += 1
-        if callback is not None:
-            callback(x)
         if f - evaluation[0] <= OBJECTIVE_TOLERANCE * max(abs(evaluation[0]), 1.0):
             break
         # Floored so that a long run of accepted steps cannot drive it to zero.

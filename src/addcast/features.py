@@ -11,8 +11,8 @@ Internal time is affinely rescaled so the training span maps to [0, 1]
 computed directly on epoch-days so their phase is calendar-anchored. The
 seasonal and holiday columns are therefore a function of the day alone, and
 inside ``shared_fold_work``, which ``evaluation.rolling_cv`` opens, every
-design of a series takes them from one build; the same scope keeps the
-folds' shared future-noise draw for ``forecast.simulate_intervals``.
+design of a series takes them from the scope's one build; the scope also
+owns the folds' shared future-noise draw.
 """
 
 from __future__ import annotations
@@ -316,19 +316,22 @@ _fold_scope = threading.local()
 
 
 class _FoldWork:
-    """What the folds of a CV run under one config share: the seasonal and
-    holiday columns of the series' days, in layout order, built at the first
-    design that asks (one row per day of the series, however far apart the
-    days are), and the last future-noise draw of a simulation, kept by
-    ``forecast.simulate_intervals`` as (seed, read-only array)."""
+    """What the folds of a CV run under one config share, and the one owner
+    of it: the seasonal and holiday columns of the series' days, in layout
+    order, built when the scope opens (one row per day of the series,
+    however far apart the days are), and the last future-noise draw of a
+    simulation, as (seed, read-only array)."""
 
     def __init__(self, config: ModelConfig, days: np.ndarray):
         self.config = config
         self.days = days
-        self.columns = None
+        # The first fold's fit design, a prefix of the series, asks for
+        # every one of these columns, so building them here adds no work.
+        blocks = _day_blocks(days, config, model_layout(config, 0))
+        self.columns = np.hstack(blocks) if blocks else np.empty((len(days), 0))
         self.noise = None
 
-    def day_columns(self, t: np.ndarray, layout: Layout) -> np.ndarray | None:
+    def day_columns(self, t: np.ndarray) -> np.ndarray | None:
         """The day columns at the days ``t``, a slice of the build, when
         ``t`` is a run of consecutive series days; otherwise None. A CV fit
         design is a prefix of the series, and a CV forecast grid is
@@ -338,10 +341,27 @@ class _FoldWork:
         start = int(np.searchsorted(self.days, t[0]))
         if not np.array_equal(self.days[start : start + len(t)], t):
             return None
-        if self.columns is None:
-            blocks = _day_blocks(self.days, self.config, layout)
-            self.columns = np.hstack(blocks) if blocks else np.empty((len(self.days), 0))
         return self.columns[start : start + len(t)]
+
+    def future_noise(self, seed: int, stream, n_rows: int, n_samples: int) -> np.ndarray:
+        """``(n_rows, n_samples)`` standard normals of the seed's fresh
+        future-noise ``stream``, kept read only for every simulation of the
+        seed in the scope.
+
+        ``standard_normal`` fills row-major, so the first r rows of a larger
+        draw from a fresh stream are exactly an r-row draw: a request for no
+        more rows than the kept draw of the same seed holds gets a prefix of
+        it. Otherwise ``stream`` is drawn from and its matrix replaces the
+        kept one.
+        """
+        if self.noise is None or self.noise[0] != seed or len(self.noise[1]) < n_rows:
+            # Drop the stale matrix before drawing its successor, so that a
+            # miss does not hold two at once.
+            self.noise = None
+            noise = stream.standard_normal((n_rows, n_samples))
+            noise.setflags(write=False)
+            self.noise = (seed, noise)
+        return self.noise[1][:n_rows]
 
 
 @contextmanager
@@ -350,10 +370,10 @@ def shared_fold_work(config: ModelConfig, days: np.ndarray):
     ``config`` (this object) share what the folds of a series with days
     ``days`` (strictly increasing) have in common: a design of a run of
     consecutive series days takes its seasonal and holiday columns from one
-    build, and the simulations of a seed share one future-noise draw. Every
-    design and bound equals its own build or draw bit for bit. Everything
-    is dropped when the block exits. ``evaluation.rolling_cv`` opens it;
-    scopes do not nest."""
+    build, made as the block opens, and the simulations of a seed share one
+    future-noise draw. Every design and bound equals its own build or draw
+    bit for bit. Everything is dropped when the block exits.
+    ``evaluation.rolling_cv`` opens it; scopes do not nest."""
     _fold_scope.entry = _FoldWork(config, np.asarray(days, dtype=np.int64))
     try:
         yield
@@ -389,7 +409,7 @@ def design_for_grid(
 
     columns = [changepoint_basis(t_scaled, cps)]
     scope = fold_work(config)
-    day = None if scope is None else scope.day_columns(t, layout)
+    day = None if scope is None else scope.day_columns(t)
     if day is None:
         columns += _day_blocks(t, config, layout)
     else:

@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import checked_seed
 from .errors import DomainError
 from .estimator import FittedModel, ModelParts, _model_parts, row_dot
 from .features import design_for_grid, fold_work, growth_curve, regressor_column
@@ -159,11 +160,8 @@ def _require_finite(timestamps: np.ndarray, columns) -> None:
 _BLOCK_CELLS = 16384
 
 
-def _streams(seed) -> tuple[np.random.Generator, ...]:
+def _streams(seed: int) -> tuple[np.random.Generator, ...]:
     """History-noise, future-noise and trend-change generators of a seed."""
-    seed = int(seed)
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
     children = np.random.SeedSequence(seed).spawn(3)
     return tuple(np.random.Generator(np.random.Philox(child)) for child in children)
 
@@ -246,27 +244,6 @@ def _first_future_row(model: FittedModel, grid: FutureGrid | Forecast) -> int:
     return int(np.searchsorted(grid.timestamps, model.last_day, side="right"))
 
 
-def _shared_future_noise(scope, seed: int, stream, n_rows: int, n_samples: int):
-    """``(n_rows, n_samples)`` standard normals of a seed's fresh future
-    stream, kept read only in ``scope`` (``features.shared_fold_work``) for
-    every simulation of the seed under the scope's config.
-
-    ``standard_normal`` fills row-major, so the first r rows of a larger
-    draw from a fresh stream are exactly an r-row draw: a request for no
-    more rows than the scope holds gets a prefix of it. Otherwise ``stream``
-    is drawn from and its matrix replaces the scope's draw.
-    """
-    if scope.noise is not None and scope.noise[0] == seed and len(scope.noise[1]) >= n_rows:
-        return scope.noise[1][:n_rows]
-    # Drop the stale matrix before drawing its successor, so that a miss
-    # does not hold two at once.
-    scope.noise = None
-    noise = stream.standard_normal((n_rows, n_samples))
-    noise.setflags(write=False)
-    scope.noise = (seed, noise)
-    return noise
-
-
 def simulate_intervals(model: FittedModel, forecast: Forecast, seed: int) -> dict:
     """Monte-Carlo prediction bounds per configured coverage level, at the
     rows of ``forecast``, ``predict``'s point forecast of ``model``.
@@ -290,8 +267,10 @@ def simulate_intervals(model: FittedModel, forecast: Forecast, seed: int) -> dic
     ``features.shared_fold_work`` the simulations of a seed under the
     scope's config share one future-noise draw, and a shorter horizon reads
     a prefix of a longer one, which is exactly what its own draw would give.
-    A bound that overflows is a DomainError.
+    A bound that overflows, or a seed ``config.checked_seed`` refuses, is a
+    DomainError.
     """
+    seed = checked_seed(seed)
     history_stream, future_stream, trend_stream = _streams(seed)
     levels = model.config.interval_levels
     if not levels:
@@ -304,8 +283,8 @@ def simulate_intervals(model: FittedModel, forecast: Forecast, seed: int) -> dic
 
     step = max(1, _BLOCK_CELLS // n_samples)
     scope = fold_work(model.config)
-    shared = None if scope is None else _shared_future_noise(
-        scope, int(seed), future_stream, len(forecast) - first, n_samples
+    shared = None if scope is None else scope.future_noise(
+        seed, future_stream, len(forecast) - first, n_samples
     )
     deviations = _trend_deviations(model, evaluation, first, trend_stream, step)
     row_ranges = (0, first, history_stream), (first, len(forecast), future_stream)

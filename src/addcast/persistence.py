@@ -85,18 +85,28 @@ def model_to_document(model: FittedModel) -> dict:
             "y_scale": model.y_scale,
         },
         "train_summary": {
-            "n_obs": model.n_obs,
-            "first": format_epoch_day(model.first_day),
-            "last": format_epoch_day(model.last_day),
+            **_day_summary(model),
             "timestamps": [int(t) for t in model.train_timestamps],
         },
+    }
+
+
+def _day_summary(model: FittedModel) -> dict:
+    """What a document's ``train_summary`` states of the training days
+    besides listing them."""
+    return {
+        "n_obs": model.n_obs,
+        "first": format_epoch_day(model.first_day),
+        "last": format_epoch_day(model.last_day),
     }
 
 
 def model_from_document(data) -> FittedModel:
     """The model of a document dict. A non-object is a SchemaError, a
     format_version other than FORMAT_VERSION is UnsupportedVersion, and a
-    missing top-level key or a malformed value is a SchemaError."""
+    missing top-level key or a malformed value is a SchemaError, as is a
+    ``train_summary`` ``n_obs``, ``first`` or ``last`` that is missing or
+    disagrees with its ``timestamps``."""
     if not isinstance(data, dict):
         raise SchemaError("model document must be a JSON object")
     version = data.get("format_version")
@@ -115,7 +125,7 @@ def model_from_document(data) -> FittedModel:
             raise SchemaError(
                 f"coefficient blocks (kind, name, width) are {found}, expected {expected}"
             )
-        return FittedModel(
+        model = FittedModel(
             config=config,
             k=float(params["k"]),
             m=float(params["m"]),
@@ -129,6 +139,15 @@ def model_from_document(data) -> FittedModel:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed model document: {exc}") from None
+    stated = data["train_summary"]
+    for key, value in _day_summary(model).items():
+        if key not in stated:
+            raise SchemaError(f"model document train_summary missing key {key!r}")
+        if stated[key] != value:
+            raise SchemaError(
+                f"train_summary {key} is {stated[key]!r}, but its timestamps give {value!r}"
+            )
+    return model
 
 
 def save_model(model: FittedModel, path) -> None:

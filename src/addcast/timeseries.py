@@ -131,9 +131,16 @@ def frozen(values, dtype, name: str) -> np.ndarray:
 def increasing_days(values, name: str = "timestamps") -> np.ndarray:
     """``frozen`` int64 epoch-days that strictly increase, each between
     0001-01-01 and 9999-12-31: the days of every record. A repeated day is
-    a DuplicateTimestamp naming it; a day out of range or a decrease is a
-    DomainError."""
-    days = frozen(values, np.int64, name)
+    a DuplicateTimestamp naming it; a day that is not a whole number (also
+    a string), a day out of range or a decrease is a DomainError."""
+    given = np.asarray(values)
+    if given.dtype.kind == "f" and np.all(np.trunc(given) == given):  # False at NaN
+        # so that the int64 cast of a far or infinite day is in int64's
+        # range and fails the range check below
+        given = np.clip(given, _MIN_EPOCH_DAY - 1, MAX_EPOCH_DAY + 1)
+    elif given.dtype.kind not in "iu":
+        raise DomainError(f"{name} must be whole days")
+    days = frozen(given, np.int64, name)
     if np.any((days < _MIN_EPOCH_DAY) | (days > MAX_EPOCH_DAY)):
         raise DomainError(f"{name} must lie between 0001-01-01 and 9999-12-31")
     diffs = np.diff(days)

@@ -668,6 +668,43 @@ class TestPredictCommand:
         assert not out.exists()
         assert_one_error_line(capsys, "DomainError", "beta must be finite")
 
+    @pytest.mark.parametrize("index", [0, 57, -1])
+    def test_model_document_with_fractional_day_rejected(self, tmp_path, rng, capsys, index):
+        # a day X.5 used to load as day X and predict with exit 0
+        model = self.fit_once(tmp_path, rng)
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        doc["train_summary"]["timestamps"][index] += 0.5
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "forecast.csv"
+        code = main(["predict", "--input", str(model), "--periods", "3", "--output", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert_one_error_line(capsys, "DomainError", "train_timestamps must be whole days")
+
+    @pytest.mark.parametrize("key, wrong", [("n_obs", 5), ("first", "2020-01-02"),
+                                            ("last", "banana")])
+    @pytest.mark.parametrize("edit", ["missing", "wrong"])
+    def test_model_document_whose_summary_disagrees_rejected(
+        self, tmp_path, rng, capsys, key, wrong, edit
+    ):
+        # each such document used to predict with exit 0
+        model = self.fit_once(tmp_path, rng)
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        if edit == "missing":
+            del doc["train_summary"][key]
+            fragment = f"train_summary missing key {key!r}"
+        else:
+            doc["train_summary"][key] = wrong
+            fragment = f"train_summary {key} is {wrong!r}, but its timestamps give "
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "forecast.csv"
+        code = main(["predict", "--input", str(model), "--periods", "3", "--output", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert_one_error_line(capsys, "SchemaError", fragment)
+
     @pytest.mark.parametrize("case", list(UNFORECASTABLE_DOCUMENTS))
     def test_model_document_that_cannot_be_forecast_rejected(
         self, tmp_path, rng, capsys, recwarn, case

@@ -98,6 +98,20 @@ class TestModelConfig:
         with pytest.raises(SchemaError, match="seed must be an integer"):
             config_from_dict({"seed": seed})
 
+    @pytest.mark.parametrize("seed", [1.5, 7.0, True, "7", None, float("nan")])
+    def test_non_integer_seed_rejected_in_every_config(self, seed):
+        # ModelConfig(seed=1.5) used to be kept, written as 1.5 and drawn
+        # as seed 1; with_seed truncated it
+        for build in (lambda: ModelConfig(seed=seed), lambda: ModelConfig().with_seed(seed)):
+            with pytest.raises(DomainError, match="^seed must be an integer, got "):
+                build()
+
+    def test_seed_is_kept_as_an_int(self):
+        config = ModelConfig(seed=np.int64(3))
+        assert type(config.seed) is int
+        assert config_to_dict(config)["seed"] == 3
+        assert type(ModelConfig().with_seed(np.uint8(4)).seed) is int
+
 
     @pytest.mark.parametrize("value", [2.7, 3.0, True, "3", None])
     @pytest.mark.parametrize(

@@ -187,7 +187,7 @@ class TestMapGradient:
             seasonalities=(SeasonalitySpec(name="weekly", period=7.0, fourier_order=2),),
         )
         trace = []
-        recorded_minimize(monkeypatch, lambda xk: trace.append(xk.copy()))
+        recorded_minimize(monkeypatch, trace)
         model = fit(ts, config)
         design = build_design(ts, config)
         ys = y / model.y_scale
@@ -526,7 +526,7 @@ class TestFit:
             seasonalities=(SeasonalitySpec(name="weekly", period=7.0, fourier_order=2),),
         )
         trace = []
-        recorded_minimize(monkeypatch, lambda xk: trace.append(xk.copy()))
+        recorded_minimize(monkeypatch, trace)
         model = fit(ts, config)
         design = build_design(ts, config)
         ys = y / model.y_scale
@@ -694,16 +694,29 @@ class TestFit:
         assert abs(observed - model.sigma_rescaled) < 1e-9
 
 
-def recorded_minimize(monkeypatch, callback=None):
+def recorded_minimize(monkeypatch, iterates=None):
     """Wrap estimator.minimize; the returned list receives each fit's
-    result, and ``callback``, when given, each accepted iterate."""
+    result, and ``iterates``, when given, a copy of each accepted iterate.
+    The iterates are read off the evaluations by minimize's own rule: after
+    the start point, a trial point is accepted when its objective does not
+    exceed that of the last accepted point."""
     import addcast.estimator as est
 
     real_minimize = est.minimize
     results = []
 
-    def recorded(objective, derivatives, x0):
-        results.append(real_minimize(objective, derivatives, x0, callback))
+    def recorded(evaluate, derivatives, x0):
+        accepted = []
+
+        def recording(x):
+            evaluation = evaluate(x)
+            if not accepted or evaluation[0] <= accepted[-1]:
+                if accepted and iterates is not None:
+                    iterates.append(np.array(x))
+                accepted.append(evaluation[0])
+            return evaluation
+
+        results.append(real_minimize(recording, derivatives, x0))
         return results[-1]
 
     monkeypatch.setattr(est, "minimize", recorded)
@@ -808,7 +821,7 @@ class TestLogisticStart:
 
     def test_multiplicative_holiday_fit_converges_in_few_steps(self, rng, monkeypatch):
         iterates = []
-        results = recorded_minimize(monkeypatch, lambda x: iterates.append(x.copy()))
+        results = recorded_minimize(monkeypatch, iterates)
         ts, config = logistic_holiday_problem(rng)
         model = fit(ts, config)
         assert 1 <= results[0].nit <= 5

@@ -302,12 +302,11 @@ class TestSharedDayColumnsInCv:
         that lost the scope (say, under a copy of the config) would build
         and draw its own, with the same bits."""
         import addcast.features
-        from addcast import forecast
-        from addcast.features import _fold_scope
+        from addcast.features import _fold_scope, _FoldWork
 
         ts, config = small_cv_setup(rng)
         builds, draws = [], []
-        day_blocks, shared_noise = addcast.features._day_blocks, forecast._shared_future_noise
+        day_blocks, shared_noise = addcast.features._day_blocks, _FoldWork.future_noise
 
         def count_build(t, *args):
             builds.append(len(t))
@@ -318,7 +317,7 @@ class TestSharedDayColumnsInCv:
             return draws[-1]
 
         monkeypatch.setattr(addcast.features, "_day_blocks", count_build)
-        monkeypatch.setattr(forecast, "_shared_future_noise", keep_draw)
+        monkeypatch.setattr(_FoldWork, "future_noise", keep_draw)
         folds = rolling_cv(config, ts, 120, 40, 30)
         assert len(folds) == len(draws) == 4
         assert builds == [len(ts)]

@@ -12,6 +12,7 @@ from addcast.config import (
     SeasonalitySpec,
     TrendSpec,
 )
+from addcast import features
 from addcast.errors import DomainError, DuplicateTimestamp, MissingRegressorValue
 from addcast.estimator import row_dot
 from addcast.features import (
@@ -568,21 +569,34 @@ class TestSharedDayColumns:
         assert built.shape == (len(ts), alone.X.shape[1] - alone.layout.trend.width)
         self.assert_same_design(shared, alone, rng)
 
-    def test_days_outside_the_series_or_another_config_are_built_alone(self, rng):
+    def test_days_outside_the_series_or_another_config_are_built_alone(
+        self, rng, monkeypatch
+    ):
         days = daily_days("2021-03-01", 120)
         config = scope_configs(days)["logistic_multiplicative_holidays"]
         ts = TimeSeries(days, rng.normal(5.0, 1.0, len(days)))
         alone = build_design(ts, config)
         with shared_fold_work(config, days[10:]):
+            built = _fold_scope.entry.columns
+            # Every design below that reads the build gets a slice of it;
+            # the others build their own day columns.
+            builds = []
+            day_blocks = features._day_blocks
+
+            def count_build(t, *args):
+                builds.append(len(t))
+                return day_blocks(t, *args)
+
+            monkeypatch.setattr(features, "_day_blocks", count_build)
             # The first ten days are not in the scope's series.
             self.assert_same_design(build_design(ts, config), alone, rng)
-            assert _fold_scope.entry.columns is None
             other = scope_configs(days)["logistic_multiplicative_holidays"]
             self.assert_same_design(build_design(ts, other), alone, rng)
-            assert _fold_scope.entry.columns is None
+            assert builds == [len(days)] * 2
             grid = design_for_grid(days[20:40], config, TimeScaling(0.0, 1.0), np.empty(0))
-            assert _fold_scope.entry.columns is not None
-        assert grid.X.shape == (20, alone.X.shape[1] - alone.layout.trend.width)
+            assert builds == [len(days)] * 2
+        assert built.shape == (110, alone.X.shape[1] - alone.layout.trend.width)
+        assert grid.X.tobytes() == np.ascontiguousarray(built[10:30]).tobytes()
 
     def test_regressor_error_keeps_its_message(self):
         days = daily_days("2020-01-01", 30)

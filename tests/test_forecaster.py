@@ -346,6 +346,18 @@ class TestSimulateIntervals:
         with pytest.raises(DomainError, match="seed"):
             simulate_intervals(model, predict(model, make_future_grid(model, 5)), seed=-1)
 
+    def test_non_integer_seed_rejected(self):
+        # 1.5 used to be drawn as seed 1
+        model = flat_model(sigma=0.5)
+        fc = predict(model, make_future_grid(model, 5))
+        with pytest.raises(DomainError, match=r"^seed must be an integer, got 1\.5$"):
+            simulate_intervals(model, fc, seed=1.5)
+        # a numpy integer is the same seed as the int
+        numpy_seed = simulate_intervals(model, fc, np.int64(1))
+        for level, (lo, hi) in simulate_intervals(model, fc, 1).items():
+            assert lo.tobytes() == numpy_seed[level][0].tobytes()
+            assert hi.tobytes() == numpy_seed[level][1].tobytes()
+
     def test_grid_without_history_rows(self):
         # rows are independent in a model with no changepoints or seasonal
         # blocks, so dropping the history rows leaves the future bounds as

@@ -19,10 +19,13 @@ np.tanh, sin, cos and sqrt give the same bits there, and np.log, which
 only the logistic start and the log transform call, differs in the last
 bit on about 0.2% of inputs, which changes none of these digests.
 Another kernel (OPENBLAS_CORETYPE=Haswell) changes the last digits of
-every output, so these tests fail there. A deliberate change to numeric
-output updates these digests and says why in CHANGES.md.
+every output, so these tests fail there; a test below runs the flow under
+that kernel and holds every number it writes to the reference within
+CROSS_KERNEL_TOLERANCE instead. A deliberate change to numeric output
+updates these digests and says why in CHANGES.md.
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -30,6 +33,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 try:
@@ -217,6 +221,78 @@ def test_cli_outputs_match_pinned_digests_at_avx2_dispatch(tmp_path):
         tmp_path, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512_TARGETS)
     )
     assert digests == GOLDEN
+
+
+def _dynamic_arch() -> bool:
+    """Whether numpy's OpenBLAS was built with DYNAMIC_ARCH, which lets
+    OPENBLAS_CORETYPE choose its kernel at run time."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26, or no BLAS entry
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+# Measured under OPENBLAS_CORETYPE=Haswell against the SkylakeX kernel, the
+# largest differences are 3.2e-13 relative and 3.2e-14 absolute.
+CROSS_KERNEL_TOLERANCE = 1e-12
+
+
+def _written(path):
+    """The content of an output file: a CSV file as its rows, each field a
+    float when it reads as one, and a JSON file as its value, less a
+    manifest's wall-clock ``created_at``."""
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            return [[_number_or_text(field) for field in row] for row in csv.reader(fh)]
+    value = json.loads(path.read_text())
+    value.pop("created_at", None)
+    return value
+
+
+def _number_or_text(field: str):
+    try:
+        return float(field)
+    except ValueError:
+        return field
+
+
+def assert_agrees(reference, other, where=""):
+    """``other`` equals ``reference`` apart from its numbers, each within
+    CROSS_KERNEL_TOLERANCE * max(1, |reference|) of the reference's."""
+    if isinstance(reference, dict):
+        assert isinstance(other, dict) and sorted(other) == sorted(reference), where
+        for key, value in reference.items():
+            assert_agrees(value, other[key], f"{where}/{key}")
+    elif isinstance(reference, list):
+        assert isinstance(other, list) and len(other) == len(reference), where
+        for i, (a, b) in enumerate(zip(reference, other)):
+            assert_agrees(a, b, f"{where}/{i}")
+    elif isinstance(reference, (int, float)) and not isinstance(reference, bool):
+        assert isinstance(other, (int, float)) and not isinstance(other, bool), where
+        assert abs(other - reference) <= CROSS_KERNEL_TOLERANCE * max(1.0, abs(reference)), (
+            where, reference, other
+        )
+    else:
+        assert other == reference, where
+
+
+@pytest.mark.skipif(
+    not (_dynamic_arch() and __cpu_features__.get("AVX2")),
+    reason="needs an OpenBLAS built with DYNAMIC_ARCH and an AVX2 CPU to run its Haswell kernel",
+)
+def test_cli_outputs_agree_under_another_blas_kernel(tmp_path, capsys):
+    reference, haswell = tmp_path / "reference", tmp_path / "haswell"
+    reference.mkdir()
+    haswell.mkdir()
+    golden_digests(reference)
+    capsys.readouterr()
+    digests_in_fresh_process(haswell, OPENBLAS_CORETYPE="Haswell")
+    outputs = [f"{name}.{suffix}" for name in ("linear", "logistic")
+               for suffix in ("model.json", "forecast.csv", "folds.csv", "folds.csv.metrics.json")]
+    outputs += ["compare.json", "compare.json.manifest.json"]
+    for name in outputs:
+        assert_agrees(_written(reference / name), _written(haswell / name), name)
 
 
 # Compare over a model and every baseline kind, plain and --weekdays-only.

@@ -346,6 +346,24 @@ class TestTimeSeriesInvariants:
         with pytest.raises(DomainError):
             TimeSeries(np.array([2, 1]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("day", [1.5, -0.25, math.nan, "1"])
+    def test_day_that_is_not_whole_rejected(self, day):
+        # such a day used to be truncated, [1.5, 2.0] stored [1, 2], or
+        # parsed, as "1" was
+        with pytest.raises(DomainError, match="^timestamps must be whole days$"):
+            TimeSeries([day, 2.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("day", [math.inf, -math.inf, 1e300])
+    def test_day_beyond_int64_rejected_as_out_of_range(self, day, recwarn):
+        with pytest.raises(DomainError, match="^timestamps must lie between"):
+            TimeSeries([day, 2.0], [1.0, 2.0])
+        assert not recwarn.list  # the int64 cast warns of nothing
+
+    def test_whole_float_days_kept(self):
+        ts = TimeSeries([1.0, 2.0], [1.0, 2.0])
+        assert ts.timestamps.dtype == np.int64
+        assert ts.timestamps.tolist() == [1, 2]
+
     def test_two_dimensional_rejected(self):
         with pytest.raises(DomainError):
             TimeSeries(np.array([[1, 2]]), np.array([[1.0, 2.0]]))
