@@ -106,7 +106,8 @@ def model_from_document(data) -> FittedModel:
     format_version other than FORMAT_VERSION is UnsupportedVersion, and a
     missing top-level key or a malformed value is a SchemaError, as is a
     ``train_summary`` ``n_obs``, ``first`` or ``last`` that is missing or
-    disagrees with its ``timestamps``."""
+    disagrees with its ``timestamps`` in value or JSON type (``500.0`` is
+    no count)."""
     if not isinstance(data, dict):
         raise SchemaError("model document must be a JSON object")
     version = data.get("format_version")
@@ -143,7 +144,7 @@ def model_from_document(data) -> FittedModel:
     for key, value in _day_summary(model).items():
         if key not in stated:
             raise SchemaError(f"model document train_summary missing key {key!r}")
-        if stated[key] != value:
+        if type(stated[key]) is not type(value) or stated[key] != value:
             raise SchemaError(
                 f"train_summary {key} is {stated[key]!r}, but its timestamps give {value!r}"
             )

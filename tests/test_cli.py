@@ -705,6 +705,21 @@ class TestPredictCommand:
         assert not out.exists()
         assert_one_error_line(capsys, "SchemaError", fragment)
 
+    def test_model_document_whose_n_obs_is_a_float_rejected(self, tmp_path, rng, capsys):
+        # the right count written as a float, such as 500.0, is no JSON integer
+        model = self.fit_once(tmp_path, rng)
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        n_obs = doc["train_summary"]["n_obs"]
+        doc["train_summary"]["n_obs"] = float(n_obs)
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "forecast.csv"
+        code = main(["predict", "--input", str(model), "--periods", "3", "--output", str(out)])
+        assert code == 1
+        assert not out.exists()
+        fragment = f"train_summary n_obs is {float(n_obs)!r}, but its timestamps give {n_obs!r}"
+        assert_one_error_line(capsys, "SchemaError", fragment)
+
     @pytest.mark.parametrize("case", list(UNFORECASTABLE_DOCUMENTS))
     def test_model_document_that_cannot_be_forecast_rejected(
         self, tmp_path, rng, capsys, recwarn, case

@@ -697,27 +697,44 @@ class TestFit:
 def recorded_minimize(monkeypatch, iterates=None):
     """Wrap estimator.minimize; the returned list receives each fit's
     result, and ``iterates``, when given, a copy of each accepted iterate.
-    The iterates are read off the evaluations by minimize's own rule: after
-    the start point, a trial point is accepted when its objective does not
-    exceed that of the last accepted point."""
+
+    An iterate is accepted when minimize takes derivatives at its evaluation,
+    or returns that evaluation: the last accepted step is not differentiated
+    when the small-decrease rule stops the solver. Each fit asserts that the
+    accepted iterates number ``result.nit`` and that the last is ``result.x``
+    bit for bit."""
     import addcast.estimator as est
 
     real_minimize = est.minimize
     results = []
 
     def recorded(evaluate, derivatives, x0):
+        evaluated = []  # (evaluation, x) of each trial point
+
+        def point_of(evaluation):
+            return next(x for e, x in evaluated if e is evaluation)
+
+        def recording_evaluate(x):
+            evaluated.append((evaluate(x), np.array(x)))
+            return evaluated[-1][0]
+
         accepted = []
 
-        def recording(x):
-            evaluation = evaluate(x)
-            if not accepted or evaluation[0] <= accepted[-1]:
-                if accepted and iterates is not None:
-                    iterates.append(np.array(x))
-                accepted.append(evaluation[0])
-            return evaluation
+        def recording_derivatives(evaluation):
+            accepted.append(point_of(evaluation))
+            return derivatives(evaluation)
 
-        results.append(real_minimize(recording, derivatives, x0))
-        return results[-1]
+        result = real_minimize(recording_evaluate, recording_derivatives, x0)
+        final = point_of(result.evaluation)
+        if final is not accepted[-1]:
+            accepted.append(final)
+        steps = accepted[1:]  # the first is the start point
+        assert len(steps) == result.nit
+        assert np.array_equal(accepted[-1], result.x)
+        if iterates is not None:
+            iterates.extend(steps)
+        results.append(result)
+        return result
 
     monkeypatch.setattr(est, "minimize", recorded)
     return results

@@ -234,7 +234,8 @@ def _dynamic_arch() -> bool:
 
 
 # Measured under OPENBLAS_CORETYPE=Haswell against the SkylakeX kernel, the
-# largest differences are 3.2e-13 relative and 3.2e-14 absolute.
+# largest |b - a| / max(1, |a|) over every number written is 2.0e-15 (a linear
+# forecast value near 0.76), about 500 times below this tolerance.
 CROSS_KERNEL_TOLERANCE = 1e-12
 
 
